@@ -1,11 +1,12 @@
-(* Benchmark and experiment harness: regenerates every table/figure-style
-   result catalogued in DESIGN.md (per-experiment index) and EXPERIMENTS.md.
+(* Benchmark and experiment harness: regenerates the measured tables
+   catalogued in DESIGN.md (per-experiment index) and EXPERIMENTS.md.
 
      dune exec bench/main.exe             # everything
-     dune exec bench/main.exe -- figures limit   # selected sections
+     dune exec bench/main.exe -- monitor check   # selected sections
 
-   Verdict tables print paper-expected vs measured; timing tables are
-   Bechamel estimates (ns per run, OLS on the monotonic clock). *)
+   Timing tables are Bechamel estimates (ns per run, OLS on the monotonic
+   clock).  The paper's verdict claims (figures, limit, inclusion, lemmas)
+   are asserted by the test suite, not re-derived here. *)
 
 open Tm_safety
 open Bechamel
@@ -55,219 +56,6 @@ let print_timings results =
       Fmt.pr "  %-42s %s/run@." name pretty)
     rows
 
-let yes_no v = if Verdict.is_sat v then "yes" else "no "
-let expect b = if b then "yes" else "no "
-
-(* --- Section: figures -------------------------------------------------- *)
-
-let bench_figures () =
-  section_header
-    "figures — the paper's Figures 1-6: expected vs measured verdicts";
-  Fmt.pr "%-8s  %-14s %-14s %-14s %-10s %-10s@." "figure" "du-opaque" "opaque"
-    "final-state" "tms2" "rco";
-  let ok = ref true in
-  List.iter
-    (fun (e : Figures.expectation) ->
-      let du = Du_opacity.check e.history in
-      let opq = Opacity.check e.history in
-      let fs = Final_state.check e.history in
-      let cell measured expected =
-        let s = Fmt.str "%s (exp %s)" (yes_no measured) (expect expected) in
-        if Verdict.is_sat measured <> expected then ok := false;
-        s
-      in
-      let opt_cell check = function
-        | Some expected -> cell (check e.history) expected
-        | None -> "-"
-      in
-      Fmt.pr "%-8s  %-14s %-14s %-14s %-10s %-10s@." e.name
-        (cell du e.du_opaque) (cell opq e.opaque) (cell fs e.final_state)
-        (opt_cell (fun h -> Tms2.check h) e.tms2)
-        (opt_cell (fun h -> Rco.check h) e.rco))
-    Figures.catalog;
-  Fmt.pr "  => %s@."
-    (if !ok then "ALL FIGURE VERDICTS MATCH THE PAPER"
-     else "MISMATCH — see above")
-
-(* --- Section: limit ----------------------------------------------------- *)
-
-let bench_limit () =
-  section_header
-    "limit — Proposition 1: Figure 2's prefix family has no stable \
-     serialization";
-  Fmt.pr
-    "readers | T1 position in found serialization | every reader forced \
-     before T1?@.";
-  List.iter
-    (fun readers ->
-      let h = Figures.fig2 ~readers in
-      let pos =
-        match Du_opacity.check h with
-        | Verdict.Sat s ->
-            let rec index i = function
-              | [] -> -1
-              | k :: _ when k = 1 -> i
-              | _ :: rest -> index (i + 1) rest
-            in
-            index 0 s.Serialization.order
-        | Verdict.Unsat _ | Verdict.Unknown _ -> -1
-      in
-      let forced =
-        List.for_all
-          (fun reader ->
-            Verdict.is_unsat
-              (Search.serialize
-                 { Search.du with extra_edges = [ (1, reader) ] }
-                 h))
-          (List.init (readers - 2) (fun i -> i + 3))
-      in
-      Fmt.pr "%7d | %6d                            | %b@." readers pos forced)
-    [ 3; 4; 6; 8; 12; 16; 24; 32; 48; 64 ];
-  Fmt.pr
-    "  => T1's position diverges with the prefix length: the limit history \
-     has no serialization (du-opacity is not limit-closed in general).@.";
-  (* Theorem 5's restriction: if T1's tryC eventually completes, readers
-     arriving after that must return 1, so only finitely many zero-readers
-     exist and T1's position freezes — the ever-growing family now has a
-     stable serialization (the limit is du-opaque). *)
-  Fmt.pr
-    "@.With the completeness restriction (Theorem 5): complete T1's tryC \
-     after 4 zero-readers; later readers return 1.  T1's position is now \
-     stable as the history grows:@.";
-  Fmt.pr "late readers | T1 position@.";
-  List.iter
-    (fun late ->
-      let base = Figures.fig2 ~readers:6 in
-      let late_readers =
-        List.concat
-          (List.init late (fun i ->
-               let k = 7 + i in
-               Dsl.r k Dsl.x 1))
-      in
-      let completed =
-        History.of_events_exn
-          (History.to_list base
-          @ (Event.Res (1, Event.Committed) :: late_readers))
-      in
-      match Du_opacity.check completed with
-      | Verdict.Sat s ->
-          let rec index i = function
-            | [] -> -1
-            | k :: _ when k = 1 -> i
-            | _ :: rest -> index (i + 1) rest
-          in
-          Fmt.pr "%12d | %d@." late (index 0 s.Serialization.order)
-      | Verdict.Unsat why -> Fmt.pr "%12d | UNSAT?! %s@." late why
-      | Verdict.Unknown why -> Fmt.pr "%12d | ? %s@." late why)
-    [ 0; 4; 8; 16; 32 ];
-  Fmt.pr
-    "  => position frozen at the number of zero-readers: the König-path \
-     construction of Theorem 5 converges.@."
-
-(* --- Section: inclusion ------------------------------------------------- *)
-
-let bench_inclusion () =
-  section_header
-    "inclusion — Theorems 10 & 11 and Corollary 2 over random histories";
-  let n = 2000 in
-  let params = { Gen.default with n_txns = 6; n_threads = 3; max_ops = 3 } in
-  let count name gen_params check =
-    let sat = ref 0 in
-    for seed = 1 to n do
-      let h = Gen.run_seed gen_params seed in
-      if check h then incr sat
-    done;
-    Fmt.pr "  %-48s %5d / %d@." name !sat n
-  in
-  let is_sat f h = Verdict.is_sat (f h) in
-  count "du-opaque (snapshot-valued mix)" params
-    (is_sat (fun h -> Du_opacity.check ~max_nodes:500_000 h));
-  count "opaque" params (is_sat (Opacity.check ~max_nodes:500_000));
-  count "final-state opaque" params (is_sat (Final_state.check ~max_nodes:500_000));
-  (* implications, counted as violations *)
-  let violations name gen_params bad =
-    let v = ref 0 in
-    for seed = 1 to n do
-      if bad (Gen.run_seed gen_params seed) then incr v
-    done;
-    Fmt.pr "  %-48s %5d / %d  (0 expected)@." name !v n
-  in
-  violations "counterexamples to: du-opaque => opaque" params (fun h ->
-      Verdict.is_sat (Du_opacity.check ~max_nodes:500_000 h)
-      && Verdict.is_unsat (Opacity.check ~max_nodes:500_000 h));
-  violations "counterexamples to: opaque => final-state" params (fun h ->
-      Verdict.is_sat (Opacity.check ~max_nodes:500_000 h)
-      && Verdict.is_unsat (Final_state.check ~max_nodes:500_000 h));
-  violations "counterexamples to: du prefix-closure" params (fun h ->
-      Verdict.is_sat (Du_opacity.check ~max_nodes:500_000 h)
-      && List.exists
-           (fun i ->
-             Verdict.is_unsat
-               (Du_opacity.check ~max_nodes:500_000 (History.prefix h i)))
-           (History.response_indices h));
-  let uw = { params with unique_writes = true } in
-  violations "counterexamples to: unique writes du <=> opaque" uw (fun h ->
-      Verdict.is_sat (Du_opacity.check ~max_nodes:500_000 h)
-      <> Verdict.is_sat (Opacity.check ~max_nodes:500_000 h));
-  Fmt.pr
-    "  (fig4 witnesses strictness of Theorem 10: opaque but not du-opaque — \
-     see the figures table)@."
-
-(* --- Section: lemmas ---------------------------------------------------- *)
-
-let bench_lemmas () =
-  section_header "lemmas — constructive Lemma 1 and Lemma 4 on random inputs";
-  let n = 2000 in
-  let run params =
-    let l1_checked = ref 0 and l1_ok = ref 0 and l1_rescued = ref 0 in
-    let l4_checked = ref 0 and l4_ok = ref 0 in
-    for seed = 1 to n do
-      let h = Gen.run_seed params seed in
-      match Du_opacity.check ~max_nodes:500_000 h with
-      | Verdict.Sat s ->
-          List.iter
-            (fun i ->
-              incr l1_checked;
-              let si = Lemmas.project_prefix h s i in
-              let p = History.prefix h i in
-              if
-                Serialization.validate ~claim:Serialization.Du_opaque p si
-                = Ok ()
-              then incr l1_ok
-              else if
-                Verdict.is_sat (Du_opacity.check ~max_nodes:500_000 p)
-              then incr l1_rescued)
-            (History.response_indices h);
-          incr l4_checked;
-          let s' = Lemmas.normalize_live_sets h s in
-          if
-            Lemmas.respects_live_sets h s'
-            && Serialization.validate ~claim:Serialization.Du_opaque h s'
-               = Ok ()
-          then incr l4_ok
-      | Verdict.Unsat _ | Verdict.Unknown _ -> ()
-    done;
-    (!l1_ok, !l1_rescued, !l1_checked, !l4_ok, !l4_checked)
-  in
-  let params = { Gen.default with n_txns = 6; n_threads = 3; max_ops = 3 } in
-  let l1, r1, c1, l4, c4 = run params in
-  Fmt.pr
-    "  duplicate writes: Lemma 1 construction %d / %d (every one of the %d \
-     failures has a prefix serialization anyway: %d — Corollary 2's \
-     statement survives)@."
-    l1 c1 (c1 - l1) r1;
-  Fmt.pr "  duplicate writes: Lemma 4 normalisation %d / %d@." l4 c4;
-  let l1u, _, c1u, l4u, c4u = run { params with unique_writes = true } in
-  Fmt.pr
-    "  unique writes:    Lemma 1 construction %d / %d (the paper's proof \
-     step is valid here — Theorem 11's setting)@."
-    l1u c1u;
-  Fmt.pr "  unique writes:    Lemma 4 normalisation %d / %d@." l4u c4u;
-  Fmt.pr
-    "  => see EXPERIMENTS.md finding 1: Lemma 1 fails under duplicate \
-     writes (witness: Findings.lemma1_gap), the checkers themselves are \
-     unaffected.@."
-
 (* --- Section: stm-safety ------------------------------------------------ *)
 
 let bench_stm_safety () =
@@ -296,7 +84,10 @@ let bench_stm_safety () =
           !aborts
           + r.Sim.Runner.stats.Stm.Harness.op_aborts
           + r.Sim.Runner.stats.Stm.Harness.commit_aborts;
-        match Du_opacity.check_fast ~max_nodes:1_000_000 r.Sim.Runner.history with
+        match
+          Conflict_graph.check_or_fallback ~max_nodes:1_000_000
+            r.Sim.Runner.history
+        with
         | Verdict.Sat _ -> incr du_ok
         | Verdict.Unsat _ -> incr bad
         | Verdict.Unknown _ -> ()
@@ -339,8 +130,6 @@ let bench_checker_scaling () =
         [
           Test.make ~name:(name "du-search   ")
             (Staged.stage (fun () -> ignore (Du_opacity.check h)));
-          Test.make ~name:(name "du-fastpath ")
-            (Staged.stage (fun () -> ignore (Du_opacity.check_fast h)));
           Test.make ~name:(name "final-state ")
             (Staged.stage (fun () -> ignore (Final_state.check h)));
           Test.make ~name:(name "opacity     ")
@@ -364,48 +153,8 @@ let bench_checker_scaling () =
   in
   print_timings (run_bechamel tests);
   Fmt.pr
-    "  => expected shape: fastpath ≤ search; opacity ≈ (responses × \
-     final-state); all grow super-linearly in the worst case (the decision \
-     problem is NP-hard).@."
-
-(* --- Section: fastpath -------------------------------------------------- *)
-
-let bench_fastpath () =
-  section_header
-    "fastpath — unique-writes polygraph vs general search (Theorem 11 \
-     machinery)";
-  let history_of_size txns seed =
-    let params =
-      {
-        Stm.Workload.default with
-        n_threads = 3;
-        txns_per_thread = (txns + 2) / 3;
-        ops_per_txn = 3;
-        n_vars = 6;
-        values = `Unique;
-      }
-    in
-    (Sim.Runner.run ~max_retries:1 ~stm:"tl2" ~params ~seed ()).Sim.Runner.history
-  in
-  let tests =
-    List.concat_map
-      (fun txns ->
-        let h = history_of_size txns (2000 + txns) in
-        [
-          Test.make ~name:(Fmt.str "polygraph    txns=%02d" txns)
-            (Staged.stage (fun () -> ignore (Polygraph.check h)));
-          Test.make ~name:(Fmt.str "search (du)  txns=%02d" txns)
-            (Staged.stage (fun () -> ignore (Du_opacity.check h)));
-        ])
-      [ 6; 12; 24; 48 ]
-  in
-  print_timings (run_bechamel tests);
-  Fmt.pr
-    "  => expected shape: on these near-serial recorded histories the \
-     history-order-hinted search is linear and wins; the polygraph's \
-     O(n^3) closure costs more but is immune to the search's exponential \
-     worst case (it never branches when propagation decides every \
-     disjunction — which unique writes make the common case).@."
+    "  => expected shape: opacity ≈ (responses × final-state); all grow \
+     super-linearly in the worst case (the decision problem is NP-hard).@."
 
 (* --- Section: stm-throughput ------------------------------------------- *)
 
@@ -1400,7 +1149,7 @@ let check_containment () =
       for s = 1 to seeds do
         let h = Oracle.produce source ~seed:(1000 + (i * seeds) + s) in
         incr histories;
-        let du = Du_opacity.check_fast ~max_nodes:2_000_000 h in
+        let du = Conflict_graph.check_or_fallback ~max_nodes:2_000_000 h in
         let lu = Last_use_opacity.check_fast ~max_nodes:2_000_000 h in
         match (du, Last_use_opacity.to_verdict lu) with
         | Verdict.Sat _, Verdict.Sat _ ->
@@ -1467,12 +1216,10 @@ let bench_check () =
     (Sim.Runner.run ~stm:"tl2" ~params ~seed:(42 + target) ())
       .Sim.Runner.history
   in
-  (* The pre-existing backends are superlinear on histories this large —
-     [check_fast] crawls at ~2k events/s by 10k events and the search
-     follows its per-response incremental revalidation — so each gets a
+  (* The searches are superlinear on histories this large, so they get a
      hard cap; the graph backend runs at every size.  The asymmetry IS the
      result. *)
-  let fast_cap = 120_000 and search_cap = 120_000 in
+  let search_cap = 120_000 in
   let verdict_of = function
     | Verdict.Sat _ -> "sat"
     | Verdict.Unsat _ -> "unsat"
@@ -1504,15 +1251,13 @@ let bench_check () =
             | Conflict_graph.Unsat _ -> "unsat"
             | Conflict_graph.Ambiguous _ -> "ambiguous");
         if n <= search_cap then
-          time n "search" (fun () -> Du_opacity.check h) verdict_of;
-        if n <= fast_cap then
-          time n "fast" (fun () -> Du_opacity.check_fast h) verdict_of
+          time n "search" (fun () -> Du_opacity.check h) verdict_of
       end;
       if lu_on then begin
-        (* The last-use core shares the greedy conflict-order fast path, so
-           it belongs on the same axis as [fast]; the decorated search gets
-           the same cap as the du search. *)
-        if n <= fast_cap then
+        (* [lu-fast] adopts a graph certificate before searching; it keeps
+           the search's cap because a graph refusal falls through to the
+           decorated search. *)
+        if n <= search_cap then
           time n "lu-fast"
             (fun () ->
               Last_use_opacity.to_verdict (Last_use_opacity.check_fast h))
@@ -1567,18 +1312,13 @@ let bench_check () =
       speedups;
     Fmt.pr
       "  => expected shape: graph linear (greedy fast path) through 1M \
-       events; search/fast capped because they are superlinear here.@."
+       events; the searches capped because they are superlinear here.@."
   end
 
 let sections =
   [
-    ("figures", bench_figures);
-    ("limit", bench_limit);
-    ("inclusion", bench_inclusion);
-    ("lemmas", bench_lemmas);
     ("stm-safety", bench_stm_safety);
     ("checker-scaling", bench_checker_scaling);
-    ("fastpath", bench_fastpath);
     ("stm-throughput", bench_stm_throughput);
     ("abort-rate", bench_abort_rate);
     ("monitor", bench_monitor);

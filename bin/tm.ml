@@ -88,33 +88,17 @@ let property_conv =
       ("all", P_all);
     ]
 
-type backend = B_search | B_graph | B_both
-
-let backend_conv =
-  Arg.enum [ ("search", B_search); ("graph", B_graph); ("both", B_both) ]
-
-(* The conflict-graph backend decides du-opacity; other properties keep
-   their single checker regardless of [--backend]. *)
-let du_checks backend =
-  let search =
-    ("du-opacity", fun ?max_nodes h -> Du_opacity.check ?max_nodes h)
-  in
-  let graph =
-    ( "du-opacity (graph)",
-      fun ?max_nodes h -> Conflict_graph.check_or_fallback ?max_nodes h )
-  in
-  match backend with
-  | B_search -> [ search ]
-  | B_graph -> [ graph ]
-  | B_both -> [ ("du-opacity (search)", snd search); graph ]
+let du_check =
+  ( "du-opacity",
+    fun ?max_nodes h -> Conflict_graph.check_or_fallback ?max_nodes h )
 
 let last_use_check =
   ( "last-use opacity",
     fun ?max_nodes h ->
       Last_use_opacity.to_verdict (Last_use_opacity.check ?max_nodes h) )
 
-let rec checks_of_property backend = function
-  | P_du -> du_checks backend
+let rec checks_of_property = function
+  | P_du -> [ du_check ]
   | P_last_use -> [ last_use_check ]
   | P_opacity -> [ ("opacity", fun ?max_nodes h -> Opacity.check ?max_nodes h) ]
   | P_final_state ->
@@ -135,7 +119,7 @@ let rec checks_of_property backend = function
           fun ?max_nodes h -> Snapshot_isolation.check ?max_nodes h );
       ]
   | P_all ->
-      List.concat_map (checks_of_property backend)
+      List.concat_map checks_of_property
         [
           P_du; P_last_use; P_opacity; P_final_state; P_tms2; P_rco; P_ser;
           P_strict_ser; P_si;
@@ -148,10 +132,10 @@ type criterion = C_du | C_lastuse | C_both
 let criterion_conv =
   Arg.enum [ ("du", C_du); ("last-use", C_lastuse); ("both", C_both) ]
 
-let checks_of_criterion backend = function
-  | C_du -> checks_of_property backend P_du
+let checks_of_criterion = function
+  | C_du -> [ du_check ]
   | C_lastuse -> [ last_use_check ]
-  | C_both -> checks_of_property backend P_du @ [ last_use_check ]
+  | C_both -> [ du_check; last_use_check ]
 
 let check_cmd =
   let property_arg =
@@ -168,17 +152,6 @@ let check_cmd =
        and print it as a timeline."
     in
     Arg.(value & flag & info [ "shrink"; "s" ] ~doc)
-  in
-  let backend_arg =
-    let doc =
-      "du-opacity checker backend: $(docv) ∈ search|graph|both.  [graph] \
-       uses the incremental conflict-graph core (falling back to the \
-       search only on genuinely ambiguous histories); [both] runs the two \
-       and prints a verdict line each."
-    in
-    Arg.(
-      value & opt backend_conv B_search
-      & info [ "backend"; "b" ] ~docv:"BACKEND" ~doc)
   in
   let criterion_arg =
     let doc =
@@ -198,8 +171,8 @@ let check_cmd =
     in
     Arg.(value & opt (some string) None & info [ "dot" ] ~docv:"FILE" ~doc)
   in
-  let run input property criterion backend max_nodes timeline certificate
-      shrink dot =
+  let run input property criterion max_nodes timeline certificate shrink
+      dot =
     match history_of_input input with
     | Error e -> e
     | Ok h ->
@@ -224,8 +197,8 @@ let check_cmd =
         in
         let checks =
           match criterion with
-          | Some c -> checks_of_criterion backend c
-          | None -> checks_of_property backend property
+          | Some c -> checks_of_criterion c
+          | None -> checks_of_property property
         in
         List.iter
           (fun (name, check) ->
@@ -258,8 +231,8 @@ let check_cmd =
   in
   let term =
     Term.(
-      const run $ input_arg $ property_arg $ criterion_arg $ backend_arg
-      $ max_nodes_arg $ timeline_arg $ certificate_arg $ shrink_arg $ dot_arg)
+      const run $ input_arg $ property_arg $ criterion_arg $ max_nodes_arg
+      $ timeline_arg $ certificate_arg $ shrink_arg $ dot_arg)
   in
   let handle = function
     | `Ok () -> 0
@@ -357,7 +330,7 @@ let run_cmd =
       (History.length h);
     if not check then 0
     else
-      match Du_opacity.check_fast ~max_nodes:5_000_000 h with
+      match Conflict_graph.check_or_fallback ~max_nodes:5_000_000 h with
       | Verdict.Sat _ ->
           Fmt.epr "# du-opaque: yes@.";
           0
@@ -727,10 +700,10 @@ let soak_cmd =
        ~doc:
          "Differential soak: drive random, recorded and fault-injected \
           histories through every du-opacity checker path in lockstep \
-          (batch, fast, incremental, online monitor, optional loopback \
-          service), classify any divergence, auto-shrink it while the \
-          paths still disagree, and persist a deterministic repro into \
-          the regression corpus")
+          (batch search, conflict graph, incremental, online and sharded \
+          monitors, last-use, optional loopback service), classify any \
+          divergence, auto-shrink it while the paths still disagree, and \
+          persist a deterministic repro into the regression corpus")
     Term.(
       const run $ seed $ iters $ seconds $ jobs $ sources $ serve $ corpus
       $ no_corpus $ json $ max_nodes_arg $ quiet)

@@ -61,10 +61,12 @@ type stm_result = {
 let empty_report =
   { Race.accesses = 0; locations = 0; sync_locations = 0; races = [] }
 
-(* Judge a deduplicated history set under both criteria.  With [graph],
-   every history is also judged by the conflict-graph backend (falling back
-   to the search on [Ambiguous]) and decided disagreements are counted —
-   the exhaustive small-scope cross-check of the two checker cores.  Every
+(* Judge a deduplicated history set under both criteria.  The primary du
+   verdict is the exact search.  With [graph], every history is also judged
+   by the conflict-graph backend (falling back to the search on
+   [Ambiguous]) and decided disagreements are counted — the exhaustive
+   small-scope cross-check of the two checker cores, which is only
+   independent while the primary verdict never consults the graph.  Every
    history additionally drives the criterion lattice: [containment] counts
    du-opaque histories that fail last-use opacity (a theorem violation,
    must be 0 everywhere), [separated] counts the interesting converse —
@@ -86,7 +88,7 @@ let verdicts_of ?(graph = false) cfg (histories : (string, History.t) Hashtbl.t)
   in
   List.iter
     (fun (key, h) ->
-      let v = Du.check_fast ~max_nodes:cfg.max_nodes h in
+      let v = Du.check ~max_nodes:cfg.max_nodes h in
       (match v with
       | Verdict.Sat _ -> incr sat
       | Verdict.Unsat why ->

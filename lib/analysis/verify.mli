@@ -3,7 +3,7 @@
     For each algorithm, enumerates {e every} schedule of a small workload
     with {!Tm_sim.Explore} (DPOR by default), checks each distinct recorded
     history under {e both} safety criteria
-    ({!Tm_checker.Du_opacity.check_fast} and
+    ({!Tm_checker.Du_opacity.check} and
     {!Tm_checker.Last_use_opacity.check_fast} — including the containment
     theorem du ⇒ last-use as a per-history invariant), and runs the
     happens-before race analyzer ({!Race}) over each schedule's
@@ -72,9 +72,9 @@ type stm_result = {
       (** distinct histories also judged by
           {!Tm_checker.Conflict_graph.check_or_fallback} *)
   r_graph_mismatch : int;
-      (** decided disagreements between the graph backend and
-          [check_fast] — always 0 unless one of the two checker cores is
-          wrong *)
+      (** decided disagreements between the graph backend and the search
+          ({!Tm_checker.Du_opacity.check}) — always 0 unless one of the
+          two checker cores is wrong *)
   r_seconds : float;
 }
 

@@ -10,7 +10,7 @@
     nothing when it already respects the maintained order (the overwhelming
     case on event streams, where edges point forward in time) and a bounded
     reorder of the affected region otherwise, instead of a re-search or an
-    O(n²) closure matrix as in {!Polygraph}.  Transactions and variables
+    O(n²) transitive-closure matrix.  Transactions and variables
     are interned to dense ids, per-transaction read/write sets are bitsets,
     and the adjacency lists live in arena-allocated (index-linked) edge
     pools, so checking a million-event history allocates a handful of flat

@@ -79,9 +79,10 @@ val check_stats :
   ?max_nodes:int -> ?hint:Event.tx list -> History.t -> result * Search.stats
 
 val check_fast : ?max_nodes:int -> History.t -> result
-(** Tries the polynomial conflict-order fast path ({!Conflict_opacity})
-    before the exact search — sound because a du-opacity certificate is
-    also a last-use one (optional candidate visibility). *)
+(** Adopts a {!Conflict_graph.check} [Sat] certificate, otherwise runs
+    the exact search — sound because a du-opacity certificate is also a
+    last-use one (optional candidate visibility).  A graph [Unsat] is not
+    adopted: du-opacity failing does not make last-use opacity fail. *)
 
 (** {1 Incremental checking}
 

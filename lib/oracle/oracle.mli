@@ -1,14 +1,15 @@
 (** Differential soak testing of the du-opacity checker paths ([tm soak]).
 
     The repo decides du-opacity in several independent ways — the batch
-    {!Tm_checker.Du_opacity.check}, its conflict-order fast path
-    [check_fast], the incremental [check_inc], the online
-    {!Tm_checker.Monitor}, and the [tm serve] wire path.  The batch paths
-    answer "is this history du-opaque?"; the incremental and monitor paths
-    are sticky and answer "is {e every prefix} du-opaque?" — the safety
-    closure of du-opacity.  Under the paper's unique-writes assumption the
-    two questions coincide (Corollary 2) and every decided pair must agree;
-    with duplicate written values an extension can resurrect a dead prefix
+    {!Tm_checker.Du_opacity.check}, the polynomial
+    {!Tm_checker.Conflict_graph.check}, the incremental [check_inc], the
+    online {!Tm_checker.Monitor} and {!Tm_checker.Sharded_monitor}, and
+    the [tm serve] wire path.  The batch paths answer "is this history
+    du-opaque?"; the incremental and monitor paths are sticky and answer
+    "is {e every prefix} du-opaque?" — the safety closure of du-opacity.
+    Under the paper's unique-writes assumption the two questions coincide
+    (Corollary 2) and every decided pair must agree; with duplicate
+    written values an extension can resurrect a dead prefix
     ({!Tm_figures.Findings.corollary2_gap} — found by this very harness),
     which the oracle verifies from scratch and reports as a benign
     [closure_gap], not a discrepancy.  This module is the lockstep oracle
@@ -76,8 +77,8 @@ val lockstep :
   lockstep_result
 (** Run every checker path over [h] in lockstep and cross-check:
 
-    - batch [Du_opacity.check] and [Du_opacity.check_fast] on the full
-      history (certificates validated);
+    - batch [Du_opacity.check] on the full history (certificate
+      validated);
     - the conflict-graph backend ({!Tm_checker.Conflict_graph.check}) on
       the full history, certificate validated and verdict compared
       against the batch search — [Ambiguous] counts as undecided, never

@@ -77,6 +77,104 @@ let test_catalog () =
         (Conflict_graph.check_or_fallback ~max_nodes e.Figures.history))
     Figures.catalog
 
+(* --- hand-built histories: raw graph verdicts ------------------------------- *)
+
+(* Raw [Conflict_graph.check] verdicts on small hand-built histories, one
+   test case per history; every [Sat] certificate must also pass the
+   definitional validator. *)
+let show_graph = function
+  | Conflict_graph.Sat _ -> "Sat"
+  | Conflict_graph.Unsat why -> "Unsat: " ^ why
+  | Conflict_graph.Ambiguous why -> "Ambiguous: " ^ why
+
+let graph_sat ?(commits = []) name h = function
+  | Conflict_graph.Sat s ->
+      check_certified ~claim:Serialization.Du_opaque name h (Verdict.Sat s);
+      List.iter
+        (fun k ->
+          if not (Serialization.commits s k) then
+            Alcotest.failf "%s: T%d not committed in the certificate" name k)
+        commits
+  | r -> Alcotest.failf "%s: expected Sat, got %s" name (show_graph r)
+
+let graph_unsat name _ = function
+  | Conflict_graph.Unsat _ -> ()
+  | r -> Alcotest.failf "%s: expected Unsat, got %s" name (show_graph r)
+
+let graph_ambiguous name h = function
+  | Conflict_graph.Ambiguous _ ->
+      check_sat (name ^ " (fallback)")
+        (Conflict_graph.check_or_fallback ~max_nodes h)
+  | r -> Alcotest.failf "%s: expected Ambiguous, got %s" name (show_graph r)
+
+let fig4_unique =
+  Dsl.(history [ w 1 x 1; c_inv 1; r 2 x 2; w 3 x 2; c 3; aborted 1 ])
+
+let hand_built_cases =
+  let open Dsl in
+  [
+    ( "unique writes",
+      history [ w 1 x 1; c 1; r 2 x 1; w 3 x 2; c 3; r 2 y 0 ],
+      graph_sat ~commits:[ 1 ] );
+    ( "read from a live writer",
+      history [ w_inv 1 x 1; w_ok 1; r 2 x 1; c 2 ],
+      graph_unsat );
+    ( "unique-writes write skew",
+      history
+        [ r_inv 1 x; ret 1 0; r_inv 2 y; ret 2 0; w 1 y 1; w 2 x 2; c_inv 1;
+          c_inv 2; committed 1; committed 2 ],
+      graph_unsat );
+    ( "read from a commit-pending writer",
+      history [ w 1 x 1; c_inv 1; r 2 x 1; c 2 ],
+      graph_sat ~commits:[ 1 ] );
+    ( "unique-writes fig4 variant",
+      fig4_unique,
+      fun name h r ->
+        graph_unsat name h r;
+        (* Theorem 11: under unique writes du-opacity and opacity coincide. *)
+        check_unsat (name ^ " is not opaque either") (Opacity.check h) );
+    ( "initial-value writer",
+      history [ w 1 x 0; c 1; r 2 x 0; c 2 ],
+      graph_ambiguous );
+  ]
+
+let hand_built_tests =
+  List.map
+    (fun (name, h, expect) ->
+      test ("hand-built: " ^ name) (fun () ->
+          expect name h (Conflict_graph.check h)))
+    hand_built_cases
+
+(* --- unique-writes histories the graph leaves undecided --------------------- *)
+
+(* Recorded unique-writes histories on which the raw graph answers
+   [Ambiguous] (an ordering contradiction after a heuristic choice): the
+   fallback must reach the search's verdict. One test case per history. *)
+let undecided_unique_writes =
+  [
+    (`Faults "tl2", 159, true);
+    (`Faults "norec", 159, true);
+    (`Faults "early-release", 159, true);
+    (`Stm "pessimistic", 68, true);
+    (`Stm "pessimistic", 95, false);
+    (`Stm "pessimistic", 153, false);
+    (`Stm "pessimistic", 205, true);
+  ]
+
+let undecided_unique_writes_tests =
+  List.map
+    (fun (source, seed, du_opaque) ->
+      let name = Fmt.str "%s/%d" (Oracle.source_tag source) seed in
+      test ("undecided unique writes: " ^ name) (fun () ->
+          let h = Oracle.produce source ~seed in
+          Alcotest.(check bool) (name ^ " has unique writes") true
+            (History.unique_writes h);
+          check_verdict (name ^ " search") du_opaque
+            (Du_opacity.check ~max_nodes h);
+          check_verdict (name ^ " graph+fallback") du_opaque
+            (Conflict_graph.check_or_fallback ~max_nodes h)))
+    undecided_unique_writes
+
 (* --- Finding 3: duplicate written values route to the fallback ------------ *)
 
 let test_corollary2_gap_fallback () =
@@ -213,5 +311,6 @@ let suite =
         test "monitor graph Unsat path" test_monitor_graph_unsat;
         slow "offline check, ~10k events" test_offline_medium;
         prop_graph_agrees;
-      ] );
+      ]
+      @ hand_built_tests @ undecided_unique_writes_tests );
   ]

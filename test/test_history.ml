@@ -145,6 +145,26 @@ let test_final_writes () =
     [ (0, 1); (0, 2); (1, 9) ]
     (Txn.writes t)
 
+let test_unique_writes () =
+  let open Dsl in
+  Alcotest.(check bool) "distinct written values" true
+    (History.unique_writes
+       (history [ w 1 x 1; c 1; r 2 x 1; w 3 x 2; c 3; r 2 y 0 ]));
+  Alcotest.(check bool) "write skew, distinct values" true
+    (History.unique_writes
+       (history
+          [ r_inv 1 x; ret 1 0; r_inv 2 y; ret 2 0; w 1 y 1; w 2 x 2;
+            c_inv 1; c_inv 2; committed 1; committed 2 ]));
+  Alcotest.(check bool) "fig4 variant with distinct values" true
+    (History.unique_writes
+       (history [ w 1 x 1; c_inv 1; r 2 x 2; w 3 x 2; c 3; aborted 1 ]));
+  Alcotest.(check bool) "one transaction rewriting its value" true
+    (History.unique_writes (history [ w 1 x 1; w 1 x 1; c 1 ]));
+  Alcotest.(check bool) "fig1 duplicates" false
+    (History.unique_writes Figures.fig1);
+  Alcotest.(check bool) "fig4 duplicates" false
+    (History.unique_writes Figures.fig4)
+
 let test_real_time () =
   Alcotest.(check bool) "T1 < T4" true (History.rt_precedes h 1 4);
   Alcotest.(check bool) "not T4 < T1" false (History.rt_precedes h 4 1);
@@ -279,6 +299,7 @@ let suite =
         test "transaction summaries" test_txn_info;
         test "read classification" test_reads_classification;
         test "final writes" test_final_writes;
+        test "unique writes" test_unique_writes;
         test "real-time order" test_real_time;
         test "live sets" test_live_sets;
         test "prefix" test_prefix;

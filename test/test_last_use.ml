@@ -191,7 +191,7 @@ let prop_containment =
          Oracle.produce (List.nth sources i) ~seed:(abs seed mod 100_000))
        QCheck2.Gen.int)
     (fun h ->
-      match Du_opacity.check_fast ~max_nodes:500_000 h with
+      match Conflict_graph.check_or_fallback ~max_nodes:500_000 h with
       | Verdict.Sat _ -> (
           match Last_use_opacity.check_fast ~max_nodes:500_000 h with
           | Last_use_opacity.Sat _ -> true

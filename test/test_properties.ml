@@ -111,37 +111,14 @@ let prop_unique_writes_equiv =
   qtest ~count:300 "unique writes: du-opaque <=> opaque"
     (arb_history ~params:unique_params ())
     (fun h ->
-      QCheck2.assume (Polygraph.unique_writes h);
+      QCheck2.assume (History.unique_writes h);
       sat "du" (du h) = sat "op" (opaque h))
 
-(* --- Polygraph agrees with the general checker under unique writes --- *)
+(* --- The graph with its search fallback decides exactly --- *)
 
-let prop_polygraph_agrees =
-  qtest ~count:300 "polygraph = search under unique writes"
-    (arb_history ~params:unique_params ())
-    (fun h ->
-      match Polygraph.check h with
-      | Polygraph.Sat s -> (
-          sat "du" (du h)
-          &&
-          match Serialization.validate ~claim:Serialization.Du_opaque h s with
-          | Ok () -> true
-          | Error _ -> false)
-      | Polygraph.Unsat _ -> not (sat "du" (du h))
-      | Polygraph.Not_unique _ -> QCheck2.assume_fail ())
-
-(* --- Conflict-order fast path is sound --- *)
-
-let prop_fastpath_sound =
-  qtest ~count:300 "conflict fast path only claims true positives" mixed
-    (fun h ->
-      match Conflict_opacity.attempt h with
-      | Some _ -> sat "du" (du h)
-      | None -> true)
-
-let prop_check_fast_agrees =
-  qtest ~count:200 "check_fast = check" mixed (fun h ->
-      sat "fast" (Du_opacity.check_fast ?max_nodes:budget h)
+let prop_check_or_fallback_agrees =
+  qtest ~count:200 "check_or_fallback = check" mixed (fun h ->
+      sat "graph" (Conflict_graph.check_or_fallback ?max_nodes:budget h)
       = sat "du" (du h))
 
 (* --- GHS'08 (read-commit order) is stronger than du-opacity --- *)
@@ -214,7 +191,8 @@ let prop_lemma1_fallback =
 (* --- Lemma 4: live-set normalisation --- *)
 
 let prop_lemma4 =
-  qtest ~count:150 "Lemma 4: live-set-respecting serialization" mixed
+  qtest ~count:150 "Lemma 4: live-set-respecting serialization"
+    QCheck2.Gen.(oneof [ mixed; arb_history ~params:unique_params () ])
     (fun h ->
       match du h with
       | Verdict.Sat s ->
@@ -310,7 +288,7 @@ let prop_roundtrip =
 let prop_unique_writes_generator =
   qtest ~count:300 "generator honours unique_writes"
     (arb_history ~params:unique_params ())
-    Polygraph.unique_writes
+    History.unique_writes
 
 let prop_prefix_structure =
   qtest ~count:200 "prefixes compose" mixed (fun h ->
@@ -339,9 +317,7 @@ let suite =
         prop_invocation_extension;
         prop_chain_t_complete;
         prop_unique_writes_equiv;
-        prop_polygraph_agrees;
-        prop_fastpath_sound;
-        prop_check_fast_agrees;
+        prop_check_or_fallback_agrees;
         prop_rco_implies_du;
         prop_certificates_validate;
         prop_lemma1_unique_writes;

@@ -30,7 +30,7 @@ let test_shrinks_control_runs () =
         if seed > 20 then None
         else
           let h = (Sim.Runner.run ~stm ~params ~seed ()).Sim.Runner.history in
-          if Verdict.is_unsat (Du_opacity.check_fast ~max_nodes:1_000_000 h)
+          if Verdict.is_unsat (Conflict_graph.check_or_fallback ~max_nodes:1_000_000 h)
           then Some h
           else hunt (seed + 1)
       in
@@ -48,7 +48,7 @@ let test_shrinks_control_runs () =
                 && History.length core <= 24);
               Alcotest.(check bool) "core still violating" true
                 (Verdict.is_unsat
-                   (Du_opacity.check_fast ~max_nodes:1_000_000 core));
+                   (Conflict_graph.check_or_fallback ~max_nodes:1_000_000 core));
               (* Local minimality: no single transaction is removable. *)
               List.iter
                 (fun k ->
@@ -59,7 +59,7 @@ let test_shrinks_control_runs () =
                     (Fmt.str "%s: dropping T%d loses the violation" stm k)
                     true
                     (Verdict.is_sat
-                       (Du_opacity.check_fast ~max_nodes:1_000_000 without)))
+                       (Conflict_graph.check_or_fallback ~max_nodes:1_000_000 without)))
                 (History.txns core)))
     [ "pessimistic"; "dirty-read"; "eager" ]
 
