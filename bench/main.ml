@@ -1194,12 +1194,17 @@ let bench_check () =
   if not !json_mode then
     section_header
       (Fmt.str
-         "check — %s backends vs history size (TL2-recorded, unique writes)"
+         "check — %s backends vs history size (TL2-recorded, unique and \
+          repeated values)"
          (match criterion with
          | "du" -> "du-opacity"
          | "last-use" -> "last-use-opacity"
          | _ -> "du- and last-use-opacity"));
-  let history_of ~target =
+  (* Each size is recorded twice from one seed: with unique written values,
+     which the graph decides, and with values drawn from 0-99, whose
+     repeats leave reads-from open (Corollary 2), so the graph answers
+     [Ambiguous] and the search decides. *)
+  let history_of ~values ~target =
     let threads = 4 and ops = 4 in
     (* ~10 events per transaction attempt: 2 per op plus the tryC pair. *)
     let txns = max 4 (target / 10) in
@@ -1210,15 +1215,14 @@ let bench_check () =
         txns_per_thread = (txns + threads - 1) / threads;
         ops_per_txn = ops;
         n_vars = 64;
-        values = `Unique;
+        values;
       }
     in
     (Sim.Runner.run ~stm:"tl2" ~params ~seed:(42 + target) ())
       .Sim.Runner.history
   in
-  (* The searches are superlinear on histories this large, so they get a
-     hard cap; the graph backend runs at every size.  The asymmetry IS the
-     result. *)
+  (* The searches keep a cap, to bound the step's time; the graph backend
+     runs at every size. *)
   let search_cap = 120_000 in
   let verdict_of = function
     | Verdict.Sat _ -> "sat"
@@ -1226,11 +1230,11 @@ let bench_check () =
     | Verdict.Unknown _ -> "unknown"
   in
   let rows = ref [] in
-  let time events backend f verdict =
+  let time (events, values) backend f verdict =
     let t0 = Stm.Clock.now () in
     let v = f () in
     let s = Stm.Clock.now () -. t0 in
-    rows := (events, backend, s, verdict v) :: !rows;
+    rows := ((events, values), backend, s, verdict v) :: !rows;
     if not !json_mode then
       Fmt.pr "  %-8s %9d events  %10.3f s  %12.0f events/s  %s@." backend
         events s
@@ -1238,39 +1242,45 @@ let bench_check () =
         (verdict v)
   in
   List.iter
-    (fun target ->
-      let h = history_of ~target in
-      let n = History.length h in
+    (fun (target, (values, label)) ->
+      let h = history_of ~values ~target in
+      let events = History.length h in
+      let key = (events, label) in
       if not !json_mode then
-        Fmt.pr "@.# target %d -> %d recorded events@." target n;
+        Fmt.pr "@.# target %d, %s values -> %d recorded events@." target label
+          events;
       if du_on then begin
-        time n "graph"
+        time key "graph"
           (fun () -> Conflict_graph.check h)
           (function
             | Conflict_graph.Sat _ -> "sat"
             | Conflict_graph.Unsat _ -> "unsat"
             | Conflict_graph.Ambiguous _ -> "ambiguous");
-        if n <= search_cap then
-          time n "search" (fun () -> Du_opacity.check h) verdict_of
+        if events <= search_cap then
+          time key "search" (fun () -> Du_opacity.check h) verdict_of
       end;
       if lu_on then begin
         (* [lu-fast] adopts a graph certificate before searching; it keeps
            the search's cap because a graph refusal falls through to the
            decorated search. *)
-        if n <= search_cap then
-          time n "lu-fast"
+        if events <= search_cap then
+          time key "lu-fast"
             (fun () ->
               Last_use_opacity.to_verdict (Last_use_opacity.check_fast h))
             verdict_of;
-        if n <= search_cap then
-          time n "lu-search"
+        if events <= search_cap then
+          time key "lu-search"
             (fun () ->
               Last_use_opacity.to_verdict (Last_use_opacity.check h))
             verdict_of
       end)
-    !opt_check_sizes;
+    (List.concat_map
+       (fun target ->
+         [ (target, (`Unique, "unique")); (target, (`Range 100, "repeated")) ])
+       !opt_check_sizes);
   let rows = List.rev !rows in
-  (* Speedups at every size where the graph and a capped backend both ran. *)
+  (* Speedups at every recording where the graph and a capped backend both
+     ran; on repeated values the graph only answers Ambiguous. *)
   let speedups =
     List.filter_map
       (fun (n, b, s, _) ->
@@ -1292,27 +1302,33 @@ let bench_check () =
       criterion
       (String.concat ", "
          (List.map
-            (fun (n, b, s, v) ->
+            (fun ((n, values), b, s, v) ->
               Fmt.str
-                {|{"events": %d, "backend": "%s", "seconds": %.4f, "events_per_s": %.0f, "verdict": "%s"}|}
-                n b s
+                {|{"events": %d, "values": "%s", "backend": "%s", "seconds": %.4f, "events_per_s": %.0f, "verdict": "%s"}|}
+                n values b s
                 (float_of_int n /. Float.max s 1e-9)
                 v)
             rows))
       (String.concat ", "
          (List.map
-            (fun (n, b, x) ->
-              Fmt.str {|{"events": %d, "backend": "%s", "factor": %.1f}|} n b x)
+            (fun ((n, values), b, x) ->
+              Fmt.str
+                {|{"events": %d, "values": "%s", "backend": "%s", "factor": %.1f}|}
+                n values b x)
             speedups))
       (match containment_json with Some j -> ", " ^ j | None -> "")
   else begin
     List.iter
-      (fun (n, b, x) ->
-        Fmt.pr "  graph is %.1fx faster than %s at %d events@." x b n)
+      (fun ((n, values), b, x) ->
+        Fmt.pr "  graph is %.1fx faster than %s at %d events (%s values)@." x
+          b n values)
       speedups;
     Fmt.pr
       "  => expected shape: graph linear (greedy fast path) through 1M \
-       events; the searches capped because they are superlinear here.@."
+       events on unique values, Ambiguous on repeated ones, where the \
+       search decides; the searches are capped at %d events to bound the \
+       run.@."
+      search_cap
   end
 
 let sections =

@@ -948,13 +948,13 @@ let rule_docs = List.map (fun r -> (r.name, r.doc)) rules
    arm is inline pragmas; prefer those for single sites). *)
 let rule_whitelist =
   [
-    (* The certificate-search core and monitor do membership scans over
-       per-transaction commit-choice and final-write lists, bounded by 2
-       and by ops-per-txn respectively — measured flat in the PR 2/7
-       hot-path work.  The DPOR explorer's [en]/[sleep] lists are bounded
-       by the thread count.  [dot.ml] renders counterexample cycles
-       (length = cycle length, tiny by construction).  The lint itself
-       scans the fixed rule/keyword tables inside its token loops. *)
+    (* The certificate search's prefilter, the certificate validator and
+       the monitor scan a transaction's commit choices (at most 2) and its
+       final or closing writes (one per variable it wrote).  The DPOR
+       explorer's [en]/[sleep] lists are bounded by the thread count.
+       [dot.ml] renders counterexample cycles (length = cycle length,
+       tiny by construction).  The lint itself scans the fixed
+       rule/keyword tables inside its token loops. *)
     ("quadratic-hot-path",
      [ "search.ml"; "serialization.ml"; "monitor.ml"; "explore.ml";
        "dot.ml"; "lint.ml" ]);

@@ -26,10 +26,17 @@ exception Exhausted
    appended since the previous call, growing the dense arrays amortised and
    keeping the transaction/variable/key interning tables alive, so an online
    monitor that searches occasionally over an ever-growing history pays for
-   each event once instead of rebuilding everything per search.  Real-time
-   edges are derived at each transaction's birth: the transactions t-complete
-   at that moment are exactly its RT predecessors, so a single cons-list
-   snapshot replaces the batch O(n^2) double loop. *)
+   each event once instead of rebuilding everything per search.
+
+   Real-time edges are derived at each transaction's birth, and only the
+   immediate ones are kept.  The real-time order is an interval order: [a]
+   precedes [b] when [a] completed before [b] started.  A t-complete [a] is
+   an immediate predecessor of a newborn iff no other t-complete
+   transaction started after [a] completed, i.e. iff [a] completed after
+   the latest start among the t-complete.  Those transactions form the
+   [frontier], maintained per completion, so a birth takes it as a shared
+   list in O(1).  The closure is unchanged, so "every predecessor placed"
+   still means "every real-time predecessor placed". *)
 type ictx = {
   mode : mode;
   respect_rt : bool;
@@ -44,14 +51,19 @@ type ictx = {
   mutable tryc_inv : int option array;
   mutable closing : (int * int) list array;
       (* dense var -> res index of the closing (last) write, per txn *)
-  mutable rt_preds : int list array;  (* must-precede (real time), dense *)
+  mutable rt_preds : int list array;  (* immediate real-time predecessors *)
+  mutable start : int array;  (* history index of the first event *)
+  mutable finish : int array;  (* history index of the commit/abort response *)
   mutable demands : int list array;  (* keys of external reads *)
   index : (Event.tx, int) Hashtbl.t;
   var_index : (Event.tvar, int) Hashtbl.t;
   mutable n_vars : int;
   keys : (int * Event.value, int) Hashtbl.t;  (* (dense var, value) -> key *)
   mutable n_keys : int;
-  mutable t_complete : int list;  (* t-complete so far, most recent first *)
+  mutable max_start : int;  (* latest start among the t-complete *)
+  mutable frontier : int list;
+      (* t-complete transactions that completed after [max_start], latest
+         completion first *)
 }
 
 let ictx (opts : options) =
@@ -69,13 +81,16 @@ let ictx (opts : options) =
     tryc_inv = [||];
     closing = [||];
     rt_preds = [||];
+    start = [||];
+    finish = [||];
     demands = [||];
     index = Hashtbl.create 64;
     var_index = Hashtbl.create 16;
     n_vars = 0;
     keys = Hashtbl.create 32;
     n_keys = 0;
-    t_complete = [];
+    max_start = -1;
+    frontier = [];
   }
 
 let grow c =
@@ -94,6 +109,8 @@ let grow c =
     c.tryc_inv <- g c.tryc_inv None;
     c.closing <- g c.closing [];
     c.rt_preds <- g c.rt_preds [];
+    c.start <- g c.start 0;
+    c.finish <- g c.finish 0;
     c.demands <- g c.demands []
   end
 
@@ -138,6 +155,21 @@ let refresh c h d =
   c.closing.(d) <-
     List.map (fun (x, p) -> (dense_var c x, p)) (Txn.closing_writes txn)
 
+(* [d] completed at history index [i]: it joins the frontier, and raising
+   the latest start drops the members that completed before it.  Those sit
+   at the tail, the list being ordered by completion. *)
+let complete c d i =
+  c.finish.(d) <- i;
+  if c.start.(d) <= c.max_start then c.frontier <- d :: c.frontier
+  else begin
+    c.max_start <- c.start.(d);
+    let rec keep = function
+      | e :: rest when c.finish.(e) > c.max_start -> e :: keep rest
+      | _ -> []
+    in
+    c.frontier <- d :: keep c.frontier
+  end
+
 (* Consume the events of [h] beyond the last synced position.  [h] must be
    an extension of the history previously synced into [c] (the monitor only
    ever extends; batch searches use a fresh context). *)
@@ -163,7 +195,8 @@ let sync c h =
               c.n <- d + 1;
               Hashtbl.replace c.index k d;
               c.ids.(d) <- k;
-              c.rt_preds.(d) <- (if c.respect_rt then c.t_complete else []);
+              c.start.(d) <- i;
+              c.rt_preds.(d) <- (if c.respect_rt then c.frontier else []);
               mark d)
       | Event.Res (k, res) -> (
           match Hashtbl.find_opt c.index k with
@@ -172,8 +205,7 @@ let sync c h =
           | Some d ->
               mark d;
               (match res with
-              | Event.Committed | Event.Aborted ->
-                  c.t_complete <- d :: c.t_complete
+              | Event.Committed | Event.Aborted -> complete c d i
               | Event.Read_ok _ | Event.Write_ok -> ()))
     done;
     c.synced <- len;
@@ -216,7 +248,17 @@ let prefilter c h =
          invoked tryC before the read's response.  In Last_use mode a
          writer that can never commit still serves a reader that may abort,
          provided its closing write on the variable responded before the
-         read did (early release). *)
+         read did (early release).  Writers are indexed by the key of the
+         value they write, so each read looks only at its own value's. *)
+      let writers = Array.make (max 1 c.n_keys) [] in
+      for w = n - 1 downto 0 do
+        List.iter
+          (fun xv ->
+            match Hashtbl.find_opt c.keys xv with
+            | Some k -> writers.(k) <- w :: writers.(k)
+            | None -> ())
+          c.final_writes.(w)
+      done;
       let writer_possible i (r : Txn.read) =
         let closed_before w =
           match List.assoc_opt r.Txn.var c.closing.(w) with
@@ -225,9 +267,6 @@ let prefilter c h =
         in
         let ok w =
           w <> i
-          && List.exists
-               (fun (x, v) -> x = r.Txn.var && v = r.Txn.value)
-               c.final_writes.(w)
           &&
           match c.mode with
           | Plain -> List.mem true c.choices.(w)
@@ -241,8 +280,7 @@ let prefilter c h =
               List.mem true c.choices.(w)
               || (List.mem false c.choices.(i) && closed_before w)
         in
-        let rec exists w = w < n && (ok w || exists (w + 1)) in
-        exists 0
+        List.exists ok writers.(Hashtbl.find c.keys (r.Txn.var, r.Txn.value))
       in
       let rec check i =
         if i >= n then Ok ()
@@ -269,31 +307,56 @@ let prefilter c h =
       in
       check 0
 
-(* The key must determine everything the remaining subtree's feasibility
-   depends on: which transactions are placed AND with which decision (the
-   availability prune reads decisions), plus the visible write state. *)
-let memo_key mode placed decision stacks n =
-  let buf = Buffer.create 64 in
-  for i = 0 to n - 1 do
-    Buffer.add_char buf
-      (if not placed.(i) then '0' else if decision.(i) then 'c' else 'a')
-  done;
-  Array.iter
-    (fun stack ->
-      Buffer.add_char buf '|';
-      match mode with
-      | Plain -> (
-          match stack with
-          | [] -> ()
-          | (_, v) :: _ -> Buffer.add_string buf (string_of_int v))
-      | Du | Last_use ->
-          List.iter
-            (fun (w, _) ->
-              Buffer.add_string buf (string_of_int w);
-              Buffer.add_char buf ',')
-            stack)
-    stacks;
-  Buffer.contents buf
+(* Failure memoisation.  A node's state is everything the remaining
+   subtree's feasibility depends on: which transactions are placed AND
+   with which decision (the availability prune reads decisions), plus the
+   visible write state — each variable's stack of writers ([Du],
+   [Last_use]) or just its top value ([Plain]).
+
+   The state is hashed incrementally: placing [i] XORs in one constant per
+   (transaction, decision), and every stack entry carries the running hash
+   of its variable, so a pop restores the previous one.  The constants are
+   a fixed function of their index (splitmix64's mixer, its multipliers
+   cut to OCaml's 63-bit ints), so two runs hash identically.  A hash
+   match is confirmed against a snapshot of the full state, so the memo is
+   exact: the placement row is copied, and so is the array of stacks, whose
+   immutable lists the copy shares. *)
+let mix z =
+  let z = (z lxor (z lsr 30)) * 0x3f58476d1ce4e5b9 in
+  let z = (z lxor (z lsr 27)) * 0x14d049bb133111eb in
+  z lxor (z lsr 31)
+
+let splitmix k = mix ((k + 1) * 0x1e3779b97f4a7c15)
+let combine h k = mix (h lxor splitmix k)
+
+module Memo = Hashtbl.Make (Int)
+module Ranks = Set.Make (Int)
+
+(* A stack entry: writer, value written, running hash of the variable. *)
+type entry = int * Event.value * int
+
+type snapshot = { row : Bytes.t; stacks : entry list array }
+
+let stack_hash : entry list -> int = function
+  | [] -> 0
+  | (_, _, hx) :: _ -> hx
+
+let rec same_writers (a : entry list) (b : entry list) =
+  a == b
+  ||
+  match (a, b) with
+  | [], [] -> true
+  | (wa, _, _) :: ra, (wb, _, _) :: rb -> Int.equal wa wb && same_writers ra rb
+  | _, _ -> false
+
+let same_stack mode (a : entry list) (b : entry list) =
+  match mode with
+  | Du | Last_use -> same_writers a b
+  | Plain -> (
+      match (a, b) with
+      | [], [] -> true
+      | (_, va, _) :: _, (_, vb, _) :: _ -> Int.equal va vb
+      | _, _ -> false)
 
 (* Symmetry reduction.  Transactions [i] and [j] are interchangeable when
    transposing them is an automorphism of the whole constraint system:
@@ -303,8 +366,19 @@ let memo_key mode placed decision stacks n =
    only the smaller index is then complete — any serialization starting
    with the other maps to one starting with it by the transposition.
    This collapses e.g. the paper's Figure 2 family, whose zero-readers are
-   all interchangeable, from exponential to linear. *)
-let equivalence_matrix c n preds succs =
+   all interchangeable, from exponential to linear.
+
+   The precedence environment is the transitive reduction of the real-time
+   order (plus any extra edges); a DAG and its closure have the same
+   automorphisms, and an automorphism of an edge set preserves its closure.
+
+   [equivalent] is only tried within buckets of equal signature: commit
+   choices, final writes, the (var, value) sequence of reads, the numbers
+   of predecessors and successors, and how many reads in the history
+   respond after the transaction's tryC.  Interchangeable transactions
+   agree on each.  The result lists, per [i], the [j < i] interchangeable
+   with it. *)
+let interchangeable c n preds succs =
   let all_reads =
     List.concat (List.init n (fun i -> c.reads.(i)))
   in
@@ -354,16 +428,58 @@ let equivalence_matrix c n preds succs =
                    upto 0))
              c.reads.(i) c.reads.(j))
   in
-  let matrix = Array.make_matrix n n false in
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      if equivalent i j then begin
-        matrix.(i).(j) <- true;
-        matrix.(j).(i) <- true
-      end
-    done
+  let responses =
+    Array.of_list (List.map (fun (r : Txn.read) -> r.Txn.res_index) all_reads)
+  in
+  Array.sort Int.compare responses;
+  (* reads responding after history index [t]: binary search *)
+  let after t =
+    let rec go lo hi =
+      if lo >= hi then Array.length responses - lo
+      else
+        let mid = (lo + hi) / 2 in
+        if responses.(mid) > t then go lo mid else go (mid + 1) hi
+    in
+    go 0 (Array.length responses)
+  in
+  let signature i =
+    let h = ref (splitmix (List.length preds.(i))) in
+    let add k = h := combine !h k in
+    add (List.length succs.(i));
+    add (match c.tryc_inv.(i) with Some t -> after t | None -> 0);
+    List.iter (fun b -> add (Bool.to_int b)) c.choices.(i);
+    add (List.length c.final_writes.(i));
+    List.iter (fun (x, v) -> add x; add v) c.final_writes.(i);
+    List.iter
+      (fun (r : Txn.read) -> add r.Txn.var; add r.Txn.value)
+      c.reads.(i);
+    !h
+  in
+  let sigs = Array.init n signature in
+  let by_sig = Array.init n Fun.id in
+  Array.sort
+    (fun a b ->
+      match Int.compare sigs.(a) sigs.(b) with
+      | 0 -> Int.compare a b
+      | d -> d)
+    by_sig;
+  let lower = Array.make n [] in
+  let first = ref 0 in
+  while !first < n do
+    let s = sigs.(by_sig.(!first)) in
+    let last = ref !first in
+    while !last + 1 < n && Int.equal sigs.(by_sig.(!last + 1)) s do
+      incr last
+    done;
+    for b = !first + 1 to !last do
+      for a = !first to b - 1 do
+        let j = by_sig.(a) and i = by_sig.(b) in
+        if equivalent j i then lower.(i) <- j :: lower.(i)
+      done
+    done;
+    first := !last + 1
   done;
-  matrix
+  lower
 
 (* One search over the transactions currently in [c].  Everything sized by
    the current [c.n] is local to the call: the dense rows persist, the
@@ -378,7 +494,6 @@ let run c ~max_nodes ~hint ~extra_edges ~commit_edges h =
     | Error why ->
         (Verdict.Unsat why, { nodes = 0; memo_hits = 0; prefiltered = true })
     | Ok () ->
-        let placed = Array.make n false in
         let preds_uniq =
           let base = Array.init n (fun b -> c.rt_preds.(b)) in
           List.iter
@@ -408,8 +523,29 @@ let run c ~max_nodes ~hint ~extra_edges ~commit_edges h =
           (fun b preds ->
             List.iter (fun a -> succs.(a) <- b :: succs.(a)) preds)
           preds_uniq;
-        let stacks : (int * Event.value) list array =
-          Array.make c.n_vars []
+        let stacks : entry list array = Array.make c.n_vars [] in
+        (* Placement row: ['0'] unplaced, ['c'] committed, ['a'] aborted. *)
+        let row = Bytes.make n '0' in
+        let placed i = Bytes.get row i <> '0' in
+        let committed i = Bytes.get row i = 'c' in
+        let hash = ref 0 in
+        let place_hash i commit = splitmix ((2 * i) + Bool.to_int commit) in
+        let push x w v =
+          let old = stack_hash stacks.(x) in
+          let hx =
+            match c.mode with
+            | Plain -> combine (splitmix x) v
+            | Du | Last_use -> combine (combine old x) w
+          in
+          stacks.(x) <- (w, v, hx) :: stacks.(x);
+          hash := !hash lxor old lxor hx
+        in
+        let pop x =
+          match stacks.(x) with
+          | ((_, _, hx) :: rest : entry list) ->
+              stacks.(x) <- rest;
+              hash := !hash lxor hx lxor stack_hash rest
+          | [] -> assert false
         in
         (* Writer-availability bookkeeping for the look-ahead prune:
            [avail.(k)] counts transactions that could still commit the
@@ -463,17 +599,37 @@ let run c ~max_nodes ~hint ~extra_edges ~commit_edges h =
                 arr;
               arr
         in
+        (* The candidates: unplaced transactions whose predecessors are all
+           placed, as a persistent set of priority ranks.  A node iterates
+           the set it was entered with; its children's placements replace
+           the set but never mutate it.  So a node costs nothing for
+           transactions that are not ready. *)
+        let rank = Array.make n 0 in
+        Array.iteri (fun r i -> rank.(i) <- r) priority;
+        let ready = ref Ranks.empty in
+        Array.iteri
+          (fun i p -> if p = 0 then ready := Ranks.add rank.(i) !ready)
+          pending;
         let order = Array.make n (-1) in
-        let decision = Array.make n false in
         let nodes = ref 0 in
         let memo_hits = ref 0 in
-        let memo : (string, unit) Hashtbl.t = Hashtbl.create 256 in
+        let memo : snapshot list Memo.t = Memo.create 256 in
+        let seen (s : snapshot) =
+          Bytes.equal s.row row
+          &&
+          let rec vars x =
+            x >= c.n_vars
+            || (same_stack c.mode s.stacks.(x) stacks.(x) && vars (x + 1))
+          in
+          vars 0
+        in
         let budget = match max_nodes with Some b -> b | None -> max_int in
-        (* The symmetry matrix costs O(n^2 * reads); a hinted search that
-           succeeds straight down never consults it, so build it lazily the
-           first time the search actually has to backtrack.  Pruning only
-           from that point on is sound: the canonical-candidate rule is a
-           per-node completeness argument, independent across nodes. *)
+        (* The symmetry classes cost a pass over every read per pair in a
+           bucket; a hinted search that succeeds straight down never
+           consults them, so build them lazily the first time the search
+           actually has to backtrack.  Pruning only from that point on is
+           sound: the canonical-candidate rule is a per-node completeness
+           argument, independent across nodes. *)
         let equiv = ref None in
         let branched = ref false in
         (* Candidate [i] is redundant while an unplaced interchangeable
@@ -481,18 +637,15 @@ let run c ~max_nodes ~hint ~extra_edges ~commit_edges h =
         let canonical i =
           (not !branched)
           ||
-          let matrix =
+          let lower =
             match !equiv with
-            | Some m -> m
+            | Some l -> l
             | None ->
-                let m = equivalence_matrix c n preds_uniq succs in
-                equiv := Some m;
-                m
+                let l = interchangeable c n preds_uniq succs in
+                equiv := Some l;
+                l
           in
-          let rec go j =
-            j >= i || ((placed.(j) || not matrix.(j).(i)) && go (j + 1))
-          in
-          go 0
+          List.for_all placed lower.(i)
         in
         let retained w res_index =
           match c.tryc_inv.(w) with
@@ -506,7 +659,7 @@ let run c ~max_nodes ~hint ~extra_edges ~commit_edges h =
               let global_ok =
                 match stack with
                 | [] -> r.Txn.value = Event.init_value
-                | (_, v) :: _ -> r.Txn.value = v
+                | (_, v, _) :: _ -> r.Txn.value = v
               in
               global_ok
               &&
@@ -518,7 +671,7 @@ let run c ~max_nodes ~hint ~extra_edges ~commit_edges h =
                      written the value; none retained means initial value. *)
                   let rec scan = function
                     | [] -> r.Txn.value = Event.init_value
-                    | (w, v) :: rest ->
+                    | (w, v, _) :: rest ->
                         if retained w r.Txn.res_index then r.Txn.value = v
                         else scan rest
                   in
@@ -527,8 +680,8 @@ let run c ~max_nodes ~hint ~extra_edges ~commit_edges h =
         in
         (* Last-use legality is decision-dependent, so it is checked per
            commit choice inside the expansion loop.  In Last_use mode the
-           stacks carry {e every} placed writer ([decision] tells the
-           committed ones apart):
+           stacks carry {e every} placed writer (the placement row tells
+           the committed ones apart):
 
            - a reader that commits must be Vis-legal — its reads see the
              latest {e committed} write preceding it in the serialization
@@ -550,8 +703,8 @@ let run c ~max_nodes ~hint ~extra_edges ~commit_edges h =
             (fun (r : Txn.read) ->
               let rec scan = function
                 | [] -> r.Txn.value = Event.init_value
-                | (w, v) :: rest ->
-                    if decision.(w) then r.Txn.value = v
+                | (w, v, _) :: rest ->
+                    if committed w then r.Txn.value = v
                     else if
                       (not commit) && released w r && r.Txn.value = v
                     then true
@@ -565,30 +718,35 @@ let run c ~max_nodes ~hint ~extra_edges ~commit_edges h =
           incr nodes;
           if !nodes > budget then raise Exhausted;
           if depth = n then raise Found;
-          let key = memo_key c.mode placed decision stacks n in
-          if Hashtbl.mem memo key then incr memo_hits
+          let key = !hash in
+          let known = Memo.find_opt memo key in
+          if
+            match known with
+            | Some snaps -> List.exists seen snaps
+            | None -> false
+          then incr memo_hits
           else begin
-            let commit_allowed i =
-              List.for_all (fun a -> placed.(a)) commit_preds.(i)
-            in
-            Array.iter
-              (fun i ->
-                if
-                  (not placed.(i))
-                  && pending.(i) = 0
-                  && canonical i
-                  && (c.mode = Last_use || reads_ok i)
-                then
+            let commit_allowed i = List.for_all placed commit_preds.(i) in
+            Ranks.iter
+              (fun r ->
+                let i = priority.(r) in
+                if canonical i && (c.mode = Last_use || reads_ok i) then
                   List.iter
                     (fun commit ->
                       if
                         ((not commit) || commit_allowed i)
                         && (c.mode <> Last_use || reads_ok_lu i commit)
                       then begin
-                        placed.(i) <- true;
+                        Bytes.set row i (if commit then 'c' else 'a');
+                        hash := !hash lxor place_hash i commit;
                         order.(depth) <- i;
-                        decision.(i) <- commit;
-                        List.iter (fun b -> pending.(b) <- pending.(b) - 1)
+                        let entered = !ready in
+                        ready := Ranks.remove r entered;
+                        List.iter
+                          (fun b ->
+                            pending.(b) <- pending.(b) - 1;
+                            if pending.(b) = 0 then
+                              ready := Ranks.add rank.(b) !ready)
                           succs.(i);
                         List.iter
                           (fun k -> waiting.(k) <- waiting.(k) - 1)
@@ -604,7 +762,7 @@ let run c ~max_nodes ~hint ~extra_edges ~commit_edges h =
                           if commit || c.mode = Last_use then begin
                             List.iter
                               (fun (x, v) ->
-                                stacks.(x) <- (i, v) :: stacks.(x);
+                                push x i v;
                                 if commit && v <> Event.init_value then begin
                                   nonzero_commits.(x) <- nonzero_commits.(x) + 1;
                                   if nonzero_commits.(x) = 1 then
@@ -641,9 +799,7 @@ let run c ~max_nodes ~hint ~extra_edges ~commit_edges h =
                         branched := true;
                         List.iter
                           (fun (x, v) ->
-                            (match stacks.(x) with
-                            | _ :: rest -> stacks.(x) <- rest
-                            | [] -> assert false);
+                            pop x;
                             if commit && v <> Event.init_value then begin
                               nonzero_commits.(x) <- nonzero_commits.(x) - 1;
                               if nonzero_commits.(x) = 0 then
@@ -661,11 +817,15 @@ let run c ~max_nodes ~hint ~extra_edges ~commit_edges h =
                           c.demands.(i);
                         List.iter (fun b -> pending.(b) <- pending.(b) + 1)
                           succs.(i);
-                        placed.(i) <- false
+                        ready := entered;
+                        hash := !hash lxor place_hash i commit;
+                        Bytes.set row i '0'
                       end)
                     c.choices.(i))
-              priority;
-            Hashtbl.replace memo key ()
+              !ready;
+            let snap = { row = Bytes.copy row; stacks = Array.copy stacks } in
+            Memo.replace memo key
+              (snap :: Option.value known ~default:[])
           end
         in
         let outcome =
@@ -677,12 +837,13 @@ let run c ~max_nodes ~hint ~extra_edges ~commit_edges h =
               let order_ids =
                 Array.to_list (Array.map (fun i -> c.ids.(i)) order)
               in
-              let committed =
+              let committed_ids =
                 Array.to_list order
-                |> List.filter (fun i -> decision.(i))
+                |> List.filter committed
                 |> List.map (fun i -> c.ids.(i))
               in
-              Verdict.Sat (Serialization.make ~order:order_ids ~committed)
+              Verdict.Sat
+                (Serialization.make ~order:order_ids ~committed:committed_ids)
           | exception Exhausted ->
               Verdict.Unknown
                 (Fmt.str "node budget exhausted after %d nodes" !nodes)

@@ -26,13 +26,27 @@
 
     Deciding existence is NP-hard in general (it subsumes view
     serializability), so the engine is a backtracking search over placement
-    orders with: a linear-time necessary-condition prefilter that dispatches
-    most negative instances, placement candidates ordered by first event in
-    [H] (recorded histories are nearly serial, so this hint usually hits on
-    the first descent), failure memoisation keyed on the placed set and the
-    visible write state, a symmetry reduction built lazily on first
-    backtrack, and an optional node budget that turns the verdict into
-    [Unknown] instead of running unbounded. *)
+    orders with:
+    - a linear-time necessary-condition prefilter that dispatches most
+      negative instances, with each read looking only at the writers of
+      its value;
+    - placement candidates ordered by first event in [H] (recorded
+      histories are nearly serial, so this hint usually hits on the first
+      descent);
+    - real-time edges reduced to each transaction's immediate
+      predecessors, which have the same closure;
+    - failure memoisation on the placed set with its decisions and the
+      visible write state.  The state carries a hash updated on every
+      placement and stack push or pop, and a hash match is confirmed
+      against a snapshot of the full state, so the memo is exact;
+    - a symmetry reduction built lazily on first backtrack, which tests
+      interchangeability only among transactions of equal signature;
+    - an optional node budget that turns the verdict into [Unknown]
+      instead of running unbounded.
+
+    Apart from the memo's copy and comparison of the placement row, a
+    search node costs no work proportional to the number of transactions,
+    so the cost of a search follows its node count. *)
 
 type mode = Plain | Du | Last_use
 

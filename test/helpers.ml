@@ -38,6 +38,22 @@ let test name f = Alcotest.test_case name `Quick f
 
 let slow name f = Alcotest.test_case name `Slow f
 
+(* A ~3.3k-event TL2 recording (4 threads, 300 transactions, 64 variables)
+   whose written values repeat: drawn from 0-99, so the conflict graph
+   leaves it to the search. *)
+let recording seed =
+  let params =
+    {
+      Stm.Workload.default with
+      n_threads = 4;
+      txns_per_thread = 75;
+      ops_per_txn = 4;
+      n_vars = 64;
+      values = `Range 100;
+    }
+  in
+  (Sim.Runner.run ~stm:"tl2" ~params ~seed ()).Sim.Runner.history
+
 (* QCheck bridge: a history generator driven by Gen.params. *)
 let arb_history ?(params = Gen.default) () =
   QCheck2.Gen.map (fun seed -> Gen.run_seed params seed) QCheck2.Gen.int
