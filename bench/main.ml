@@ -392,7 +392,6 @@ let bench_monitor () =
 let opt_service_duration = ref 3.0
 let opt_service_sessions = ref 4
 let opt_service_domains = ref 4
-let opt_service_shards = ref 1
 let opt_service_socket : string option ref = ref None
 let opt_service_open_sessions = ref 2_000
 let opt_service_burst = ref 64
@@ -485,7 +484,7 @@ let domain_hit_rate (d : Service.Protocol.domain_stats) =
 
 (* --- overload phase: percentiles while the degradation ladder engages ----- *)
 
-(* A deliberately tiny shard queue (hwm 2) and slow drain pressure from
+(* A deliberately tiny worker queue (hwm 2) and slow drain pressure from
    many concurrent sessions: most Events_at frames bounce off the
    high-watermark, so checkpoint round-trips are measured while the
    server is actively throttling — the p50/p99-under-overload columns
@@ -573,15 +572,13 @@ let bench_service_overload () =
    fixed connection pool (a wrk2-style compromise; unbounded in-flight
    sessions would need a thread per session), but late sessions still
    charge their wait against the schedule.  Streams are recorded from a
-   Zipfian workload (zipf_theta 0.9: a hot location set — the sharded
-   monitor's most skewed routing case). *)
+   Zipfian workload (zipf_theta 0.9: a hot location set). *)
 
 type openloop_result = {
   ol_sessions : int;
   ol_events : int;
   ol_wall : float;
   ol_burst : int;
-  ol_shards : int;
   ol_mismatches : int;
   ol_errors : int;
   ol_lat : float array;  (* scheduled arrival -> final verdict, sorted, s *)
@@ -596,18 +593,18 @@ let zipf_stream ~txns ~seed =
       ops_per_txn = 3;
       n_vars = 16;
       zipf_theta = 0.9;
-      (* unique written values: duplicate (var, value) writes poison a
-         shard into benign escalation (Corollary 2), which would turn the
-         sweep into a benchmark of the sequential monitor *)
+      (* unique written values: duplicate (var, value) writes poison the
+         session's graph into benign escalation (Corollary 2), which would
+         turn this into a benchmark of the sequential monitor *)
       values = `Unique;
     }
   in
   (Sim.Runner.run ~stm:"tl2" ~params ~seed ()).Sim.Runner.history
 
-let bench_service_openloop ~shards ~sessions ~burst =
+let bench_service_openloop ~sessions ~burst =
   let srv =
     Service.Server.start
-      (Service.Server.config ~domains:4 ~shards ~queue_capacity:256
+      (Service.Server.config ~domains:4 ~queue_capacity:256
          (`Tcp ("127.0.0.1", 0)))
   in
   let addr = Service.Server.bound_addr srv in
@@ -668,68 +665,10 @@ let bench_service_openloop ~shards ~sessions ~burst =
     ol_events = Atomic.get events;
     ol_wall = wall;
     ol_burst = burst;
-    ol_shards = shards;
     ol_mismatches = Atomic.get mismatches;
     ol_errors = Atomic.get errors;
     ol_lat = List.sort compare !latencies |> Array.of_list;
   }
-
-(* --- shard sweep: one long Zipfian session at --shards 1/2/4/8 ------------- *)
-
-(* Per-session sharding pays off on long streams, not on the small bursty
-   sessions above: one session's events all land on one worker domain, so
-   the sweep drives a single long recorded stream through servers that
-   differ only in --shards and reports sustained events/s plus the
-   certify/stitch counters behind it. *)
-
-type sweep_point = {
-  sp_shards : int;
-  sp_events : int;
-  sp_wall : float;
-  sp_certifies : int;
-  sp_incremental : int;
-  sp_full : int;
-  sp_escalated : string option;
-  sp_parity : bool;
-}
-
-let bench_service_shard_sweep () =
-  let stream =
-    service_stream "zipf/sweep"
-      (History.to_list (zipf_stream ~txns:360 ~seed:77))
-  in
-  List.map
-    (fun shards ->
-      let srv =
-        Service.Server.start
-          (Service.Server.config ~domains:1 ~shards ~queue_capacity:256
-             (`Tcp ("127.0.0.1", 0)))
-      in
-      let addr = Service.Server.bound_addr srv in
-      let c = Service.Client.connect addr in
-      Service.Client.open_session c 1;
-      let t0 = Stm.Clock.now () in
-      Service.Client.send_events c 1 stream.ss_events;
-      (* the checkpoint round-trip bounds the measurement at "all events
-         pushed and certified", not "all bytes written to the socket" *)
-      ignore (Service.Client.checkpoint c 1);
-      let wall = Stm.Clock.now () -. t0 in
-      let st = Service.Client.shard_stats c 1 in
-      let v = Service.Client.close_session c 1 in
-      let parity = v.Service.Protocol.status = stream.ss_expected in
-      Service.Client.close c;
-      Service.Server.stop srv;
-      {
-        sp_shards = shards;
-        sp_events = stream.ss_len;
-        sp_wall = wall;
-        sp_certifies = st.Service.Protocol.certifies;
-        sp_incremental = st.Service.Protocol.incremental;
-        sp_full = st.Service.Protocol.full;
-        sp_escalated = st.Service.Protocol.escalated;
-        sp_parity = parity;
-      })
-    [ 1; 2; 4; 8 ]
 
 (* --- recovery phase: crash, restart, resume -------------------------------- *)
 
@@ -791,7 +730,7 @@ let bench_service_recovery () =
     Service.Client.send_events_at c 1 ~from:0 events;
     if snapshot then ignore (Service.Client.checkpoint c 1)
     else
-      (* no checkpoint: give the shard a moment to drain (and journal)
+      (* no checkpoint: give the worker a moment to drain (and journal)
          the stream; whatever is still queued is legitimately lost *)
       Thread.delay 0.3;
     Service.Server.crash srv;
@@ -833,7 +772,7 @@ let bench_service_recovery () =
   [ r1; r2; r3; r4 ]
 
 let service_json ~endpoint ~wall ~sessions workers stats ~overload ~openloop
-    ~sweep ~recovery =
+    ~recovery =
   let events = List.fold_left (fun a w -> a + w.sw_events) 0 workers in
   let replays = List.fold_left (fun a w -> a + w.sw_replays) 0 workers in
   let mismatches =
@@ -870,29 +809,15 @@ let service_json ~endpoint ~wall ~sessions workers stats ~overload ~openloop
   in
   let openloop_json o =
     Fmt.str
-      {|{"sessions": %d, "burst": %d, "shards": %d, "events": %d,
+      {|{"sessions": %d, "burst": %d, "events": %d,
    "duration_s": %.3f, "events_per_s": %.1f,
    "session_latency_ms": {"p50": %.3f, "p99": %.3f, "samples": %d},
    "verdict_mismatches": %d, "errors": %d}|}
-      o.ol_sessions o.ol_burst o.ol_shards o.ol_events o.ol_wall
+      o.ol_sessions o.ol_burst o.ol_events o.ol_wall
       (if o.ol_wall <= 0. then 0. else float_of_int o.ol_events /. o.ol_wall)
       (percentile o.ol_lat 50. *. 1e3)
       (percentile o.ol_lat 99. *. 1e3)
       (Array.length o.ol_lat) o.ol_mismatches o.ol_errors
-  in
-  let sweep_json p =
-    Fmt.str
-      {|   {"shards": %d, "events": %d, "duration_s": %.3f, "events_per_s": %.1f,
-    "certifies": %d, "incremental": %d, "full": %d, "escalated": %s,
-    "verdict_parity": %b}|}
-      p.sp_shards p.sp_events p.sp_wall
-      (if p.sp_wall <= 0. then 0.
-       else float_of_int p.sp_events /. p.sp_wall)
-      p.sp_certifies p.sp_incremental p.sp_full
-      (match p.sp_escalated with
-      | None -> "null"
-      | Some why -> Fmt.str "%S" why)
-      p.sp_parity
   in
   Fmt.pr
     {|{"benchmark": "service", "unit": "events_per_s",
@@ -905,9 +830,6 @@ let service_json ~endpoint ~wall ~sessions workers stats ~overload ~openloop
  ],
  "overload": %s,
  "open_loop": %s,
- "shard_sweep": [
-%s
- ],
  "recovery": [
 %s
  ]}@.|}
@@ -919,7 +841,6 @@ let service_json ~endpoint ~wall ~sessions workers stats ~overload ~openloop
     (String.concat ",\n" (List.map domain_json stats))
     (overload_json overload)
     (openloop_json openloop)
-    (String.concat ",\n" (List.map sweep_json sweep))
     (String.concat ",\n" (List.map recovery_json recovery))
 
 let bench_service () =
@@ -930,7 +851,6 @@ let bench_service () =
     | None ->
         let cfg =
           Service.Server.config ~domains:!opt_service_domains
-            ~shards:!opt_service_shards
             (`Tcp ("127.0.0.1", 0))
         in
         let srv = Service.Server.start cfg in
@@ -975,14 +895,13 @@ let bench_service () =
     workers;
   let overload = bench_service_overload () in
   let openloop =
-    bench_service_openloop ~shards:!opt_service_shards
-      ~sessions:!opt_service_open_sessions ~burst:!opt_service_burst
+    bench_service_openloop ~sessions:!opt_service_open_sessions
+      ~burst:!opt_service_burst
   in
-  let sweep = bench_service_shard_sweep () in
   let recovery = bench_service_recovery () in
   if !json_mode then
     service_json ~endpoint ~wall ~sessions workers stats ~overload ~openloop
-      ~sweep ~recovery
+      ~recovery
   else begin
     section_header
       (Fmt.str
@@ -1014,7 +933,7 @@ let bench_service () =
       (percentile lat 50. *. 1e3)
       (percentile lat 99. *. 1e3)
       (Array.length lat);
-    Fmt.pr "  per-domain shards:@.";
+    Fmt.pr "  per-domain counters:@.";
     List.iteri
       (fun i (d : Service.Protocol.domain_stats) ->
         Fmt.pr
@@ -1040,31 +959,16 @@ let bench_service () =
       (percentile overload.ov_latencies 50. *. 1e3)
       (percentile overload.ov_latencies 99. *. 1e3);
     Fmt.pr
-      "  open-loop (%d zipfian sessions, bursts of %d, %d shards): %d \
+      "  open-loop (%d zipfian sessions, bursts of %d): %d \
        events in %.2fs = %.0f events/s; session latency p50 %.3fms p99 \
        %.3fms; %d mismatches, %d errors@."
-      openloop.ol_sessions openloop.ol_burst openloop.ol_shards
+      openloop.ol_sessions openloop.ol_burst
       openloop.ol_events openloop.ol_wall
       (if openloop.ol_wall <= 0. then 0.
        else float_of_int openloop.ol_events /. openloop.ol_wall)
       (percentile openloop.ol_lat 50. *. 1e3)
       (percentile openloop.ol_lat 99. *. 1e3)
       openloop.ol_mismatches openloop.ol_errors;
-    Fmt.pr "  shard sweep (one long zipfian session):@.";
-    List.iter
-      (fun p ->
-        Fmt.pr
-          "    --shards %d: %6d events in %.3fs = %8.0f events/s (%d \
-           certifies, %d incremental, %d full%s)  %s@."
-          p.sp_shards p.sp_events p.sp_wall
-          (if p.sp_wall <= 0. then 0.
-           else float_of_int p.sp_events /. p.sp_wall)
-          p.sp_certifies p.sp_incremental p.sp_full
-          (match p.sp_escalated with
-          | None -> ""
-          | Some why -> Fmt.str ", escalated: %s" why)
-          (if p.sp_parity then "verdict parity" else "PARITY LOST"))
-      sweep;
     Fmt.pr "  crash recovery (restart + resume round-trip):@.";
     List.iter
       (fun r ->
@@ -1373,9 +1277,6 @@ let () =
     | "--domains" :: rest ->
         parse (opt_value "--domains" int_of_string
                  (fun v -> opt_service_domains := v) rest)
-    | "--shards" :: rest ->
-        parse (opt_value "--shards" int_of_string
-                 (fun v -> opt_service_shards := v) rest)
     | "--open-sessions" :: rest ->
         parse (opt_value "--open-sessions" int_of_string
                  (fun v -> opt_service_open_sessions := v) rest)

@@ -700,7 +700,7 @@ let soak_cmd =
        ~doc:
          "Differential soak: drive random, recorded and fault-injected \
           histories through every du-opacity checker path in lockstep \
-          (batch search, conflict graph, incremental, online and sharded \
+          (batch search, conflict graph, incremental, online and session \
           monitors, last-use, optional loopback service), classify any \
           divergence, auto-shrink it while the paths still disagree, and \
           persist a deterministic repro into the regression corpus")
@@ -783,21 +783,18 @@ let tcp_arg =
 
 let serve_cmd =
   let domains_arg =
-    let doc = "Shard pool size: sessions are sharded across $(docv) OCaml domains." in
+    let doc = "Worker pool size: sessions are spread across $(docv) OCaml domains." in
     Arg.(value & opt int 4 & info [ "domains" ] ~docv:"N" ~doc)
   in
   let queue_arg =
     let doc = "Bounded work-queue capacity per domain (backpressure)." in
     Arg.(value & opt int 64 & info [ "queue" ] ~docv:"N" ~doc)
   in
+  (* Accepted for the frozen perfbench harness, which still passes
+     [--shards 1]; every session runs on one conflict graph. *)
   let shards_arg =
-    let doc =
-      "Monitor shards per session: events are partitioned by location \
-       across $(docv) incremental conflict graphs and stitched into a \
-       global certificate at every batch (two-phase certify/stitch).  \
-       1 = the sequential per-session monitor."
-    in
-    Arg.(value & opt int 1 & info [ "shards" ] ~docv:"N" ~doc)
+    let doc = "Monitor shards per session; the only legal value is 1." in
+    Arg.(value & opt (enum [ ("1", ()) ]) () & info [ "shards" ] ~docv:"1" ~doc)
   in
   let quiet_arg =
     Arg.(value & flag & info [ "quiet"; "q" ] ~doc:"Suppress the per-connection event log.")
@@ -850,7 +847,7 @@ let serve_cmd =
     in
     Arg.(value & opt (some int) None & info [ "hwm" ] ~docv:"N" ~doc)
   in
-  let run unix_path tcp domains shards queue max_nodes quiet journal_dir
+  let run unix_path tcp domains () queue max_nodes quiet journal_dir
       journal_sync session_timeout heartbeat max_conns max_sessions hwm =
     match addr_of ~unix_path ~tcp with
     | Error (`Msg m) ->
@@ -862,7 +859,7 @@ let serve_cmd =
         in
         match
           Service.Server.start
-            (Service.Server.config ~domains ~shards ?max_nodes
+            (Service.Server.config ~domains ?max_nodes
                ~queue_capacity:queue ?journal_dir ~journal_sync
                ~session_timeout ~heartbeat ~max_conns ~max_sessions ?hwm ~log
                addr)
@@ -875,33 +872,33 @@ let serve_cmd =
             Fmt.epr "tm serve: %s@." m;
             3
         | srv ->
-            Fmt.pr "tm serve: listening on %a (%d domains%s, queue %d%s)@."
+            Fmt.pr "tm serve: listening on %a (%d domains, queue %d%s)@."
               Service.Wire.pp_addr
               (Service.Server.bound_addr srv)
-              domains
-              (if shards > 1 then Fmt.str ", %d monitor shards" shards else "")
-              queue
+              domains queue
               (match journal_dir with
               | Some d -> Fmt.str ", durable sessions in %s" d
               | None -> "");
-            let stop _ =
-              Service.Server.stop srv;
-              exit 0
-            in
+            (* The handler runs on whichever thread the signal lands on,
+               possibly one holding a server mutex, so it only raises a
+               flag; this thread does the stopping. *)
+            let stop_requested = Atomic.make false in
+            let request _ = Atomic.set stop_requested true in
             (try
-               Sys.set_signal Sys.sigint (Sys.Signal_handle stop);
-               Sys.set_signal Sys.sigterm (Sys.Signal_handle stop)
+               Sys.set_signal Sys.sigint (Sys.Signal_handle request);
+               Sys.set_signal Sys.sigterm (Sys.Signal_handle request)
              with Invalid_argument _ | Sys_error _ -> ());
-            while true do
-              Unix.sleep 3600
+            while not (Atomic.get stop_requested) do
+              try Unix.sleepf 0.1 with Unix.Unix_error (Unix.EINTR, _, _) -> ()
             done;
+            Service.Server.stop srv;
             0)
   in
   Cmd.v
     (Cmd.info "serve"
        ~doc:
          "Run the streaming du-opacity checking service (binary wire \
-          protocol, one online monitor per session, sessions sharded \
+          protocol, one online monitor per session, sessions spread \
           across a domain pool; optionally durable, with crash recovery \
           and overload shedding)")
     Term.(

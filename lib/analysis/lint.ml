@@ -731,23 +731,20 @@ let check_ordering (m : Source_model.t) =
 
 (* --- rule: domain-safety ---
 
-   A module that spawns domains ([Domain.spawn] / [Shard_pool.create])
-   shares its module-level mutable state across them.  Naked [ref] /
-   [Hashtbl] / [Bytes] / [Buffer] / [Queue] bindings at the top level of
-   such a module are flagged unless the module shows a synchronization
-   discipline at all ([Mutex.] or [Atomic.] appears somewhere): a single
-   unsynchronized cell is exactly the silent-verdict-corruption seed the
-   dynamic [Race] analyzer hunts at the trace level. *)
+   A module that spawns domains ([Domain.spawn]) shares its module-level
+   mutable state across them.  Naked [ref] / [Hashtbl] / [Bytes] /
+   [Buffer] / [Queue] bindings at the top level of such a module are
+   flagged unless the module shows a synchronization discipline at all
+   ([Mutex.] or [Atomic.] appears somewhere): a single unsynchronized cell
+   is exactly the silent-verdict-corruption seed the dynamic [Race]
+   analyzer hunts at the trace level. *)
 
 let mutable_makers =
   [ "= ref "; "= ref("; "Hashtbl.create"; "Bytes.create"; "Bytes.make";
     "Buffer.create"; "Queue.create"; "Array.make"; "Dynarray.create" ]
 
 let check_domain_safety (m : Source_model.t) =
-  let spawns =
-    Source_model.mentions m "Domain.spawn"
-    || Source_model.mentions m "Shard_pool.create"
-  in
+  let spawns = Source_model.mentions m "Domain.spawn" in
   let disciplined =
     contains_sub m.stripped "Mutex." || contains_sub m.stripped "Atomic."
   in

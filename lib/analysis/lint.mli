@@ -34,9 +34,8 @@
       or a commutative accumulator ([acc ||], [acc +], ...).
     - [domain-safety]: unsynchronized module-level mutable state
       ([ref]/[Hashtbl]/[Bytes]/[Buffer]/[Queue]/[Array] bindings at
-      column 0) in a module that spawns domains ([Domain.spawn] /
-      [Shard_pool.create]) and shows no [Mutex.]/[Atomic.] discipline
-      anywhere.  Reconciled against the dynamic {!Race} analyzer by the
+      column 0) in a module that spawns domains ([Domain.spawn]) and
+      shows no [Mutex.]/[Atomic.] discipline anywhere.  Reconciled against the dynamic {!Race} analyzer by the
       test suite.
     - [lock-hygiene]: a blocking call ([Unix.read]/[write]/[accept],
       [Mailbox]/[Wire] ops, [Thread.delay], [Domain.join]) while holding

@@ -25,13 +25,11 @@
      after a heuristic choice answer Ambiguous, never Unsat).
 
    Acyclicity under edge insertion is maintained with the Pearce–Kelly
-   dynamic topological order, which lives in {!Topo} (shared with the
-   sharded monitor's commit-order arbiter): an edge already respecting the
-   order is free; otherwise the affected region is discovered and its
-   order indices reassigned.  Edges live in index-linked arena pools, so
-   insertion allocates nothing beyond amortised array growth; each edge is
-   tagged with its kind (real-time / reads-from / repair) so the sharded
-   monitor can drain a shard's forced edges into its global stitch. *)
+   dynamic topological order, which lives in {!Topo}: an edge already
+   respecting the order is free; otherwise the affected region is
+   discovered and its order indices reassigned.  Edges live in
+   index-linked arena pools, so insertion allocates nothing beyond
+   amortised array growth. *)
 
 type result =
   | Sat of Serialization.t
@@ -75,14 +73,6 @@ module Bitset = struct
 end
 
 module Inc = struct
-  (* Edge kinds, as stored in the Topo arena: real-time and reads-from
-     edges are forced at push time and sound in any larger context that
-     preserves real-time order; repair edges are added at verdict time
-     (forced unless the state is tainted — see [repair]). *)
-  let k_rt = 0
-  let k_rf = 1
-  let k_repair = 2
-
   (* A value-returning external read, as recorded at its response.
      [rd_writer] is the attributed writer node, or -1 for a read of the
      initial value.  Attributions are never rebound — a write that would
@@ -104,8 +94,8 @@ module Inc = struct
     tx_of_node : int Pvec.t;
     var_of_tvar : (Event.tvar, int) Hashtbl.t;
     mutable nvars : int;
-    (* the DSG itself: nodes, kinded edges and the maintained topological
-       order all live in the Pearce–Kelly structure *)
+    (* the DSG itself: nodes, edges and the maintained topological order
+       all live in the Pearce–Kelly structure *)
     topo : Topo.t;
     (* per-node state (parallel vectors, indexed by node) *)
     first_ev : int Pvec.t;
@@ -141,9 +131,6 @@ module Inc = struct
     mutable cycle : int list option;  (* first counterexample cycle (nodes) *)
     mutable taint : bool;
     mutable repairs : int;
-    (* node order validated by the last [verdict] (greedy or exact), for
-       {!order_hints}; dropped on every push *)
-    mutable last_order : int array option;
   }
 
   let create () =
@@ -180,7 +167,6 @@ module Inc = struct
       cycle = None;
       taint = false;
       repairs = 0;
-      last_order = None;
     }
 
   let nnodes g = g.tx_of_node.Pvec.n
@@ -214,11 +200,11 @@ module Inc = struct
 
   (* --- edges and Pearce–Kelly maintenance ------------------------------ *)
 
-  (* The order, the kinded edge arenas and the reorder machinery live in
-     [g.topo]; these are thin views with the node-id conventions baked in. *)
+  (* The order, the edge arenas and the reorder machinery live in [g.topo];
+     these are thin views with the node-id conventions baked in. *)
 
   let ord g n = Topo.ord g.topo n
-  let add_edge g ~kind u v = Topo.add_edge ~kind g.topo u v
+  let add_edge g u v = Topo.add_edge g.topo u v
   let reach g a b = Topo.reach g.topo a b
 
   (* --- transactions ----------------------------------------------------- *)
@@ -275,7 +261,7 @@ module Inc = struct
            t-complete transactions, each of which really-time-precedes the
            newcomer; everything below them is implied transitively *)
         for fi = g.f_lo to g.frontier.Pvec.n - 1 do
-          match add_edge g ~kind:k_rt (Pvec.get g.frontier fi) n with
+          match add_edge g (Pvec.get g.frontier fi) n with
           | `Ok -> ()
           | `Cycle -> on_cycle g (Pvec.get g.frontier fi) n
         done;
@@ -324,8 +310,10 @@ module Inc = struct
         if Pvec.get g.aborted o = 1 then Hashtbl.replace g.writes_seen (x, v) n
         else
           poison g
-            (Fmt.str "T%d and T%d both write %d to %a" (tx g o) (tx g n) v
-               (pp_var g) x)
+            (Fmt.str
+               "T%d and T%d both write %d to %a, which forfeits prefix \
+                closure (Corollary 2)"
+               (tx g o) (tx g n) v (pp_var g) x)
     | Some _ -> ()
     | None -> Hashtbl.replace g.writes_seen (x, v) n);
     (* a write whose (var, value) an earlier read already returned — not
@@ -414,7 +402,7 @@ module Inc = struct
                        (tx g n) (tx g w))
                 else begin
                   force_commit g w;
-                  (match add_edge g ~kind:k_rf w n with
+                  (match add_edge g w n with
                   | `Ok -> ()
                   | `Cycle -> on_cycle g w n);
                   add_vv_reader g x v (n, w);
@@ -425,7 +413,6 @@ module Inc = struct
               end
 
   let push g ev =
-    g.last_order <- None;
     (match ev with
     | Event.Inv (k, inv) -> (
         let n = node g k in
@@ -553,7 +540,7 @@ module Inc = struct
   let repair g ~heuristic (r : reader) w'' =
     let i = r.rd_node in
     let added u v =
-      match add_edge g ~kind:k_repair u v with
+      match add_edge g u v with
       | `Ok ->
           g.repairs <- g.repairs + 1;
           true
@@ -620,9 +607,9 @@ module Inc = struct
   let greedy_order g =
     let n = nnodes g in
     let indeg = Array.make (max 1 n) 0 in
-    ignore
-      (Topo.iter_edges_from g.topo ~cursor:0 (fun _ v _ ->
-           indeg.(v) <- indeg.(v) + 1));
+    for u = 0 to n - 1 do
+      Topo.succ_iter g.topo u (fun v -> indeg.(v) <- indeg.(v) + 1)
+    done;
     (* binary min-heap of (commit_key, node) *)
     let hk = Array.make (max 1 n) 0 and hn = Array.make (max 1 n) 0 in
     let hsz = ref 0 in
@@ -667,8 +654,7 @@ module Inc = struct
       if indeg.(nd) = 0 then push (commit_key g nd) nd
     done;
     (* [Array.make n] and not [max 1 n]: an empty graph must yield an
-       empty order, or the phantom slot masquerades as node 0 downstream
-       (the sharded monitor certifies empty shards all the time) *)
+       empty order, or the phantom slot masquerades as node 0 downstream *)
     let order = Array.make n 0 in
     let k = ref 0 in
     while !hsz > 0 do
@@ -811,7 +797,6 @@ module Inc = struct
         in
         match fast with
         | Some order ->
-            g.last_order <- Some order;
             let ids = Array.to_list (Array.map (fun nd -> tx g nd) order) in
             let committed =
               List.filter
@@ -834,7 +819,6 @@ module Inc = struct
                        search arbitrates *)
                     Ambiguous ("internal: graph certificate rejected: " ^ why)
                 | None ->
-                    g.last_order <- Some order;
                     let ids =
                       Array.to_list (Array.map (fun nd -> tx g nd) order)
                     in
@@ -854,6 +838,7 @@ module Inc = struct
             | Sat _ -> ());
             r))
 
+  let certifiable g = g.poison = None && g.violation = None
   let events g = g.idx
   let cycle g = Option.map (List.map (tx g)) g.cycle
 
@@ -865,64 +850,6 @@ module Inc = struct
       repairs = g.repairs;
       tainted = g.taint;
     }
-
-  type edge_kind = Rt | Reads_from | Repair
-
-  let edges_from g ~cursor =
-    let acc = ref [] in
-    let cursor' =
-      Topo.iter_edges_from g.topo ~cursor (fun u v k ->
-          let kind =
-            if k = k_rt then Rt else if k = k_rf then Reads_from else Repair
-          in
-          acc := (tx g u, tx g v, kind) :: !acc)
-    in
-    (List.rev !acc, cursor')
-
-  (* The serialization decisions behind the last [Sat], as a minimal edge
-     set: consecutive committed writers of each variable are chained in
-     certificate order, and every external read is ordered before the
-     first committed writer following its reads-from interval.  Any order
-     respecting these hints (plus the eager reads-from edges already in
-     the arena) satisfies every read interval the certificate validated —
-     without the cross-variable over-constraint a full totalisation of
-     the certificate order would impose. *)
-  let order_hints g =
-    match g.last_order with
-    | None -> []
-    | Some order ->
-        let n = nnodes g in
-        let pos = Array.make (max 1 n) 0 in
-        Array.iteri (fun p nd -> pos.(nd) <- p) order;
-        let acc = ref [] in
-        let add u v = if u <> v then acc := (tx g u, tx g v) :: !acc in
-        let chains = Hashtbl.create 16 in
-        Hashtbl.iter
-          (fun x r ->
-            let arr = Array.of_list !r in
-            Array.sort (fun a b -> Int.compare pos.(a) pos.(b)) arr;
-            Hashtbl.replace chains x arr;
-            for i = 0 to Array.length arr - 2 do
-              add arr.(i) arr.(i + 1)
-            done)
-          g.writers_of_var;
-        for ri = 0 to g.reads.Pvec.n - 1 do
-          let r = Pvec.get g.reads ri in
-          match Hashtbl.find_opt chains r.rd_var with
-          | None -> ()
-          | Some arr ->
-              let lo = if r.rd_writer < 0 then -1 else pos.(r.rd_writer) in
-              (* first chained writer positioned past the reads-from bound;
-                 the certificate placed it at or after the reader, and the
-                 chain orders every later writer behind it *)
-              let l = ref 0 and rgt = ref (Array.length arr) in
-              while !l < !rgt do
-                let m = (!l + !rgt) / 2 in
-                if pos.(arr.(m)) <= lo then l := m + 1 else rgt := m
-              done;
-              if !l < Array.length arr then add r.rd_node arr.(!l)
-        done;
-        !acc
 end
 
 let check_stats h =

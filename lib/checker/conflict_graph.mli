@@ -98,6 +98,11 @@ module Inc : sig
       (monotone: they remain valid for every later verdict) and runs the
       linear replay validation on success. *)
 
+  val certifiable : t -> bool
+  (** [false] once a poison or a forced violation is recorded: from then
+      on {!verdict} answers [Unsat] or [Ambiguous], without work, for the
+      pushed prefix and every extension of it. *)
+
   val events : t -> int
 
   val stats : t -> stats
@@ -105,32 +110,4 @@ module Inc : sig
   val cycle : t -> Event.tx list option
   (** As {!counterexample_cycle}, for the pushed prefix: set at the first
       refused edge insertion, [None] before. *)
-
-  (** What forced an edge: real-time order, a determined reads-from
-      attribution, or a verdict-time anti-dependency repair.  Repair
-      edges made after a heuristic choice are not forced by the history;
-      the state is tainted and the sharded monitor treats the shard's
-      orderings as a proposal to re-validate globally, not as ground
-      truth. *)
-  type edge_kind = Rt | Reads_from | Repair
-
-  val edges_from : t -> cursor:int -> (Event.tx * Event.tx * edge_kind) list * int
-  (** Drain the edge arena from [cursor] (0 for everything), in insertion
-      order, as [(source, destination, kind)] over transaction ids; returns
-      the new cursor.  Edges are append-only once accepted, so successive
-      calls see exactly the edges inserted in between — how the sharded
-      monitor harvests each shard's forced orderings into its global
-      commit-order arbiter. *)
-
-  val order_hints : t -> (Event.tx * Event.tx) list
-  (** The anti-dependency decisions behind the latest [Sat] {!verdict},
-      as a minimal [(before, after)] edge set over transaction ids:
-      committed writers of each variable chained in certificate order,
-      and each external read ordered before the first committed writer
-      past its reads-from interval.  These constraints are satisfied by
-      the certificate's own order but are {e not} all forced by the
-      history — the sharded monitor plants them in its arbiter as a
-      proposal and re-validates the stitched order independently.
-      Empty unless the last verdict was [Sat] with no event pushed
-      since. *)
 end

@@ -99,7 +99,7 @@ type snapshot = {
 }
 (** One coherent view of the counters above, cheap enough to take per batch
     of pushed events.  The streaming service diffs successive snapshots to
-    account monitor work to its per-domain shard counters. *)
+    account monitor work to its per-domain counters. *)
 
 val snapshot : t -> snapshot
 

@@ -1,6 +1,5 @@
-(* Pearce–Kelly dynamic topological order over a growable DAG, extracted
-   from the conflict-graph backend so the sharded monitor's commit-order
-   arbiter can maintain its own stitched graph with the same machinery.
+(* Pearce–Kelly dynamic topological order over a growable DAG: the
+   acyclicity engine behind the conflict-graph backend.
 
    Nodes are dense ids handed out by [add_node]; a new node takes the
    largest order index, so edges from existing nodes never trigger a
@@ -11,11 +10,7 @@
    region — forward reachability from the target bounded by the source's
    position, backward from the source bounded by the target's — is
    discovered and its order indices reassigned.  [`Cycle] leaves the graph
-   exactly as it was.
-
-   Each edge carries a small caller-defined [kind] tag; [iter_edges_from]
-   drains the arena from a cursor, which is how the sharded monitor
-   harvests a shard's forced edges into the global stitch graph. *)
+   exactly as it was. *)
 
 (* Growable array with push/get/set; the workhorse for per-node state and
    the edge arenas (shared with the conflict-graph backend). *)
@@ -48,7 +43,6 @@ type t = {
   e_next : int Pvec.t;
   e_src : int Pvec.t;
   e_inext : int Pvec.t;
-  e_kind : int Pvec.t;
   edge_set : (int * int, unit) Hashtbl.t;
   (* work areas *)
   mark : int Pvec.t;
@@ -68,7 +62,6 @@ let create () =
     e_next = Pvec.create (-1);
     e_src = Pvec.create (-1);
     e_inext = Pvec.create (-1);
-    e_kind = Pvec.create 0;
     edge_set = Hashtbl.create 256;
     mark = Pvec.create 0;
     stamp = 0;
@@ -91,15 +84,14 @@ let add_node t =
   Pvec.push t.mark 0;
   n
 
-let arena_add t u v kind =
+let arena_add t u v =
   let e = t.e_dst.Pvec.n in
   Pvec.push t.e_dst v;
   Pvec.push t.e_next (Pvec.get t.out_head u);
   Pvec.set t.out_head u e;
   Pvec.push t.e_src u;
   Pvec.push t.e_inext (Pvec.get t.in_head v);
-  Pvec.set t.in_head v e;
-  Pvec.push t.e_kind kind
+  Pvec.set t.in_head v e
 
 let arena_rollback t u v =
   let e = t.e_dst.Pvec.n - 1 in
@@ -108,8 +100,7 @@ let arena_rollback t u v =
   Pvec.pop t.e_dst;
   Pvec.pop t.e_next;
   Pvec.pop t.e_src;
-  Pvec.pop t.e_inext;
-  Pvec.pop t.e_kind
+  Pvec.pop t.e_inext
 
 let fresh_stamp t =
   t.stamp <- t.stamp + 1;
@@ -194,11 +185,11 @@ let reorder t =
     fwd;
   t.reorders <- t.reorders + 1
 
-let add_edge ?(kind = 0) t u v =
+let add_edge t u v =
   if u = v then `Cycle
   else if Hashtbl.mem t.edge_set (u, v) then `Ok
   else begin
-    arena_add t u v kind;
+    arena_add t u v;
     if Pvec.get t.ord u < Pvec.get t.ord v then begin
       Hashtbl.replace t.edge_set (u, v) ();
       `Ok
@@ -288,10 +279,3 @@ let succ_iter t n f =
     f (Pvec.get t.e_dst !e);
     e := Pvec.get t.e_next !e
   done
-
-let iter_edges_from t ~cursor f =
-  let n = t.e_dst.Pvec.n in
-  for e = max 0 cursor to n - 1 do
-    f (Pvec.get t.e_src e) (Pvec.get t.e_dst e) (Pvec.get t.e_kind e)
-  done;
-  n

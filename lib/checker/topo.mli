@@ -1,9 +1,8 @@
 (** Pearce–Kelly dynamic topological order over a growable DAG.
 
-    Extracted from the conflict-graph backend ({!Conflict_graph.Inc}) so
-    the sharded monitor's commit-order arbiter can maintain its stitched
-    global graph with the same machinery.  Nodes are dense ids handed out
-    by {!add_node}; edges are arena-allocated and deduplicated, and
+    The acyclicity engine of the conflict-graph backend
+    ({!Conflict_graph.Inc}).  Nodes are dense ids handed out by
+    {!add_node}; edges are arena-allocated and deduplicated, and
     {!add_edge} maintains a topological order incrementally — an edge that
     already respects the order is O(1), anything else pays a bounded
     affected-region reorder, and an edge that would close a cycle is
@@ -29,7 +28,6 @@ val add_node : t -> int
 (** Next dense node id, appended at the end of the maintained order (so
     edges from existing nodes never trigger a reorder). *)
 
-val nodes : t -> int
 val edge_count : t -> int
 
 val reorders : t -> int
@@ -39,10 +37,10 @@ val ord : t -> int -> int
 (** The node's current topological index.  Total over nodes; any two
     nodes compare consistently with every inserted edge. *)
 
-val add_edge : ?kind:int -> t -> int -> int -> [ `Ok | `Cycle ]
-(** Insert edge [u -> v] tagged with [kind] (default [0], caller-defined
-    meaning), maintaining the order.  [`Cycle] refuses the insertion and
-    leaves the graph untouched; duplicates are [`Ok] no-ops. *)
+val add_edge : t -> int -> int -> [ `Ok | `Cycle ]
+(** Insert edge [u -> v], maintaining the order.  [`Cycle] refuses the
+    insertion and leaves the graph untouched; duplicates are [`Ok]
+    no-ops. *)
 
 val reach : t -> int -> int -> bool
 (** Is there a path [a ~> b]?  DFS bounded by [b]'s order index. *)
@@ -53,10 +51,3 @@ val find_path : t -> int -> int -> int list option
 
 val succ_iter : t -> int -> (int -> unit) -> unit
 (** Iterate the direct successors of a node. *)
-
-val iter_edges_from : t -> cursor:int -> (int -> int -> int -> unit) -> int
-(** Iterate arena edges with index [>= cursor] as [f src dst kind],
-    in insertion order; returns the new cursor (the current edge count).
-    Edges are append-only once accepted, so successive calls drain exactly
-    the edges inserted in between — how the sharded monitor harvests a
-    shard's forced edges into the global stitch graph. *)

@@ -46,7 +46,30 @@ module Limit = Tm_checker.Limit
 module Shrink = Tm_checker.Shrink
 module Dot = Tm_checker.Dot
 module Monitor = Tm_checker.Monitor
-module Sharded_monitor = Tm_checker.Sharded_monitor
+module Session_monitor = Tm_checker.Session_monitor
+
+(** The one-shard API of the deleted location-sharded monitor, over
+    {!Session_monitor}.  Kept only because the frozen perfbench harness
+    still calls it. *)
+module Sharded_monitor = struct
+  include Session_monitor
+
+  let create ?max_nodes ?(nshards = 1) () =
+    if nshards <> 1 then
+      invalid_arg "Sharded_monitor.create: sessions have exactly one shard";
+    create ?max_nodes ()
+
+  type stitch_stats = {
+    certifies : int;
+    incremental : int;
+    full : int;
+    escalated : string option;
+  }
+
+  let stitch_stats t =
+    let n = certifies t in
+    { certifies = n; incremental = n; full = 0; escalated = escalation t }
+end
 module Topo = Tm_checker.Topo
 
 (** {1 The paper's example histories} *)

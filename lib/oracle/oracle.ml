@@ -2,7 +2,7 @@ module Du = Tm_checker.Du_opacity
 module Lu = Tm_checker.Last_use_opacity
 module Conflict_graph = Tm_checker.Conflict_graph
 module Monitor = Tm_checker.Monitor
-module Sharded = Tm_checker.Sharded_monitor
+module Session = Tm_checker.Session_monitor
 module Verdict = Tm_checker.Verdict
 module Serialization = Tm_checker.Serialization
 module Shrink = Tm_checker.Shrink
@@ -173,29 +173,29 @@ let lockstep ?(max_nodes = 2_000_000) ?submit h =
         mon_first_bad := Monitor.violation_index m;
         v3_of_outcome (Monitor.status m))
   in
-  (* Sharded monitor: the two-phase certify/stitch path, certified at a
-     handful of intermediate boundaries and at the end — intermediate
-     certifies exercise the frontier-incremental stitch validation, the
-     final one settles the verdict.  Escalation adopts a monitor with the
-     same budget wholesale, so the designed invariant is parity with the
-     monitor leg: final verdict, and first violating prefix when both
-     blame one. *)
-  let shd_first_bad = ref None in
-  let sharded =
-    timed "sharded" (fun () ->
-        let m = Sharded.create ~max_nodes ~nshards:4 () in
+  (* Session monitor: the service's streaming path, certified at a handful
+     of intermediate boundaries and at the end — intermediate certifies
+     exercise the graph's incremental state, the final one settles the
+     verdict.  Escalation adopts a monitor with the same budget wholesale,
+     so the designed invariant is parity with the monitor leg: final
+     verdict, and first violating prefix when both blame one. *)
+  let ses_first_bad = ref None in
+  let session =
+    timed "session" (fun () ->
+        let m = Session.create ~max_nodes () in
         let certify_at =
           let stride = max 1 (List.length bs / 6) in
           List.filteri (fun i _ -> i mod stride = stride - 1) bs
         in
         List.iteri
           (fun i ev ->
-            ignore (Sharded.push m ev);
+            ignore (Session.push m ev);
             (* lint: allow quadratic-hot-path — certify_at has ≤ 6 points *)
-            if List.mem (i + 1) certify_at then ignore (Sharded.certify m))
+            if List.mem (i + 1) certify_at then ignore (Session.certify m))
           (History.to_list h);
-        let v = Sharded.certify m in
-        shd_first_bad := Sharded.violation_index m;
+        let v = Session.certify m in
+        Option.iter (validate_cert "session" h) (Session.certificate m);
+        ses_first_bad := Session.violation_index m;
         v3_of_outcome v)
   in
   (* Last-use-opacity legs: the batch checker and the per-boundary
@@ -248,7 +248,7 @@ let lockstep ?(max_nodes = 2_000_000) ?submit h =
   in
   cmp "batch" "graph" batch graph "";
   cmp "inc" "monitor" inc monitor "";
-  cmp "monitor" "sharded" monitor sharded "";
+  cmp "monitor" "session" monitor session "";
   cmp "lu" "lu-inc" lu lu_inc "";
   (* Containment as an executable theorem: du-opaque ⇒ last-use-opaque
      (optional candidate visibility makes every du witness verbatim a
@@ -287,11 +287,11 @@ let lockstep ?(max_nodes = 2_000_000) ?submit h =
       add Verdict_mismatch "inc" "monitor"
         (Fmt.str "first violating prefix: inc=%d monitor=%d" i j)
   | _ -> ());
-  (match !mon_first_bad, !shd_first_bad with
-  | Some i, Some j when i <> j && monitor = Some Bad3 && sharded = Some Bad3
+  (match !mon_first_bad, !ses_first_bad with
+  | Some i, Some j when i <> j && monitor = Some Bad3 && session = Some Bad3
     ->
-      add Verdict_mismatch "monitor" "sharded"
-        (Fmt.str "first violating prefix: monitor=%d sharded=%d" i j)
+      add Verdict_mismatch "monitor" "session"
+        (Fmt.str "first violating prefix: monitor=%d session=%d" i j)
   | _ -> ());
   (* The sticky paths decide {e prefix} du-opacity — du-opacity of every
      response-boundary prefix, i.e. the safety closure of du-opacity.  Under
@@ -360,7 +360,7 @@ let lockstep ?(max_nodes = 2_000_000) ?submit h =
                "batch=violation %s=ok (the full history is itself a prefix)"
                name)
       | _ -> ())
-    [ ("inc", inc); ("monitor", monitor); ("sharded", sharded) ];
+    [ ("inc", inc); ("monitor", monitor); ("session", session) ];
   (* Loopback service round-trip on the final verdict. *)
   (match submit with
   | None -> ()
@@ -372,7 +372,7 @@ let lockstep ?(max_nodes = 2_000_000) ?submit h =
     !arb_unknown
     || List.exists
          (fun v -> v = Some Unk3)
-         [ batch; inc; monitor; sharded; lu; lu_inc ]
+         [ batch; inc; monitor; session; lu; lu_inc ]
     || List.exists (fun (_, v) -> v = Unk3) !inc_verdicts
     || List.exists (fun (_, v) -> v = Unk3) !lu_inc_verdicts
     || Array.exists (fun v -> v = Unk3) (Array.sub mon_by_event 0 n)

@@ -3,7 +3,7 @@
     The repo decides du-opacity in several independent ways — the batch
     {!Tm_checker.Du_opacity.check}, the polynomial
     {!Tm_checker.Conflict_graph.check}, the incremental [check_inc], the
-    online {!Tm_checker.Monitor} and {!Tm_checker.Sharded_monitor}, and
+    online {!Tm_checker.Monitor} and {!Tm_checker.Session_monitor}, and
     the [tm serve] wire path.  The batch paths answer "is this history
     du-opaque?"; the incremental and monitor paths are sticky and answer
     "is {e every prefix} du-opaque?" — the safety closure of du-opacity.
@@ -88,11 +88,10 @@ val lockstep :
     - a fresh {!Tm_checker.Monitor} fed event by event, compared against
       the incremental path {e at every boundary} and on the index of the
       first violating prefix;
-    - a location-sharded {!Tm_checker.Sharded_monitor} (4 shards),
-      certified at a handful of intermediate boundaries — exercising the
-      frontier-incremental stitch validation — and at the end, compared
-      against the monitor on the final verdict and, when both blame a
-      violating prefix, on its index;
+    - the service's {!Tm_checker.Session_monitor}, certified at a handful
+      of intermediate boundaries and at the end (a graph certificate
+      validated), compared against the monitor on the final verdict and,
+      when both blame a violating prefix, on its index;
     - prefix-closure as an executable invariant: the first violating prefix
       is re-judged from scratch (a refutation convicts the incremental
       state), and boundaries after it are re-checked — a later acceptance

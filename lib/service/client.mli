@@ -126,10 +126,9 @@ val submit_durable :
 val stats : t -> Protocol.domain_stats list
 
 val shard_stats : t -> int -> Protocol.shard_stats
-(** Round-trip: the session's two-phase certify/stitch counters on a
-    sharded server (v3) — shard count, certifications run, how many took
-    the incremental versus the full validation path, and the escalation
-    reason if the session was handed to the sequential monitor.
+(** Round-trip: the session's certify counters (v3) — one shard, the
+    certifications run (all incremental), and the escalation reason if
+    the session was handed to the sequential monitor.
     @raise Server_error on a pre-v3 connection. *)
 
 val close : t -> unit

@@ -1,4 +1,5 @@
 module Monitor = Tm_checker.Monitor
+module Session = Tm_checker.Session_monitor
 
 let journal_magic = "TMJ1"
 let snap_magic = "TMS1"
@@ -255,10 +256,9 @@ let parse_journal data =
          with Codec.Error _ -> ());
         (Some base, List.rev !events, !verdict, !valid)
 
-(* Everything recovery needs that does not depend on which monitor will
-   be rebuilt: the snapshot capsule (if any), the journal events to
-   replay on top of it, the last journalled sticky verdict, and the
-   reopened (torn-tail-sheared) journal handle. *)
+(* Everything recovery reads from disk: the snapshot capsule (if any),
+   the journal events to replay on top of it, the last journalled sticky
+   verdict, and the reopened (torn-tail-sheared) journal handle. *)
 let recover_parts ~sync ~dir ~session =
   match load_snapshot ~dir ~session with
   | Error _ as e -> e
@@ -308,70 +308,42 @@ let adopt_verdict ~persist ~status = function
       Some { (persist ()) with Monitor.p_status = st; p_violation_index = vidx }
   | _ -> None
 
+(* The final certify settles the replayed stream's verdict, so the
+   caller's [Resumed] frame never reports a provisional [`Ok] over an
+   uncertified suffix. *)
 let recover ?(sync = false) ?max_nodes ~dir ~session () =
   match recover_parts ~sync ~dir ~session with
   | Error _ as e -> e
   | Ok (capsule, replay, verdict, t) -> (
       let monitor_r =
         match capsule with
-        | None -> Ok (Monitor.create ?max_nodes ())
-        | Some capsule -> Monitor.of_persisted capsule
+        | None -> Ok (Session.create ?max_nodes ())
+        | Some capsule -> Session.of_persisted capsule
       in
       match monitor_r with
       | Error _ as e ->
           close t;
           e
       | Ok monitor ->
-          List.iter (fun ev -> ignore (Monitor.push monitor ev)) replay;
+          List.iter (fun ev -> ignore (Session.push monitor ev)) replay;
           let monitor =
             match
               adopt_verdict
-                ~persist:(fun () -> Monitor.persist monitor)
-                ~status:(Monitor.status monitor) verdict
+                ~persist:(fun () -> Session.persist monitor)
+                ~status:(Session.status monitor) verdict
             with
             | Some patched -> (
-                match Monitor.of_persisted patched with
+                match Session.of_persisted patched with
                 | Ok m -> m
                 | Error _ -> monitor)
             | None -> monitor
           in
+          ignore (Session.certify monitor);
           Ok (monitor, applied t, t))
 
-(* The sharded twin: rebuild a {!Tm_checker.Sharded_monitor} from the
-   same capsule format.  The final certify inside [persist]/[of_persisted]
-   settles the replayed stream's verdict, so the caller's [Resumed] frame
-   never reports a provisional [`Ok] over an uncertified suffix. *)
-let recover_sharded ?(sync = false) ?max_nodes ?nshards ?run ~dir ~session ()
-    =
-  match recover_parts ~sync ~dir ~session with
-  | Error _ as e -> e
-  | Ok (capsule, replay, verdict, t) -> (
-      let module Sharded = Tm_checker.Sharded_monitor in
-      let monitor_r =
-        match capsule with
-        | None -> Ok (Sharded.create ?max_nodes ?nshards ?run ())
-        | Some capsule -> Sharded.of_persisted ?nshards ?run capsule
-      in
-      match monitor_r with
-      | Error _ as e ->
-          close t;
-          e
-      | Ok monitor ->
-          List.iter (fun ev -> ignore (Sharded.push monitor ev)) replay;
-          let monitor =
-            match
-              adopt_verdict
-                ~persist:(fun () -> Sharded.persist monitor)
-                ~status:(Sharded.status monitor) verdict
-            with
-            | Some patched -> (
-                match Sharded.of_persisted ?nshards ?run patched with
-                | Ok m -> m
-                | Error _ -> monitor)
-            | None -> monitor
-          in
-          ignore (Sharded.certify monitor);
-          Ok (monitor, applied t, t))
+(* perfbench/ is frozen and still calls the name recovery had while
+   sessions were sharded. *)
+let recover_sharded = recover
 
 let sessions_on_disk ~dir =
   match Sys.readdir dir with

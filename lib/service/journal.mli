@@ -18,14 +18,14 @@
       temporary file and [rename(2)]d into place, so the snapshot is
       either the old one or the new one, never a torn hybrid.
 
-    Recovery is snapshot-load + journal-replay: restore the monitor from
-    the capsule, skip the journal events the snapshot already covers (the
-    journal header's [base] makes this exact even if a crash landed
-    between the snapshot rename and the journal truncation), and push the
-    rest.  Determinism of monitor replay makes the recovered session
+    Recovery is snapshot-load + journal-replay: restore the session
+    monitor ({!Tm_checker.Session_monitor}) from the capsule, skip the
+    journal events the snapshot already covers (the journal header's
+    [base] makes this exact even if a crash landed between the snapshot
+    rename and the journal truncation), and push the rest.  Determinism of monitor replay makes the recovered session
     verdict-identical to an uninterrupted one.
 
-    Writes happen only from the session's owning shard worker, so no
+    Writes happen only from the session's owning worker domain, so no
     locking; [load]/[recover] run before a session goes live. *)
 
 type t
@@ -73,30 +73,27 @@ val recover :
   dir:string ->
   session:int ->
   unit ->
-  (Tm_checker.Monitor.t * int * t, string) result
-(** Rebuild the session: restore the monitor from the snapshot (or a
-    fresh one under [max_nodes] when no snapshot exists), replay the
-    journal suffix, truncate any torn tail, and reopen the journal for
-    appending.  Returns the monitor, the applied index, and the journal
-    handle.  [Error _] on a corrupt snapshot or an unreadable directory —
+  (Tm_checker.Session_monitor.t * int * t, string) result
+(** Rebuild the session: restore the session monitor from the snapshot
+    (or a fresh one under [max_nodes] when no snapshot exists), replay the
+    journal suffix into it, truncate any torn tail, certify, and reopen
+    the journal for appending.  Returns the monitor, the applied index,
+    and the journal handle.  Because the rebuilt stream is certified
+    before returning, the caller's [Resumed] status is never a provisional
+    [`Ok] over an uncertified suffix.  Capsules written by
+    {!Tm_checker.Monitor.persist} restore too: the two monitors share the
+    format.  [Error _] on a corrupt snapshot or an unreadable directory —
     never an exception on torn or truncated journal bytes. *)
 
 val recover_sharded :
   ?sync:bool ->
   ?max_nodes:int ->
-  ?nshards:int ->
-  ?run:((unit -> unit) array -> unit) ->
   dir:string ->
   session:int ->
   unit ->
-  (Tm_checker.Sharded_monitor.t * int * t, string) result
-(** {!recover} for sharded sessions: the two monitors share the capsule
-    format ({!Tm_checker.Sharded_monitor.persist} emits a
-    {!Tm_checker.Monitor.persisted}), so either can rebuild from either's
-    files — a server restarted with a different [--shards] still recovers
-    every durable session.  The rebuilt stream is certified before
-    returning, so the caller's [Resumed] status is never a provisional
-    [`Ok] over an uncertified suffix. *)
+  (Tm_checker.Session_monitor.t * int * t, string) result
+(** {!recover} under its former name, kept because the frozen perfbench
+    harness calls it. *)
 
 val close : t -> unit
 (** Close the journal fd; the files stay on disk (the session remains

@@ -1,5 +1,5 @@
 (** Bounded blocking queue (mutex + condition variables), the work-queue
-    between connection reader threads and domain-shard workers.
+    between connection reader threads and worker domains.
 
     The bound is the server's backpressure: a reader that cannot enqueue
     blocks, stops draining its socket, and the kernel's flow control

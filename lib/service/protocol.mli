@@ -31,8 +31,8 @@ payload by tag:
 
 esc     := 0                         (* never escalated                 *)
          | 1 why:str                 (* handed to the sequential
-                                        monitor; why explains the
-                                        shard-merge failure             *)
+                                        monitor; why is the conflict
+                                        graph's reason                  *)
 
 event   := 0 tx:uv var:uv            (* read invocation  R_tx(var)      *)
          | 1 tx:uv var:uv value:sv   (* write invocation W_tx(var,v)    *)
@@ -74,7 +74,7 @@ str     := len:uv byte*
     [Events] frames into them, and collects [Verdict] frames: a
     [Checkpoint] is answered with the current verdict carrying the
     checkpoint's token, a [Close_session] with the final verdict (token
-    [0]).  [Stats_req] is answered with per-domain shard counters.
+    [0]).  [Stats_req] is answered with per-domain counters.
     Protocol-level problems come back as [Error] frames: an undecodable
     body ([bad-frame]) or a semantic error ([unknown-session],
     [duplicate-session], ...) is reported and the connection keeps serving
@@ -114,13 +114,13 @@ str     := len:uv byte*
     without bound or wedging:
 
     - {e full}: normal operation; every event is checked.
-    - {e throttle}: a session whose shard mailbox is over its
+    - {e throttle}: a session whose worker's mailbox is over its
       high-watermark gets its [Events]/[Events_at] frame {e discarded}
       and answered with [Throttle retry_after_ms]; the client backs off
       and re-sends from its last acknowledged index.
     - {e sampling}: after repeated throttles the session admits only
       every other frame (the rest are throttled proactively), giving the
-      shard room to drain; nothing is lost — throttled frames are
+      worker room to drain; nothing is lost — throttled frames are
       re-sent.
     - {e shed}: a session that stays overloaded is shed: the server
       answers [Shed], discards every later event for that session, and
@@ -153,24 +153,21 @@ val version : int
 (** Current protocol version: 3.  Version 1 and 2 peers are fully
     supported: every later frame is new-tagged or backward-compatibly
     extended, and the server only relies on v2 behaviour (resume,
-    throttling) or v3 behaviour (shard-merge introspection) on
-    connections that negotiated it.
+    throttling) or v3 behaviour (certify introspection) on connections
+    that negotiated it.
 
-    {1 Sharded sessions (v3)}
+    {1 Session counters (v3)}
 
-    A server started with [--shards n > 1] checks each session with a
-    location-sharded monitor ({!Tm_checker.Sharded_monitor}): events are
-    partitioned by variable across [n] incremental conflict graphs
-    running on a domain pool, and the per-shard certificates are stitched
-    into a global one at every batch, checkpoint, close and resume
-    boundary — so [Verdict] frames mean exactly what they mean on an
-    unsharded server.  A stream the shards cannot certify is silently
-    handed to the sequential monitor (same verdicts, no longer parallel).
-    [Shards_req] asks for a session's shard-merge counters and is
-    answered with [Shards]: the shard count, how many two-phase
-    certifications ran, how many validated on the incremental
-    (frontier-extension) fast path versus a full revalidation, and — if
-    the session escalated — why. *)
+    Every session is checked by a {!Tm_checker.Session_monitor}: one
+    incremental conflict graph, certified at every durable batch and at
+    checkpoint, close and resume boundaries, which hands the stream to the
+    sequential monitor (same verdicts) when it cannot certify it.
+    [Shards_req] asks for a session's certify counters and is answered
+    with [Shards].  The frame keeps the layout it had when sessions could
+    be split by variable across several graphs: [shards] is always [1],
+    [certifies] counts the certifications run, [incremental] equals
+    [certifies] and [full] is [0], and [esc] says why the session
+    escalated, if it did. *)
 
 val hello_magic : string
 
@@ -229,16 +226,16 @@ type domain_stats = {
   closed_sessions : int;
   events : int;
   responses : int;
-  fastpath_hits : int;  (** monitor fast-path hits across the shard *)
+  fastpath_hits : int;  (** monitor fast-path hits across the domain *)
   searches : int;
   nodes : int;
 }
 
 type shard_stats = {
-  shards : int;  (** shard count of the session's monitor *)
-  certifies : int;  (** two-phase certifications run so far *)
-  incremental : int;  (** certifies validated on the frontier fast path *)
-  full : int;  (** certifies that revalidated the whole stitched order *)
+  shards : int;  (** always [1]: one conflict graph per session *)
+  certifies : int;  (** certifications run so far *)
+  incremental : int;  (** equals [certifies] *)
+  full : int;  (** always [0] *)
   escalated : string option;
       (** why the session was handed to the sequential monitor, if it was *)
 }
@@ -268,9 +265,9 @@ type frame =
   | Shed of { session : int; reason : string }
       (** the session was shed; later events are discarded (v2) *)
   | Shards_req of { session : int }
-      (** ask for the session's shard-merge counters (v3) *)
+      (** ask for the session's certify counters (v3) *)
   | Shards of { session : int; stats : shard_stats }
-      (** reply: how the two-phase certify/stitch protocol is doing (v3) *)
+      (** reply: the session monitor's certify counters (v3) *)
 
 val verdict :
   ?mode:mode -> ?applied:int -> session:int -> token:int -> events:int ->

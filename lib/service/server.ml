@@ -1,10 +1,9 @@
 module Monitor = Tm_checker.Monitor
-module Sharded = Tm_checker.Sharded_monitor
+module Session = Tm_checker.Session_monitor
 
 type config = {
   addr : Wire.addr;
   domains : int;
-  shards : int;  (* per-session monitor shards; 1 = single conflict graph *)
   max_nodes : int option;
   queue_capacity : int;
   journal_dir : string option;
@@ -21,7 +20,7 @@ type config = {
   log : string -> unit;
 }
 
-let config ?(domains = 4) ?(shards = 1) ?max_nodes ?(queue_capacity = 64)
+let config ?(domains = 4) ?max_nodes ?(queue_capacity = 64)
     ?journal_dir
     ?(journal_sync = false)
     ?(session_timeout = Protocol.default_session_timeout)
@@ -29,8 +28,6 @@ let config ?(domains = 4) ?(shards = 1) ?max_nodes ?(queue_capacity = 64)
     ?(max_sessions = 8192) ?hwm ?(throttle_sample = 4) ?(throttle_shed = 16)
     ?(retry_after_ms = 50) ?(snapshot_every = 50_000) ?(log = ignore) addr =
   if domains <= 0 then invalid_arg "Server.config: domains must be positive";
-  if shards < 1 || shards > 62 then
-    invalid_arg "Server.config: shards must be within [1, 62]";
   if session_timeout <= 0.0 then
     invalid_arg "Server.config: session_timeout must be positive";
   let hwm =
@@ -39,7 +36,6 @@ let config ?(domains = 4) ?(shards = 1) ?max_nodes ?(queue_capacity = 64)
   {
     addr;
     domains;
-    shards;
     max_nodes;
     queue_capacity;
     journal_dir;
@@ -56,7 +52,7 @@ let config ?(domains = 4) ?(shards = 1) ?max_nodes ?(queue_capacity = 64)
     log;
   }
 
-(* Per-shard counters, written by the owning worker domain (and the reader
+(* Per-domain counters, written by the owning worker domain (and the reader
    threads for the live-session gauge), read by any reader thread serving a
    [Stats_req].  Atomics make the cross-domain reads well-defined; the
    counters are monotone so slight skew between fields is harmless. *)
@@ -92,7 +88,7 @@ type conn = {
 }
 
 (* Field ownership.  [monitor]/[last]/[applied]/[journal] belong to the
-   session's shard worker once the session is live (mailbox FIFO is the
+   session's worker domain once the session is live (mailbox FIFO is the
    synchronisation).  [dmode]/[throttles]/[admit_flip] belong to the
    serving reader thread; the worker's reads of [dmode] for verdict tails
    are ordered behind the reader's writes by the mailbox mutex.
@@ -101,8 +97,8 @@ type conn = {
 and session = {
   client_sid : int;
   mutable sconn : conn;
-  mutable monitor : Sharded.t;  (* replaced once, on crash recovery *)
-  shard : int;
+  mutable monitor : Session.t;  (* replaced once, on crash recovery *)
+  worker : int;  (* index of the owning worker domain *)
   mutable last : Monitor.snapshot;  (* last snapshot folded into dstats *)
   mutable applied : int;  (* events durably applied (journalled + pushed) *)
   mutable journal : Journal.t option;
@@ -114,8 +110,8 @@ and session = {
   mutable retired : bool;  (* gauges settled; never retire twice *)
 }
 
-(* Work items flowing reader -> shard worker.  A session is pinned to one
-   shard, so its items are processed in FIFO order by a single domain and
+(* Work items flowing reader -> worker domain.  A session is pinned to one
+   worker, so its items are processed in FIFO order by a single domain and
    the monitor (and journal) need no locking. *)
 type work =
   | W_open of session  (* create the journal of a fresh durable session *)
@@ -128,7 +124,7 @@ type work =
   | W_attach of session  (* answer [Resumed] after a reattach *)
   | W_recover of session  (* rebuild from disk, then answer [Resumed] *)
   | W_expire of session  (* orphan timed out: delete and retire *)
-  | W_shards of session  (* answer [Shards] with stitch counters (v3) *)
+  | W_shards of session  (* answer [Shards] with certify counters (v3) *)
   | W_quit
 
 type t = {
@@ -145,7 +141,6 @@ type t = {
   mutable accept_thread : Thread.t option;
   mutable sweeper : Thread.t option;  (* orphan expiry, durable mode only *)
   mutable workers : unit Domain.t array;
-  pool : Shard_pool.t option;  (* certify executor when [shards > 1] *)
   next_conn : int Atomic.t;
   next_session : int Atomic.t;
   durables : (int, session) Hashtbl.t;  (* durable mode: global registry *)
@@ -172,8 +167,8 @@ let status_of_outcome : Monitor.outcome -> Protocol.status = function
   | `Budget why -> Protocol.S_budget why
 
 let verdict_frame s ~token =
-  let events = Sharded.events_seen s.monitor in
-  let status = status_of_outcome (Sharded.status s.monitor) in
+  let events = Session.events_seen s.monitor in
+  let status = status_of_outcome (Session.status s.monitor) in
   if s.sconn.version >= 2 then
     Protocol.verdict ~mode:s.dmode ~applied:s.applied ~session:s.client_sid
       ~token ~events status
@@ -188,17 +183,17 @@ let resumed_frame s =
       session = s.client_sid;
       applied = s.applied;
       mode = s.dmode;
-      status = status_of_outcome (Sharded.status s.monitor);
+      status = status_of_outcome (Session.status s.monitor);
     }
 
-(* --- shard workers -------------------------------------------------------- *)
+(* --- worker domains ------------------------------------------------------- *)
 
-(* Fold the session's monitor counters into its shard's atomics.  Called on
+(* Fold the session's monitor counters into its domain's atomics.  Called on
    every batch, so it leans on [Monitor.snapshot] being O(1) — including the
    pending gauge, which used to recount [History.infos] per call and made
    accounting quadratic over a session's stream. *)
 let account d s =
-  let snap = Sharded.snapshot s.monitor in
+  let snap = Session.snapshot s.monitor in
   let add a n = if n <> 0 then ignore (Atomic.fetch_and_add a n) in
   add d.d_events (snap.Monitor.events - s.last.Monitor.events);
   add d.d_responses (snap.Monitor.responses - s.last.Monitor.responses);
@@ -224,12 +219,12 @@ let retire ?(delete = false) srv d s =
         | _ -> ());
         Mutex.unlock srv.reg_mutex
     | None -> ());
-    ignore (Atomic.fetch_and_add srv.dstats.(s.shard).live (-1));
+    ignore (Atomic.fetch_and_add srv.dstats.(s.worker).live (-1));
     Atomic.incr d.closed
   end
 
 let snapshot_quiet srv s j =
-  try Journal.snapshot j (Sharded.persist s.monitor)
+  try Journal.snapshot j (Session.persist s.monitor)
   with Unix.Unix_error (e, _, _) ->
     srv.cfg.log
       (Fmt.str "session %d: snapshot failed (%s)" s.client_sid
@@ -242,8 +237,8 @@ let snapshot_quiet srv s j =
    the whole point of monitoring. *)
 let record_verdict_quiet srv s j =
   try
-    Journal.record_verdict j (Sharded.status s.monitor)
-      (Sharded.violation_index s.monitor)
+    Journal.record_verdict j (Session.status s.monitor)
+      (Session.violation_index s.monitor)
   with Unix.Unix_error (e, _, _) ->
     srv.cfg.log
       (Fmt.str "session %d: verdict record failed (%s)" s.client_sid
@@ -252,15 +247,15 @@ let record_verdict_quiet srv s j =
 (* Durable sessions certify at every admitted batch, so the batch that
    flips the sticky verdict journals it exactly as the sequential
    monitor's push used to — kill-at-violation recovery depends on that.
-   Non-durable sessions skip the per-batch stitch: nothing reads their
+   Non-durable sessions skip the per-batch certify: nothing reads their
    status between batches, and checkpoint, close and resume certify
    before building a verdict frame, so a verdict is always backed by a
-   stitched (or escalated) certificate either way. *)
+   graph (or escalated) certificate either way. *)
 let certify_record srv s ~was_ok =
   match s.journal with
   | Some j ->
-      ignore (Sharded.certify s.monitor);
-      if was_ok && Sharded.status s.monitor <> `Ok then
+      ignore (Session.certify s.monitor);
+      if was_ok && Session.status s.monitor <> `Ok then
         record_verdict_quiet srv s j
   | None -> ()
 
@@ -340,9 +335,9 @@ let worker srv i () =
                           false)
                 in
                 if admitted then begin
-                  let was_ok = Sharded.status s.monitor = `Ok in
+                  let was_ok = Session.status s.monitor = `Ok in
                   List.iter
-                    (fun ev -> ignore (Sharded.push s.monitor ev))
+                    (fun ev -> ignore (Session.push s.monitor ev))
                     events;
                   certify_record srv s ~was_ok;
                   account d s;
@@ -357,7 +352,7 @@ let worker srv i () =
           loop ()
       | W_checkpoint (s, token) ->
           account d s;
-          ignore (Sharded.certify s.monitor);
+          ignore (Session.certify s.monitor);
           (match s.journal with
           | Some j -> snapshot_quiet srv s j
           | None -> ());
@@ -365,7 +360,7 @@ let worker srv i () =
           loop ()
       | W_close s ->
           account d s;
-          ignore (Sharded.certify s.monitor);
+          ignore (Session.certify s.monitor);
           let final = verdict_frame s ~token:0 in
           (* Counters and durable state settle before the final verdict: a
              client holding its close verdict must not observe the session
@@ -387,18 +382,20 @@ let worker srv i () =
           send_frame s.sconn (resumed_frame s);
           loop ()
       | W_shards s ->
-          let st = Sharded.stitch_stats s.monitor in
+          (* v3 clients still ask: one graph per session, every certify
+             answered incrementally *)
+          let certifies = Session.certifies s.monitor in
           send_frame s.sconn
             (Protocol.Shards
                {
                  session = s.client_sid;
                  stats =
                    {
-                     Protocol.shards = st.Sharded.shards;
-                     certifies = st.Sharded.certifies;
-                     incremental = st.Sharded.incremental;
-                     full = st.Sharded.full;
-                     escalated = st.Sharded.escalated;
+                     Protocol.shards = 1;
+                     certifies;
+                     incremental = certifies;
+                     full = 0;
+                     escalated = Session.escalation s.monitor;
                    };
                });
           loop ()
@@ -407,16 +404,14 @@ let worker srv i () =
           | None -> ()
           | Some dir -> (
               match
-                Journal.recover_sharded ~sync:srv.cfg.journal_sync
-                  ?max_nodes:srv.cfg.max_nodes ~nshards:srv.cfg.shards
-                  ?run:(Option.map Shard_pool.run srv.pool)
-                  ~dir ~session:s.client_sid ()
+                Journal.recover ~sync:srv.cfg.journal_sync
+                  ?max_nodes:srv.cfg.max_nodes ~dir ~session:s.client_sid ()
               with
               | Ok (m, applied, j) ->
                   s.monitor <- m;
                   (* Pre-crash monitor work stays accounted to the process
                      that did it; only post-recovery deltas hit dstats. *)
-                  s.last <- Sharded.snapshot m;
+                  s.last <- Session.snapshot m;
                   s.applied <- applied;
                   s.journal <- Some j;
                   send_frame s.sconn (resumed_frame s)
@@ -480,17 +475,13 @@ let handshake conn =
 
 let new_session srv conn sid =
   let key = Atomic.fetch_and_add srv.next_session 1 in
-  let shard = key mod srv.cfg.domains in
-  let monitor =
-    Sharded.create ?max_nodes:srv.cfg.max_nodes ~nshards:srv.cfg.shards
-      ?run:(Option.map Shard_pool.run srv.pool) ()
-  in
+  let monitor = Session.create ?max_nodes:srv.cfg.max_nodes () in
   {
     client_sid = sid;
     sconn = conn;
     monitor;
-    shard;
-    last = Sharded.snapshot monitor;
+    worker = key mod srv.cfg.domains;
+    last = Session.snapshot monitor;
     applied = 0;
     journal = None;
     dmode = Protocol.M_full;
@@ -514,7 +505,7 @@ let open_session srv conn sid =
     | None ->
         let s = new_session srv conn sid in
         Hashtbl.replace conn.sessions sid s;
-        Atomic.incr srv.dstats.(s.shard).live
+        Atomic.incr srv.dstats.(s.worker).live
     | Some _ -> (
         (* Durable servers have one global session-id namespace. *)
         Mutex.lock srv.reg_mutex;
@@ -536,8 +527,8 @@ let open_session srv conn sid =
             Hashtbl.replace srv.durables sid s;
             Mutex.unlock srv.reg_mutex;
             Hashtbl.replace conn.sessions sid s;
-            Atomic.incr srv.dstats.(s.shard).live;
-            Mailbox.put srv.mailboxes.(s.shard) (W_open s))
+            Atomic.incr srv.dstats.(s.worker).live;
+            Mailbox.put srv.mailboxes.(s.worker) (W_open s))
 
 let handle_resume srv conn sid =
   if conn.version < 2 then
@@ -549,7 +540,7 @@ let handle_resume srv conn sid =
         match Hashtbl.find_opt conn.sessions sid with
         | Some s ->
             (* Resuming a session already attached here: idempotent ack. *)
-            Mailbox.put srv.mailboxes.(s.shard) (W_attach s)
+            Mailbox.put srv.mailboxes.(s.worker) (W_attach s)
         | None -> (
             Mutex.lock srv.reg_mutex;
             let decision =
@@ -594,11 +585,11 @@ let handle_resume srv conn sid =
             | `Err (code, msg) -> err conn code msg
             | `Attach s ->
                 Hashtbl.replace conn.sessions sid s;
-                Mailbox.put srv.mailboxes.(s.shard) (W_attach s)
+                Mailbox.put srv.mailboxes.(s.worker) (W_attach s)
             | `Recover s ->
                 Hashtbl.replace conn.sessions sid s;
-                Atomic.incr srv.dstats.(s.shard).live;
-                Mailbox.put srv.mailboxes.(s.shard) (W_recover s)))
+                Atomic.incr srv.dstats.(s.worker).live;
+                Mailbox.put srv.mailboxes.(s.worker) (W_recover s)))
 
 (* The admission path: the degradation ladder lives here, in the reader,
    because the reader is what sees mailbox pressure.  v1 connections keep
@@ -616,9 +607,9 @@ let handle_events srv conn sid from events =
         send_frame conn
           (Protocol.Shed { session = sid; reason = "session is shed" })
       else if conn.version < 2 then
-        Mailbox.put srv.mailboxes.(s.shard) (W_events (s, from, events))
+        Mailbox.put srv.mailboxes.(s.worker) (W_events (s, from, events))
       else begin
-        let mb = srv.mailboxes.(s.shard) in
+        let mb = srv.mailboxes.(s.worker) in
         let throttle () =
           s.throttles <- s.throttles + 1;
           if s.throttles >= srv.cfg.throttle_shed then begin
@@ -669,7 +660,7 @@ let handle_events srv conn sid from events =
 
 let with_session srv conn sid k =
   match Hashtbl.find_opt conn.sessions sid with
-  | Some s -> Mailbox.put srv.mailboxes.(s.shard) (k s)
+  | Some s -> Mailbox.put srv.mailboxes.(s.worker) (k s)
   | None ->
       err conn Protocol.Unknown_session
         (Fmt.str "no open session %d on this connection" sid)
@@ -696,7 +687,7 @@ let serve_frames srv conn =
             match Hashtbl.find_opt conn.sessions session with
             | Some s ->
                 Hashtbl.remove conn.sessions session;
-                Mailbox.put srv.mailboxes.(s.shard) (W_close s)
+                Mailbox.put srv.mailboxes.(s.worker) (W_close s)
             | None ->
                 err conn Protocol.Unknown_session
                   (Fmt.str "no open session %d on this connection" session))
@@ -735,7 +726,7 @@ let serve_conn srv conn () =
   | Unix.Unix_error (e, _, _) ->
       srv.cfg.log
         (Fmt.str "conn %d: %s, closing" conn.conn_id (Unix.error_message e)));
-  (* A dead client never wedges a shard.  Non-durable sessions are reaped
+  (* A dead client never wedges a worker.  Non-durable sessions are reaped
      through the same mailboxes as regular closes, after any work already
      enqueued for them; durable sessions become orphans — resumable until
      the sweeper expires them. *)
@@ -754,7 +745,7 @@ let serve_conn srv conn () =
         end;
         Mutex.unlock srv.reg_mutex
       end
-      else Mailbox.put srv.mailboxes.(s.shard) (W_reap s))
+      else Mailbox.put srv.mailboxes.(s.worker) (W_reap s))
     conn.sessions;
   Hashtbl.reset conn.sessions;
   (try Unix.close conn.fd with Unix.Unix_error _ -> ());
@@ -794,7 +785,7 @@ let sweeper srv () =
           srv.cfg.log
             (Fmt.str "session %d: orphan expired after %.1fs" s.client_sid
                srv.cfg.session_timeout);
-          Mailbox.put srv.mailboxes.(s.shard) (W_expire s))
+          Mailbox.put srv.mailboxes.(s.worker) (W_expire s))
         !expired
     end
   done
@@ -803,7 +794,7 @@ let sweeper srv () =
 
 let accept_loop srv () =
   while not srv.stopping do
-    match Unix.accept srv.listen_fd with
+    match Wire.accept srv.listen_fd with
     | fd, _ ->
         Mutex.lock srv.conns_mutex;
         let nconns = Hashtbl.length srv.conns in
@@ -884,12 +875,6 @@ let start cfg =
       accept_thread = None;
       sweeper = None;
       workers = [||];
-      pool =
-        (* Each worker domain contributes itself to its session's certify,
-           so the pool only needs [shards - 1] extra domains. *)
-        (if cfg.shards > 1 then
-           Some (Shard_pool.create ~domains:(cfg.shards - 1))
-         else None);
       next_conn = Atomic.make 1;
       next_session = Atomic.make 1;
       durables = Hashtbl.create 16;
@@ -933,7 +918,6 @@ let stop ?(drain = true) srv =
     (match srv.sweeper with Some t -> Thread.join t | None -> ());
     Array.iter (fun mb -> Mailbox.put mb W_quit) srv.mailboxes;
     Array.iter Domain.join srv.workers;
-    (match srv.pool with Some p -> Shard_pool.stop p | None -> ());
     (* Close surviving durable journals (fds) — the files stay on disk, so
        every orphaned or still-open session remains recoverable by the
        next server on the same journal directory. *)

@@ -1,12 +1,13 @@
 (** The [tm serve] server: a streaming du-opacity checking service.
 
     One listening socket (Unix or TCP), many concurrent connections, many
-    sessions per connection.  Each session owns one online
-    {!Tm_checker.Monitor} and is pinned to one shard of a fixed pool of
-    OCaml 5 domains; connection reader threads decode frames and hand the
-    per-session work to the shard's bounded mailbox ({!Mailbox}), whose
-    bound is the backpressure that stalls over-eager clients instead of
-    buffering without limit.
+    sessions per connection.  Each session owns one
+    {!Tm_checker.Session_monitor} — an incremental conflict graph that
+    hands the stream to a {!Tm_checker.Monitor} when it cannot certify it
+    — and is pinned to one domain of a fixed worker pool; connection
+    reader threads decode frames and hand the per-session work to that
+    worker's bounded mailbox ({!Mailbox}), whose bound is the backpressure
+    that stalls over-eager clients instead of buffering without limit.
 
     {2 Robustness invariants} (exercised by the loopback and chaos tests):
     - a malformed frame body is answered with an [Error] frame and the
@@ -23,14 +24,14 @@
     server on the same directory rebuilds the session from snapshot-load +
     journal-replay, verdict-identical to an uninterrupted run.  [Resume]
     answers with the durably-applied index; [Events_at] re-sends are
-    deduplicated in the session's shard worker — the only writer of its
+    deduplicated in the session's worker domain — the only writer of its
     applied counter — so duplicated or re-sent frames never double-apply,
     and a frame that would open a gap is refused with a zero-delay
     [Throttle].
 
     {2 Overload}: admission control refuses connections over [max_conns]
     and sessions over [max_sessions] with [Error overloaded].  A v2
-    session whose shard mailbox is at the high-watermark walks the
+    session whose worker's mailbox is at the high-watermark walks the
     degradation ladder — throttle (frame discarded, [Throttle] reply),
     sampling (alternate frames admitted) after [throttle_sample]
     consecutive throttles, shed (sticky; later events discarded, verdicts
@@ -44,15 +45,8 @@
 type config = {
   addr : Wire.addr;
   domains : int;  (** session worker pool size (OCaml domains) *)
-  shards : int;
-      (** monitor shards per session ({!Tm_checker.Sharded_monitor});
-          [1] = a single sequential conflict graph.  A server with
-          [shards > 1] keeps a dedicated certify pool of [shards - 1]
-          extra domains that every session's two-phase certify fans
-          out over (the session's own worker domain runs the first
-          shard job). *)
   max_nodes : int option;  (** per-response search budget, per monitor *)
-  queue_capacity : int;  (** mailbox bound per shard (work items) *)
+  queue_capacity : int;  (** mailbox bound per worker (work items) *)
   journal_dir : string option;
       (** durable sessions under this directory; [None] = in-memory only *)
   journal_sync : bool;  (** fsync every journal append (power-cut grade) *)
@@ -74,7 +68,6 @@ type config = {
 
 val config :
   ?domains:int ->
-  ?shards:int ->
   ?max_nodes:int ->
   ?queue_capacity:int ->
   ?journal_dir:string ->
@@ -91,9 +84,8 @@ val config :
   ?log:(string -> unit) ->
   Wire.addr ->
   config
-(** Defaults: 4 domains, 1 shard per session, no search budget, 64-item
-    queues, not durable,
-    no fsync, {!Protocol.default_session_timeout} /
+(** Defaults: 4 domains, no search budget, 64-item queues, not durable, no
+    fsync, {!Protocol.default_session_timeout} /
     {!Protocol.default_heartbeat}, 1024 connections, 8192 sessions,
     [hwm = queue_capacity / 2], sampling after 4 and shedding after 16
     consecutive throttles, 50 ms retry hint, snapshot every 50k events,
@@ -102,13 +94,13 @@ val config :
 type t
 
 val start : config -> t
-(** Binds, spawns the shard pool, the accept thread and (durable mode) the
+(** Binds, spawns the worker pool, the accept thread and (durable mode) the
     orphan sweeper, returns.  Ignores [SIGPIPE] process-wide (a dead
     client must surface as a write error, not a signal). *)
 
 val stop : ?drain:bool -> t -> unit
 (** Graceful: stops accepting, wakes and joins every connection, drains
-    and joins the shard pool, closes surviving journal fds (files stay on
+    and joins the worker pool, closes surviving journal fds (files stay on
     disk — durable sessions remain recoverable), unlinks a Unix-socket
     path.  [~drain:false] discards queued work instead of applying it.
     Idempotent. *)

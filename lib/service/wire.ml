@@ -23,20 +23,32 @@ let socket_of = function
   | `Unix _ -> Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0
   | `Tcp _ -> Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0
 
+(* Frames are small and latency-bound: with Nagle's algorithm on, a
+   verdict waits for the previous segment's acknowledgement.  Both ends of
+   a TCP connection turn it off. *)
+let no_delay fd = function
+  | Unix.ADDR_INET _ -> Unix.setsockopt fd Unix.TCP_NODELAY true
+  | Unix.ADDR_UNIX _ -> ()
+
 let connect addr =
   (* A server dying mid-write must surface as EPIPE (a retryable
      transport error), not kill the client process. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ | Sys_error _ -> ());
   let fd = socket_of addr in
-  (try Unix.connect fd (sockaddr_of addr)
+  let sa = sockaddr_of addr in
+  (try Unix.connect fd sa
    with e ->
      Unix.close fd;
      raise e);
-  (match addr with
-  | `Tcp _ -> Unix.setsockopt fd Unix.TCP_NODELAY true
-  | `Unix _ -> ());
+  no_delay fd sa;
   fd
+
+let accept fd =
+  let ((client, peer) as accepted) = Unix.accept fd in
+  (* a peer that already vanished surfaces on the first read instead *)
+  (try no_delay client peer with Unix.Unix_error _ -> ());
+  accepted
 
 let listen ?(backlog = 64) addr =
   let fd = socket_of addr in
@@ -84,7 +96,7 @@ let read_exact ?(mid_frame = false) fd bytes pos len =
 
 (* Frames serialise into one contiguous byte string so a send is a single
    [write] loop under the caller's mutex — concurrent writers (one reader
-   thread, several shard workers) interleave whole frames only. *)
+   thread, several worker domains) interleave whole frames only. *)
 let frame_bytes frames =
   let out = Buffer.create 256 in
   List.iter

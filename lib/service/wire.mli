@@ -28,6 +28,10 @@ val listen : ?backlog:int -> addr -> Unix.file_descr
 (** Server side: bind + listen; an existing Unix-socket path is unlinked
     first, TCP sockets get [SO_REUSEADDR]. *)
 
+val accept : Unix.file_descr -> Unix.file_descr * Unix.sockaddr
+(** Server side: [Unix.accept], plus [TCP_NODELAY] on a TCP connection, so
+    both ends of the connection disable Nagle's algorithm alike. *)
+
 val send : ?mutex:Mutex.t -> Unix.file_descr -> Protocol.frame -> unit
 val send_many : ?mutex:Mutex.t -> Unix.file_descr -> Protocol.frame list -> unit
 

@@ -34,6 +34,11 @@ let check_certified ~claim name h verdict =
           Alcotest.failf "%s: certificate rejected by validator: %s" name why)
   | Verdict.Unsat _ | Verdict.Unknown _ -> ()
 
+let contains s sub =
+  let n = String.length s and k = String.length sub in
+  let rec at i = i + k <= n && (String.sub s i k = sub || at (i + 1)) in
+  at 0
+
 let test name f = Alcotest.test_case name `Quick f
 
 let slow name f = Alcotest.test_case name `Slow f

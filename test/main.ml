@@ -24,4 +24,4 @@ let () =
     @ Test_codec.suite
     @ Test_service.suite
     @ Test_recovery.suite
-    @ Test_sharded.suite)
+    @ Test_session.suite)

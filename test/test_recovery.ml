@@ -53,13 +53,13 @@ let with_dir f =
   Unix.mkdir dir 0o755;
   Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
 
-let with_durable_server ?shards ?session_timeout ?hwm ?throttle_sample
-    ?throttle_shed f =
+let with_durable_server ?session_timeout ?hwm ?throttle_sample ?throttle_shed f
+    =
   with_dir (fun dir ->
       let addr = `Unix (Filename.concat dir "sock") in
       let journal_dir = Filename.concat dir "journal" in
       let cfg =
-        Server.config ~domains:2 ?shards ~journal_dir ?session_timeout ?hwm
+        Server.config ~domains:2 ~journal_dir ?session_timeout ?hwm
           ?throttle_sample ?throttle_shed addr
       in
       let srv = ref (Server.start cfg) in
@@ -82,14 +82,16 @@ let test_journal_roundtrip () =
       let events = History.to_list Figures.fig1 in
       let n = List.length events in
       let a, b = split_at (n / 2) events in
-      let m = Monitor.create () in
+      let m = Session_monitor.create () in
       let j = Journal.create ~dir ~session:7 () in
-      ignore (Monitor.push_all m a);
+      ignore (Session_monitor.push_all m a);
       ignore (Journal.append j a);
       (* checkpoint mid-stream, then keep appending past the snapshot *)
-      Journal.snapshot j (Monitor.persist m);
-      ignore (Monitor.push_all m b);
+      Journal.snapshot j (Session_monitor.persist m);
+      ignore (Session_monitor.push_all m b);
       ignore (Journal.append j b);
+      (* recovery certifies the rebuilt stream; so does the original *)
+      ignore (Session_monitor.certify m);
       Alcotest.(check int) "applied counts everything" n (Journal.applied j);
       Alcotest.(check int) "post-snapshot tail" (List.length b)
         (Journal.since_snapshot j);
@@ -103,8 +105,9 @@ let test_journal_roundtrip () =
       | Ok (m', applied, j') ->
           Alcotest.(check int) "recovered applied" n applied;
           Alcotest.(check int) "monitor replayed fully" n
-            (Monitor.events_seen m');
-          let s = Monitor.snapshot m and s' = Monitor.snapshot m' in
+            (Session_monitor.events_seen m');
+          let s = Session_monitor.snapshot m
+          and s' = Session_monitor.snapshot m' in
           Alcotest.(check int) "responses survive the capsule"
             s.Monitor.responses s'.Monitor.responses;
           Alcotest.(check int) "fast-path hits survive the capsule"
@@ -131,7 +134,7 @@ let test_journal_torn_tail () =
             (Fmt.str "torn tail dropped (%d < %d)" applied n)
             true (applied < n);
           Alcotest.(check int) "monitor matches the surviving prefix" applied
-            (Monitor.events_seen m');
+            (Session_monitor.events_seen m');
           (* the journal is usable again: the torn tail was truncated away *)
           ignore (Journal.append j' [ Event.Inv (99, Event.Read 0) ]);
           Alcotest.(check int) "append after truncation" (applied + 1)
@@ -190,41 +193,53 @@ let test_kill_and_recover_verdict_parity () =
           (try Client.close c with Unix.Unix_error _ -> ())))
     Figures.catalog
 
-let test_sharded_crash_shard_count_change () =
-  (* The two monitors share the capsule format, so a server restarted with
-     a different --shards must still recover every durable session.  Crash
-     a 4-shard server mid-stream and restart it sequential (and vice
-     versa): resumed verdicts stay byte-for-byte the uninterrupted ones. *)
+let test_capsules_interchange () =
+  (* The session monitor and the sequential monitor share the capsule
+     format, so a journal checkpointed by either recovers every figure
+     with the uninterrupted verdict: snapshot half the stream, journal
+     the rest, recover. *)
+  let outcome_status : Monitor.outcome -> Protocol.status = function
+    | `Ok -> Protocol.S_ok
+    | `Violation why -> Protocol.S_violation why
+    | `Budget why -> Protocol.S_budget why
+  in
   List.iter
-    (fun (shards_before, shards_after) ->
+    (fun (writer, persist) ->
       List.iter
         (fun (h : Figures.expectation) ->
-          with_durable_server ~shards:shards_before (fun srv cfg addr ->
+          with_dir (fun dir ->
               let events = History.to_list h.history in
-              let n = List.length events in
-              let half, rest = split_at (max 1 (n / 2)) events in
-              let c = connect addr in
-              Client.open_session c 1;
-              Client.send_events_at c 1 ~from:0 half;
-              ignore (Client.checkpoint c 1);
-              Server.crash !srv;
-              srv := Server.start { cfg with Server.shards = shards_after };
-              let c2 = connect addr in
-              let applied, _mode, _status = resume_eventually c2 1 ~from:0 in
-              Alcotest.(check int)
-                (Fmt.str "%s: journalled prefix survived (%d->%d shards)"
-                   h.name shards_before shards_after)
-                (List.length half) applied;
-              Client.send_events_at c2 1 ~from:applied rest;
-              let v = Client.close_session c2 1 in
-              Alcotest.check status
-                (Fmt.str "%s: verdict across shard-count change (%d->%d)"
-                   h.name shards_before shards_after)
-                (offline_status h.history) v.Protocol.status;
-              Client.close c2;
-              (try Client.close c with Unix.Unix_error _ -> ())))
+              let half, rest = split_at (max 1 (List.length events / 2)) events in
+              let j = Journal.create ~dir ~session:1 () in
+              ignore (Journal.append j half);
+              Journal.snapshot j (persist half);
+              ignore (Journal.append j rest);
+              Journal.close j;
+              match Journal.recover ~dir ~session:1 () with
+              | Error why -> Alcotest.failf "%s: recover: %s" h.name why
+              | Ok (m, applied, j) ->
+                  Journal.close j;
+                  Alcotest.(check int)
+                    (Fmt.str "%s: %s capsule, whole stream applied" h.name
+                       writer)
+                    (List.length events) applied;
+                  Alcotest.check status
+                    (Fmt.str "%s: %s capsule, recovered verdict" h.name writer)
+                    (offline_status h.history)
+                    (outcome_status (Session_monitor.status m))))
         Figures.catalog)
-    [ (4, 1); (1, 4) ]
+    [
+      ( "monitor",
+        fun evs ->
+          let m = Monitor.create () in
+          ignore (Monitor.push_all m evs);
+          Monitor.persist m );
+      ( "session",
+        fun evs ->
+          let m = Session_monitor.create () in
+          ignore (Session_monitor.push_all m evs);
+          Session_monitor.persist m );
+    ]
 
 let test_verdict_survives_budget_change () =
   (* The sticky-verdict record, end to end: Finding 3's counterexample
@@ -462,8 +477,8 @@ let suite =
       [
         slow "server crash: recovered verdicts equal uninterrupted"
           test_kill_and_recover_verdict_parity;
-        slow "sharded crash: recovery across a shard-count change"
-          test_sharded_crash_shard_count_change;
+        test "capsules from either monitor recover every figure"
+          test_capsules_interchange;
         test "kill at violation: verdict survives a budget change"
           test_verdict_survives_budget_change;
         test "orphaned session reattaches" test_orphan_reattach;
