@@ -825,13 +825,6 @@ let serve_cmd =
       & opt float Service.Protocol.default_session_timeout
       & info [ "session-timeout" ] ~docv:"SECONDS" ~doc)
   in
-  let heartbeat_arg =
-    let doc = "Advertised heartbeat interval for idle clients." in
-    Arg.(
-      value
-      & opt float Service.Protocol.default_heartbeat
-      & info [ "heartbeat" ] ~docv:"SECONDS" ~doc)
-  in
   let max_conns_arg =
     let doc = "Admission control: refuse connections beyond $(docv)." in
     Arg.(value & opt int 1024 & info [ "max-conns" ] ~docv:"N" ~doc)
@@ -842,13 +835,13 @@ let serve_cmd =
   in
   let hwm_arg =
     let doc =
-      "Mailbox high-watermark at which v2 sessions are throttled \
+      "Mailbox high-watermark at which sessions are throttled \
        (degradation ladder); default queue/2."
     in
     Arg.(value & opt (some int) None & info [ "hwm" ] ~docv:"N" ~doc)
   in
   let run unix_path tcp domains () queue max_nodes quiet journal_dir
-      journal_sync session_timeout heartbeat max_conns max_sessions hwm =
+      journal_sync session_timeout max_conns max_sessions hwm =
     match addr_of ~unix_path ~tcp with
     | Error (`Msg m) ->
         Fmt.epr "tm serve: %s@." m;
@@ -861,7 +854,7 @@ let serve_cmd =
           Service.Server.start
             (Service.Server.config ~domains ?max_nodes
                ~queue_capacity:queue ?journal_dir ~journal_sync
-               ~session_timeout ~heartbeat ~max_conns ~max_sessions ?hwm ~log
+               ~session_timeout ~max_conns ~max_sessions ?hwm ~log
                addr)
         with
         | exception Unix.Unix_error (e, _, arg) ->
@@ -904,8 +897,7 @@ let serve_cmd =
     Term.(
       const run $ unix_arg $ tcp_arg $ domains_arg $ shards_arg $ queue_arg
       $ max_nodes_arg $ quiet_arg $ journal_arg $ journal_sync_arg
-      $ session_timeout_arg $ heartbeat_arg $ max_conns_arg $ max_sessions_arg
-      $ hwm_arg)
+      $ session_timeout_arg $ max_conns_arg $ max_sessions_arg $ hwm_arg)
 
 let submit_cmd =
   let session_arg =
@@ -920,8 +912,10 @@ let submit_cmd =
     let doc =
       "Fault-tolerant submission: open a durable session, resume after \
        disconnects or server restarts with bounded exponential backoff, \
-       and re-send only unacknowledged events.  Requires the server to run \
-       with --journal-dir."
+       and re-send only unacknowledged events.  Sessions survive a server \
+       restart only on a server run with --journal-dir; against one without, \
+       each connection opens the session afresh and streams it from the \
+       start."
     in
     Arg.(value & flag & info [ "durable" ] ~doc)
   in
@@ -975,6 +969,8 @@ let submit_cmd =
                     Service.Client.connect_retry ~backoff addr)
                   (History.to_list h)
               with
+              | exception Service.Client.Refused m ->
+                  fail "server refused the connection: %s" m
               | exception Service.Client.Server_error m ->
                   fail "server error: %s" m
               | exception Unix.Unix_error (e, _, _) ->
@@ -993,6 +989,9 @@ let submit_cmd =
               | exception Unix.Unix_error (e, _, _) ->
                   fail "cannot connect to %a: %s" Service.Wire.pp_addr addr
                     (Unix.error_message e)
+              | exception
+                  (Service.Client.Refused m | Service.Client.Server_error m) ->
+                  fail "server refused the connection: %s" m
               | client -> (
                   let finish code =
                     (try Service.Client.close client

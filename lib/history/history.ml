@@ -1,10 +1,12 @@
 module Int_map = Map.Make (Int)
 
-(* Histories share their event storage: [buf.arr] only ever grows, and a
-   snapshot of length [len] never reads beyond [len].  [buf.used] marks how
-   far the buffer has been claimed, so [extend] can append in place exactly
-   when called on the tip snapshot and must copy otherwise. *)
-type buffer = { mutable arr : Event.t array; mutable used : int }
+(* Histories share their event storage, and a snapshot of length [len]
+   never reads beyond [len].  [used] marks how far the buffer has been
+   claimed: [extend] appends in place only when it wins the
+   compare-and-set of [used] from [len] to [len + 1], so each slot is
+   written once, by one domain.  Every other extension copies, and a full
+   buffer is never resized in place — growing allocates a new one. *)
+type buffer = { arr : Event.t array; used : int Atomic.t }
 
 type summary = { tbl : Txn.t Int_map.t; rev_order : Event.tx list }
 
@@ -125,7 +127,7 @@ let of_events events =
   let len = Array.length arr in
   match compute_summary arr len with
   | Ok s ->
-      Ok { buf = { arr; used = len }; len; summary = Some s }
+      Ok { buf = { arr; used = Atomic.make len }; len; summary = Some s }
   | Error e -> Error e
 
 let of_events_exn events =
@@ -137,7 +139,7 @@ let of_events_prefix events =
   let arr = Array.of_list events in
   let len = Array.length arr in
   match compute_summary arr len with
-  | Ok s -> ({ buf = { arr; used = len }; len; summary = Some s }, [])
+  | Ok s -> ({ buf = { arr; used = Atomic.make len }; len; summary = Some s }, [])
   | Error e ->
       (* Validation is a left-to-right fold of [step], so the first failure
          at index [i] certifies the prefix of length [i] well-formed; one
@@ -146,12 +148,17 @@ let of_events_prefix events =
       let prefix = Array.sub arr 0 keep in
       let tail = Array.to_list (Array.sub arr keep (len - keep)) in
       (match compute_summary prefix keep with
-      | Ok s -> ({ buf = { arr = prefix; used = keep }; len = keep; summary = Some s }, tail)
+      | Ok s ->
+          ( { buf = { arr = prefix; used = Atomic.make keep }; len = keep;
+              summary = Some s },
+            tail )
       | Error e ->
           Fmt.invalid_arg "History.of_events_prefix: prefix ill-formed: %a"
             pp_error e)
 
-let empty = { buf = { arr = [||]; used = 0 }; len = 0; summary = Some empty_summary }
+let empty =
+  { buf = { arr = [||]; used = Atomic.make 0 }; len = 0;
+    summary = Some empty_summary }
 
 let length h = h.len
 let is_empty h = h.len = 0
@@ -264,17 +271,19 @@ let extend h ev =
   | Error _ as e -> e
   | Ok s ->
       let buf =
-        if h.buf.used = h.len then h.buf
-        else { arr = Array.sub h.buf.arr 0 h.len; used = h.len }
+        if
+          h.len < Array.length h.buf.arr
+          && Atomic.compare_and_set h.buf.used h.len (h.len + 1)
+        then begin
+          h.buf.arr.(h.len) <- ev;
+          h.buf
+        end
+        else begin
+          let arr = Array.make (max 8 (2 * h.len)) ev in
+          Array.blit h.buf.arr 0 arr 0 h.len;
+          { arr; used = Atomic.make (h.len + 1) }
+        end
       in
-      let cap = Array.length buf.arr in
-      if h.len = cap then begin
-        let arr = Array.make (max 8 (2 * cap)) ev in
-        Array.blit buf.arr 0 arr 0 h.len;
-        buf.arr <- arr
-      end;
-      buf.arr.(h.len) <- ev;
-      buf.used <- h.len + 1;
       Ok { buf; len = h.len + 1; summary = Some s }
 
 let project h ~keep =

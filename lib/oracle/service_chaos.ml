@@ -235,7 +235,8 @@ let run_round cfg ~seed =
               ( arbitrate ~max_nodes:cfg.max_nodes ~events report,
                 report.Client.reconnects,
                 report.Client.retries )
-          | exception Client.Server_error msg -> (Clean_error msg, 0, 0)
+          | exception (Client.Server_error msg | Client.Refused msg) ->
+              (Clean_error msg, 0, 0)
           | exception Unix.Unix_error (e, _, _) ->
               (Clean_error (Unix.error_message e), 0, 0)
           | exception Wire.Closed -> (Clean_error "connection closed", 0, 0)

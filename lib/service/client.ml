@@ -1,4 +1,5 @@
 exception Server_error of string
+exception Refused of string
 
 let error_of = function
   | Protocol.Err { code; message } ->
@@ -7,7 +8,6 @@ let error_of = function
 
 type t = {
   fd : Unix.file_descr;
-  mutable version : int;  (* negotiated; 1 until the Hello reply lands *)
   mutable keepalive : bool;  (* heartbeat while waiting for a reply? *)
   mutable next_token : int;
   mutable closed : bool;
@@ -33,8 +33,7 @@ type t = {
 let keepalive_patience = 120
 
 let recv_frame t =
-  if t.version < 2 || not t.keepalive then
-    (* v1 peers don't speak Heartbeat; block as the caller configured. *)
+  if not t.keepalive then
     match Wire.recv t.fd with
     | Wire.Frame f -> f
     | Wire.Malformed msg ->
@@ -90,23 +89,32 @@ let backoff_delay_ms b ~seed ~attempt =
 
 (* --- connection ------------------------------------------------------------ *)
 
-let connect ?(version = Protocol.version) addr =
+let connect addr =
   let fd = Wire.connect addr in
   let t =
-    { fd; version = 1; keepalive = true; next_token = 1; closed = false;
-      throttled = 0; shed = None }
+    { fd; keepalive = true; next_token = 1; closed = false; throttled = 0;
+      shed = None }
   in
-  Wire.send fd (Protocol.Hello { version });
-  (match recv_frame t with
-  | Protocol.Hello { version = v } when v >= 1 -> t.version <- min version v
-  | f ->
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      raise (error_of f));
-  t
+  Wire.send fd (Protocol.Hello { version = Protocol.version });
+  (* The reply is read blocking, before [recv_frame] ever puts a receive
+     timeout on the fd: a caller that then turns keepalive off (as
+     [submit_durable] does) must get untimed, silent waits. *)
+  let refuse exn =
+    (try Unix.close fd with Unix.Unix_error _ -> ());
+    raise exn
+  in
+  match Wire.recv fd with
+  | Wire.Frame (Protocol.Hello { version }) when version = Protocol.version -> t
+  | Wire.Frame (Protocol.Err { code = Protocol.Unsupported_version; message })
+    ->
+      refuse (Refused message)
+  | Wire.Frame f -> refuse (error_of f)
+  | Wire.Malformed msg ->
+      refuse (Server_error (Fmt.str "malformed server frame: %s" msg))
 
-let connect_retry ?(backoff = default_backoff) ?(seed = 0) ?version addr =
+let connect_retry ?(backoff = default_backoff) ?(seed = 0) addr =
   let rec go attempt =
-    match connect ?version addr with
+    match connect addr with
     | t -> t
     | exception ((Unix.Unix_error _ | Wire.Closed | Sys_error _) as e) ->
         if attempt >= backoff.attempts then raise e;
@@ -116,7 +124,6 @@ let connect_retry ?(backoff = default_backoff) ?(seed = 0) ?version addr =
   in
   go 0
 
-let version t = t.version
 let throttled t = t.throttled
 let shed t = t.shed
 
@@ -228,19 +235,6 @@ let stats t =
   in
   wait ()
 
-let shard_stats t session =
-  Wire.send t.fd (Protocol.Shards_req { session });
-  let rec wait () =
-    match recv_frame t with
-    | Protocol.Shards { session = s; stats } when s = session -> stats
-    | Protocol.Throttle _ ->
-        t.throttled <- t.throttled + 1;
-        wait ()
-    | Protocol.Heartbeat | Protocol.Verdict _ | Protocol.Shards _ -> wait ()
-    | f -> raise (error_of f)
-  in
-  wait ()
-
 let close t =
   if not t.closed then begin
     t.closed <- true;
@@ -287,34 +281,28 @@ let submit_durable ?(session = 1) ?(chunk = 256) ?(checkpoint_every = 4)
   in
   (* Connect (or reconnect) and find out where the server stands: [Resume]
      answers with the durably-applied index, the authoritative re-send
-     point.  A session the server never heard of (or a v1/non-durable
-     server) starts fresh from 0 — correct because a fresh session means a
-     fresh monitor, so the whole stream must flow again. *)
+     point.  A session the server never heard of, or a server that is not
+     durable, starts fresh from 0 — correct because a fresh session means
+     a fresh monitor, so the whole stream must flow again. *)
   let connect_sess () =
     let c = connect_fn () in
     (* Silent waits: let the server's idle deadline break a dead-ended
        connection; reconnect + Resume is this path's recovery story. *)
     c.keepalive <- false;
-    if version c >= 2 then
-      match resume c session ~from:!best with
-      | Ok (applied, mode, _status) ->
-          if mode = Protocol.M_shed && !shed_reason = None then
-            shed_reason := Some "resumed into a shed session";
-          best := applied;
-          (c, applied)
-      | Error ((Protocol.Unknown_session | Protocol.Bad_frame), _) ->
-          open_session c session;
-          best := 0;
-          (c, 0)
-      | Error (code, msg) ->
-          close c;
-          raise
-            (Server_error (Fmt.str "%a: %s" Protocol.pp_error_code code msg))
-    else begin
-      open_session c session;
-      best := 0;
-      (c, 0)
-    end
+    match resume c session ~from:!best with
+    | Ok (applied, mode, _status) ->
+        if mode = Protocol.M_shed && !shed_reason = None then
+          shed_reason := Some "resumed into a shed session";
+        best := applied;
+        (c, applied)
+    | Error ((Protocol.Unknown_session | Protocol.Bad_frame), _) ->
+        open_session c session;
+        best := 0;
+        (c, 0)
+    | Error (code, msg) ->
+        close c;
+        raise
+          (Server_error (Fmt.str "%a: %s" Protocol.pp_error_code code msg))
   in
   (* One round: stream a checkpoint window of events, then ask for a
      verdict and adopt the server's applied index — anything it discarded
@@ -324,9 +312,7 @@ let submit_durable ?(session = 1) ?(chunk = 256) ?(checkpoint_every = 4)
     let rec send i =
       if i < upto then begin
         let k = min chunk (upto - i) in
-        let batch = Array.to_list (Array.sub arr i k) in
-        if version c >= 2 then send_events_at c session ~from:i batch
-        else send_events c session batch;
+        send_events_at c session ~from:i (Array.to_list (Array.sub arr i k));
         send (i + k)
       end
     in
@@ -337,9 +323,7 @@ let submit_durable ?(session = 1) ?(chunk = 256) ?(checkpoint_every = 4)
     | _ -> ());
     if v.Protocol.mode = Protocol.M_shed && !shed_reason = None then
       shed_reason := Some "session shed by server";
-    let applied =
-      if version c >= 2 then v.Protocol.applied else upto
-    in
+    let applied = v.Protocol.applied in
     best := max !best applied;
     if applied <= cursor && upto > cursor && !shed_reason = None then begin
       incr retries;
@@ -365,7 +349,8 @@ let submit_durable ?(session = 1) ?(chunk = 256) ?(checkpoint_every = 4)
      network-duplicated or dropped frame can poison one connection's
      request/response pairing, which a fresh connection repairs.  Genuinely
      persistent errors simply exhaust the bounded budget and surface in
-     the give-up diagnostic. *)
+     the give-up diagnostic; a version mismatch ([Refused]) is known to be
+     permanent and escapes at once. *)
   let cur = ref None in
   let drop_conn () =
     (match !cur with Some c -> close c | None -> ());

@@ -17,6 +17,10 @@
 exception Server_error of string
 (** An [Error] frame, an unexpected frame, or a malformed server frame. *)
 
+exception Refused of string
+(** The server answered [Hello] with [unsupported-version]: it speaks a
+    different {!Protocol.version}.  Permanent, so nothing here retries it. *)
+
 type t
 
 (** {1 Retry policy} *)
@@ -36,19 +40,16 @@ val backoff_delay_ms : backoff -> seed:int -> attempt:int -> int
 
 (** {1 Connections} *)
 
-val connect : ?version:int -> Wire.addr -> t
-(** Connect and run the [Hello] handshake, offering [version] (default
-    {!Protocol.version}); the negotiated minimum is {!version}.
-    @raise Server_error if the server refuses.
+val connect : Wire.addr -> t
+(** Connect and run the [Hello] handshake with {!Protocol.version}; the
+    server must answer with the same version.
+    @raise Refused if the server speaks another protocol version.
+    @raise Server_error on any other refusal.
     @raise Unix.Unix_error if the endpoint is unreachable. *)
 
-val connect_retry : ?backoff:backoff -> ?seed:int -> ?version:int ->
-  Wire.addr -> t
+val connect_retry : ?backoff:backoff -> ?seed:int -> Wire.addr -> t
 (** {!connect} with bounded backoff on connection failure — rides out a
     server restart.  Re-raises the last failure when the budget runs dry. *)
-
-val version : t -> int
-(** The negotiated protocol version (1, 2 or 3). *)
 
 val open_session : t -> int -> unit
 (** Session identifiers are client-chosen, scoped to this connection — or
@@ -58,10 +59,11 @@ val open_session : t -> int -> unit
 val resume : t -> int -> from:int ->
   (int * Protocol.mode * Protocol.status,
    Protocol.error_code * string) result
-(** Attach to a durable session (v2): [Ok (applied, mode, status)] is the
+(** Attach to a durable session: [Ok (applied, mode, status)] is the
     server's durably-applied index — re-send from there with
     {!send_events_at}.  [Error (code, msg)] is the server's refusal
-    ([unknown-session]: nothing to resume; open fresh instead). *)
+    ([unknown-session]: nothing to resume; [bad-frame]: the server is not
+    durable; open fresh in either case). *)
 
 val send_events : ?chunk:int -> t -> int -> Event.t list -> unit
 (** Stream events into a session, [chunk] (default 512) per [Events]
@@ -69,15 +71,15 @@ val send_events : ?chunk:int -> t -> int -> Event.t list -> unit
     {!close_session}. *)
 
 val send_events_at : ?chunk:int -> t -> int -> from:int -> Event.t list -> unit
-(** Like {!send_events} but idempotent (v2): each frame carries the stream
+(** Like {!send_events} but idempotent: each frame carries the stream
     index of its first event, so re-sent or duplicated frames are
     deduplicated server-side and can never double-apply. *)
 
 val checkpoint : t -> int -> Protocol.verdict
 (** Round-trip: ask for the session's current verdict.  The verdict covers
     every event acknowledged so far — status [S_ok] means every prefix of
-    the stream is du-opaque; [v.applied] is the durable re-send point on a
-    v2 connection. *)
+    the stream is du-opaque; [v.applied] is the re-send point (the events
+    the server applied). *)
 
 val close_session : t -> int -> Protocol.verdict
 (** Final verdict; the server forgets the session (a durable session's
@@ -116,20 +118,17 @@ val submit_durable :
     [chunk * checkpoint_every] events, adopting the server's applied index
     after every checkpoint.  On disconnect, desync, or connection refusal
     it backs off and calls [connect] again (the thunk may reach a restarted
-    server or a recovering proxy), resumes the session, and re-sends from
+    server or a recovering proxy), resumes the session — every connection
+    tries [Resume] first and opens a fresh session when the server answers
+    [unknown-session] or [bad-frame] (not durable) — and re-sends from
     the acknowledged index — idempotently, so duplicates on the wire are
     harmless.  Throttled windows are re-sent after backoff; a shed session
     stops sending and returns the prefix verdict with [shed_reason] set.
+    @raise Refused at once, without retrying, if [connect] raises it.
     @raise Server_error when the retry budget is exhausted or the server
     answers with a non-retryable error. *)
 
 val stats : t -> Protocol.domain_stats list
-
-val shard_stats : t -> int -> Protocol.shard_stats
-(** Round-trip: the session's certify counters (v3) — one shard, the
-    certifications run (all incremental), and the escalation reason if
-    the session was handed to the sequential monitor.
-    @raise Server_error on a pre-v3 connection. *)
 
 val close : t -> unit
 (** Send [Goodbye] (best-effort) and close the socket.  Idempotent. *)

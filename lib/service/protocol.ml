@@ -1,4 +1,4 @@
-let version = 3
+let version = 4
 let hello_magic = "TMSV"
 let max_frame = 16 * 1024 * 1024
 let default_session_timeout = 30.0
@@ -81,14 +81,6 @@ type domain_stats = {
   nodes : int;
 }
 
-type shard_stats = {
-  shards : int;
-  certifies : int;
-  incremental : int;
-  full : int;
-  escalated : string option;
-}
-
 type frame =
   | Hello of { version : int }
   | Open_session of { session : int }
@@ -106,8 +98,6 @@ type frame =
   | Heartbeat
   | Events_at of { session : int; from : int; events : Event.t list }
   | Shed of { session : int; reason : string }
-  | Shards_req of { session : int }
-  | Shards of { session : int; stats : shard_stats }
 
 let verdict ?(mode = M_full) ?applied ~session ~token ~events status =
   let applied = Option.value applied ~default:events in
@@ -130,8 +120,6 @@ let tag_of_frame = function
   | Heartbeat -> 14
   | Events_at _ -> 15
   | Shed _ -> 16
-  | Shards_req _ -> 17
-  | Shards _ -> 18
 
 let put_status b = function
   | S_ok -> Codec.put_uvarint b 0
@@ -161,10 +149,8 @@ let encode b frame =
       Codec.put_uvarint b token;
       Codec.put_uvarint b events;
       put_status b status;
-      (* The degraded tail is only emitted when it says something a v1
-         peer would lose: an absent tail decodes as full checking with
-         [applied = events], so v1 sessions (which are never degraded)
-         still receive byte-identical v1 frames. *)
+      (* The tail is only emitted when it says something: an absent tail
+         decodes as full checking with [applied = events]. *)
       if mode <> M_full || applied <> events then begin
         Buffer.add_char b (Char.chr (mode_to_int mode));
         Codec.put_uvarint b applied
@@ -205,18 +191,6 @@ let encode b frame =
   | Shed { session; reason } ->
       Codec.put_uvarint b session;
       Codec.put_string b reason
-  | Shards_req { session } -> Codec.put_uvarint b session
-  | Shards { session; stats } ->
-      Codec.put_uvarint b session;
-      Codec.put_uvarint b stats.shards;
-      Codec.put_uvarint b stats.certifies;
-      Codec.put_uvarint b stats.incremental;
-      Codec.put_uvarint b stats.full;
-      (match stats.escalated with
-      | None -> Codec.put_uvarint b 0
-      | Some why ->
-          Codec.put_uvarint b 1;
-          Codec.put_string b why)
 
 let to_string frame =
   let b = Buffer.create 64 in
@@ -316,21 +290,6 @@ let decode_reader r =
   | 16 ->
       let session = Codec.get_uvarint r in
       Shed { session; reason = Codec.get_string r }
-  | 17 -> Shards_req { session = Codec.get_uvarint r }
-  | 18 ->
-      let session = Codec.get_uvarint r in
-      let shards = Codec.get_uvarint r in
-      let certifies = Codec.get_uvarint r in
-      let incremental = Codec.get_uvarint r in
-      let full = Codec.get_uvarint r in
-      let escalated =
-        match Codec.get_uvarint r with
-        | 0 -> None
-        | 1 -> Some (Codec.get_string r)
-        | n -> Codec.fail "unknown escalation flag %d" n
-      in
-      Shards
-        { session; stats = { shards; certifies; incremental; full; escalated } }
   | t -> Codec.fail "unknown frame tag %d" t
 
 let decode body =
@@ -381,9 +340,3 @@ let pp_frame ppf = function
       Fmt.pf ppf "Events_at %d from %d (%d events)" session from
         (List.length events)
   | Shed { session; reason } -> Fmt.pf ppf "Shed %d: %s" session reason
-  | Shards_req { session } -> Fmt.pf ppf "Shards_req %d" session
-  | Shards { session; stats } ->
-      Fmt.pf ppf "Shards %d: %d shards, %d certifies (%d incr, %d full)%a"
-        session stats.shards stats.certifies stats.incremental stats.full
-        Fmt.(option (any ", escalated: " ++ string))
-        stats.escalated

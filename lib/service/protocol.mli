@@ -19,20 +19,14 @@ payload by tag:
   8  Stats          ndomains:uv domain*
   9  Error          code:uv message:str
   10 Goodbye        (empty)
-  11 Resume         session:uv from:uv                 (since v2)
+  11 Resume         session:uv from:uv
   12 Resumed        session:uv applied:uv mode:u8 status
-  13 Throttle       session:uv retry_after_ms:uv       (since v2)
-  14 Heartbeat      (empty)                            (since v2)
-  15 Events_at      session:uv from:uv count:uv event* (since v2)
-  16 Shed           session:uv reason:str              (since v2)
-  17 Shards_req     session:uv                         (since v3)
-  18 Shards         session:uv shards:uv certifies:uv
-                    incremental:uv full:uv esc         (since v3)
+  13 Throttle       session:uv retry_after_ms:uv
+  14 Heartbeat      (empty)
+  15 Events_at      session:uv from:uv count:uv event*
+  16 Shed           session:uv reason:str
 
-esc     := 0                         (* never escalated                 *)
-         | 1 why:str                 (* handed to the sequential
-                                        monitor; why is the conflict
-                                        graph's reason                  *)
+(tags 17 and 18 are unassigned; a body carrying either fails to decode)
 
 event   := 0 tx:uv var:uv            (* read invocation  R_tx(var)      *)
          | 1 tx:uv var:uv value:sv   (* write invocation W_tx(var,v)    *)
@@ -50,7 +44,7 @@ status  := 0                         (* every prefix du-opaque          *)
 tail    := mode:u8 applied:uv        (* present iff mode <> 0 or
                                         applied <> events; absent tail
                                         means full checking, applied =
-                                        events — a v1 frame             *)
+                                        events                          *)
 
 mode    := 0                         (* full checking                   *)
          | 1                         (* sampling (see ladder below)     *)
@@ -67,9 +61,11 @@ str     := len:uv byte*
 
     {1 Conversation}
 
-    The client speaks first: [Hello] (magic + highest supported version);
-    the server answers [Hello] with the negotiated version — the minimum
-    of the two.  After the handshake the client opens any number of
+    The client speaks first: [Hello] (magic + its {!version}).  The
+    versions must match: the server answers [Hello] with the same version,
+    or answers [Error unsupported-version] and closes the connection.
+    There is no negotiation — both peers are built from this module.
+    After the handshake the client opens any number of
     sessions (its own identifier namespace, per connection), streams
     [Events] frames into them, and collects [Verdict] frames: a
     [Checkpoint] is answered with the current verdict carrying the
@@ -85,7 +81,7 @@ str     := len:uv byte*
     [0] certifies that {e every prefix} of the session's stream so far is
     du-opaque — the same judgement [tm monitor] makes offline.
 
-    {1 Durable sessions and resume (v2)}
+    {1 Durable sessions and resume}
 
     A server started with a journal directory makes sessions {e durable}:
     every applied event is appended to a per-session journal before it
@@ -108,7 +104,7 @@ str     := len:uv byte*
     frames can never double-apply or skip events, and the session's
     applied stream is always a contiguous prefix of what the client sent.
 
-    {1 Overload: the degradation ladder (v2)}
+    {1 Overload: the degradation ladder}
 
     A server under pressure degrades {e predictably} instead of queueing
     without bound or wedging:
@@ -135,7 +131,7 @@ str     := len:uv byte*
     server answers [Error overloaded] rather than accepting work it
     cannot serve.
 
-    {1 Heartbeats and deadlines (v2)}
+    {1 Heartbeats and deadlines}
 
     Either peer may send [Heartbeat]; the server echoes it.  A server
     enforces a read deadline of {!default_session_timeout} seconds
@@ -143,31 +139,14 @@ str     := len:uv byte*
     stays completely silent longer than that is presumed dead and
     reaped — durable sessions become orphaned-resumable, and an orphan
     older than the same timeout is expired for good.  Clients that idle
-    should heartbeat every {!default_heartbeat} seconds (configurable via
-    [tm serve --heartbeat], exported to clients for symmetric use) so a
-    slow but live peer is never mistaken for a dead one; conversely a
+    should heartbeat every {!default_heartbeat} seconds so a slow but
+    live peer is never mistaken for a dead one; conversely a
     slow-loris peer cannot hold a connection (or its reader thread)
     hostage for longer than the session timeout. *)
 
 val version : int
-(** Current protocol version: 3.  Version 1 and 2 peers are fully
-    supported: every later frame is new-tagged or backward-compatibly
-    extended, and the server only relies on v2 behaviour (resume,
-    throttling) or v3 behaviour (certify introspection) on connections
-    that negotiated it.
-
-    {1 Session counters (v3)}
-
-    Every session is checked by a {!Tm_checker.Session_monitor}: one
-    incremental conflict graph, certified at every durable batch and at
-    checkpoint, close and resume boundaries, which hands the stream to the
-    sequential monitor (same verdicts) when it cannot certify it.
-    [Shards_req] asks for a session's certify counters and is answered
-    with [Shards].  The frame keeps the layout it had when sessions could
-    be split by variable across several graphs: [shards] is always [1],
-    [certifies] counts the certifications run, [incremental] equals
-    [certifies] and [full] is [0], and [esc] says why the session
-    escalated, if it did. *)
+(** The protocol version: 4.  A peer must send exactly this version in
+    its [Hello]; any other is refused. *)
 
 val hello_magic : string
 
@@ -191,7 +170,7 @@ type error_code =
   | Duplicate_session  (** [Open_session] with a live identifier *)
   | Server_error
   | Overloaded
-      (** admission refused: session or connection limit reached (v2) *)
+      (** admission refused: session or connection limit reached *)
 
 val pp_error_code : Format.formatter -> error_code -> unit
 
@@ -231,15 +210,6 @@ type domain_stats = {
   nodes : int;
 }
 
-type shard_stats = {
-  shards : int;  (** always [1]: one conflict graph per session *)
-  certifies : int;  (** certifications run so far *)
-  incremental : int;  (** equals [certifies] *)
-  full : int;  (** always [0] *)
-  escalated : string option;
-      (** why the session was handed to the sequential monitor, if it was *)
-}
-
 type frame =
   | Hello of { version : int }
   | Open_session of { session : int }
@@ -253,21 +223,17 @@ type frame =
   | Goodbye
   | Resume of { session : int; from : int }
       (** attach to a durable session; [from] is the index the client can
-          re-send from (v2) *)
+          re-send from *)
   | Resumed of { session : int; applied : int; mode : mode; status : status }
-      (** reply: [applied] events are durable; re-send from there (v2) *)
+      (** reply: [applied] events are durable; re-send from there *)
   | Throttle of { session : int; retry_after_ms : int }
       (** the last [Events]/[Events_at] frame was discarded, not applied;
-          back off and re-send (v2) *)
-  | Heartbeat  (** liveness probe; the server echoes it (v2) *)
+          back off and re-send *)
+  | Heartbeat  (** liveness probe; the server echoes it *)
   | Events_at of { session : int; from : int; events : Event.t list }
-      (** idempotent events: the first event carries index [from] (v2) *)
+      (** idempotent events: the first event carries index [from] *)
   | Shed of { session : int; reason : string }
-      (** the session was shed; later events are discarded (v2) *)
-  | Shards_req of { session : int }
-      (** ask for the session's certify counters (v3) *)
-  | Shards of { session : int; stats : shard_stats }
-      (** reply: the session monitor's certify counters (v3) *)
+      (** the session was shed; later events are discarded *)
 
 val verdict :
   ?mode:mode -> ?applied:int -> session:int -> token:int -> events:int ->

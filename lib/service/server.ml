@@ -9,24 +9,26 @@ type config = {
   journal_dir : string option;
   journal_sync : bool;
   session_timeout : float;
-  heartbeat : float;
   max_conns : int;
   max_sessions : int;
   hwm : int;
   throttle_sample : int;
   throttle_shed : int;
-  retry_after_ms : int;
-  snapshot_every : int;
   log : string -> unit;
 }
+
+(* The backoff hint carried in [Throttle] frames, and how many journalled
+   events a durable session takes between automatic checkpoints (this
+   bounds crash-recovery replay). *)
+let retry_after_ms = 50
+let snapshot_every = 50_000
 
 let config ?(domains = 4) ?max_nodes ?(queue_capacity = 64)
     ?journal_dir
     ?(journal_sync = false)
-    ?(session_timeout = Protocol.default_session_timeout)
-    ?(heartbeat = Protocol.default_heartbeat) ?(max_conns = 1024)
+    ?(session_timeout = Protocol.default_session_timeout) ?(max_conns = 1024)
     ?(max_sessions = 8192) ?hwm ?(throttle_sample = 4) ?(throttle_shed = 16)
-    ?(retry_after_ms = 50) ?(snapshot_every = 50_000) ?(log = ignore) addr =
+    ?(log = ignore) addr =
   if domains <= 0 then invalid_arg "Server.config: domains must be positive";
   if session_timeout <= 0.0 then
     invalid_arg "Server.config: session_timeout must be positive";
@@ -41,14 +43,11 @@ let config ?(domains = 4) ?max_nodes ?(queue_capacity = 64)
     journal_dir;
     journal_sync;
     session_timeout;
-    heartbeat;
     max_conns;
     max_sessions;
     hwm;
     throttle_sample;
     throttle_shed;
-    retry_after_ms;
-    snapshot_every;
     log;
   }
 
@@ -81,7 +80,6 @@ type conn = {
   fd : Unix.file_descr;
   conn_id : int;
   wmutex : Mutex.t;  (* one frame = one write; workers and reader share *)
-  mutable version : int;  (* negotiated at handshake; 1 until then *)
   mutable alive : bool;  (* cleared on write failure or disconnect *)
   sessions : (int, session) Hashtbl.t;
       (* client session id -> session; touched only by the reader thread *)
@@ -124,7 +122,6 @@ type work =
   | W_attach of session  (* answer [Resumed] after a reattach *)
   | W_recover of session  (* rebuild from disk, then answer [Resumed] *)
   | W_expire of session  (* orphan timed out: delete and retire *)
-  | W_shards of session  (* answer [Shards] with certify counters (v3) *)
   | W_quit
 
 type t = {
@@ -167,15 +164,9 @@ let status_of_outcome : Monitor.outcome -> Protocol.status = function
   | `Budget why -> Protocol.S_budget why
 
 let verdict_frame s ~token =
-  let events = Session.events_seen s.monitor in
-  let status = status_of_outcome (Session.status s.monitor) in
-  if s.sconn.version >= 2 then
-    Protocol.verdict ~mode:s.dmode ~applied:s.applied ~session:s.client_sid
-      ~token ~events status
-  else
-    (* v1 peers must see byte-identical verdicts: no tail, ever.  A v1
-       session is never degraded, so the normalisation loses nothing. *)
-    Protocol.verdict ~session:s.client_sid ~token ~events status
+  Protocol.verdict ~mode:s.dmode ~applied:s.applied ~session:s.client_sid
+    ~token ~events:(Session.events_seen s.monitor)
+    (status_of_outcome (Session.status s.monitor))
 
 let resumed_frame s =
   Protocol.Resumed
@@ -343,7 +334,7 @@ let worker srv i () =
                   account d s;
                   match s.journal with
                   | Some j
-                    when Journal.since_snapshot j >= srv.cfg.snapshot_every
+                    when Journal.since_snapshot j >= snapshot_every
                     ->
                       snapshot_quiet srv s j
                   | _ -> ()
@@ -380,24 +371,6 @@ let worker srv i () =
           (* FIFO behind any in-flight work from the dead connection, so
              [applied] has settled by the time we acknowledge it. *)
           send_frame s.sconn (resumed_frame s);
-          loop ()
-      | W_shards s ->
-          (* v3 clients still ask: one graph per session, every certify
-             answered incrementally *)
-          let certifies = Session.certifies s.monitor in
-          send_frame s.sconn
-            (Protocol.Shards
-               {
-                 session = s.client_sid;
-                 stats =
-                   {
-                     Protocol.shards = 1;
-                     certifies;
-                     incremental = certifies;
-                     full = 0;
-                     escalated = Session.escalation s.monitor;
-                   };
-               });
           loop ()
       | W_recover s ->
           (match srv.cfg.journal_dir with
@@ -455,14 +428,14 @@ let err conn code message = send_frame conn (Protocol.Err { code; message })
 let handshake conn =
   match Wire.recv conn.fd with
   | Wire.Frame (Protocol.Hello { version }) ->
-      if version < 1 then begin
+      if version <> Protocol.version then begin
         err conn Protocol.Unsupported_version
-          (Fmt.str "client version %d unsupported" version);
+          (Fmt.str "client speaks protocol v%d, server v%d" version
+             Protocol.version);
         false
       end
       else begin
-        conn.version <- min version Protocol.version;
-        send_frame conn (Protocol.Hello { version = conn.version });
+        send_frame conn (Protocol.Hello { version });
         true
       end
   | Wire.Frame f ->
@@ -531,131 +504,120 @@ let open_session srv conn sid =
             Mailbox.put srv.mailboxes.(s.worker) (W_open s))
 
 let handle_resume srv conn sid =
-  if conn.version < 2 then
-    err conn Protocol.Bad_frame "Resume requires protocol v2"
-  else
-    match srv.cfg.journal_dir with
-    | None -> err conn Protocol.Bad_frame "server is not durable (no journal)"
-    | Some dir -> (
-        match Hashtbl.find_opt conn.sessions sid with
-        | Some s ->
-            (* Resuming a session already attached here: idempotent ack. *)
-            Mailbox.put srv.mailboxes.(s.worker) (W_attach s)
-        | None -> (
-            Mutex.lock srv.reg_mutex;
-            let decision =
-              match Hashtbl.find_opt srv.durables sid with
-              | Some s when s.expiring ->
+  match srv.cfg.journal_dir with
+  | None -> err conn Protocol.Bad_frame "server is not durable (no journal)"
+  | Some dir -> (
+      match Hashtbl.find_opt conn.sessions sid with
+      | Some s ->
+          (* Resuming a session already attached here: idempotent ack. *)
+          Mailbox.put srv.mailboxes.(s.worker) (W_attach s)
+      | None -> (
+          Mutex.lock srv.reg_mutex;
+          let decision =
+            match Hashtbl.find_opt srv.durables sid with
+            | Some s when s.expiring ->
+                `Err
+                  ( Protocol.Unknown_session,
+                    Fmt.str "durable session %d expired" sid )
+            | Some s
+              when Float.is_nan s.orphaned_at
+                   && s.sconn != conn && s.sconn.alive ->
+                `Err
+                  ( Protocol.Duplicate_session,
+                    Fmt.str "session %d is attached to a live connection"
+                      sid )
+            | Some s ->
+                (* Reattach: claim it before the old reader's cleanup can
+                   orphan it (cleanup checks [sconn == conn] under this
+                   mutex). *)
+                s.orphaned_at <- Float.nan;
+                s.sconn <- conn;
+                `Attach s
+            | None ->
+                if Journal.exists ~dir ~session:sid then
+                  if live_total srv >= srv.cfg.max_sessions then
+                    `Err
+                      ( Protocol.Overloaded,
+                        Fmt.str "session limit %d reached; try again later"
+                          srv.cfg.max_sessions )
+                  else begin
+                    let s = new_session srv conn sid in
+                    Hashtbl.replace srv.durables sid s;
+                    `Recover s
+                  end
+                else
                   `Err
                     ( Protocol.Unknown_session,
-                      Fmt.str "durable session %d expired" sid )
-              | Some s
-                when Float.is_nan s.orphaned_at
-                     && s.sconn != conn && s.sconn.alive ->
-                  `Err
-                    ( Protocol.Duplicate_session,
-                      Fmt.str "session %d is attached to a live connection"
-                        sid )
-              | Some s ->
-                  (* Reattach: claim it before the old reader's cleanup can
-                     orphan it (cleanup checks [sconn == conn] under this
-                     mutex). *)
-                  s.orphaned_at <- Float.nan;
-                  s.sconn <- conn;
-                  `Attach s
-              | None ->
-                  if Journal.exists ~dir ~session:sid then
-                    if live_total srv >= srv.cfg.max_sessions then
-                      `Err
-                        ( Protocol.Overloaded,
-                          Fmt.str "session limit %d reached; try again later"
-                            srv.cfg.max_sessions )
-                    else begin
-                      let s = new_session srv conn sid in
-                      Hashtbl.replace srv.durables sid s;
-                      `Recover s
-                    end
-                  else
-                    `Err
-                      ( Protocol.Unknown_session,
-                        Fmt.str "no durable session %d" sid )
-            in
-            Mutex.unlock srv.reg_mutex;
-            match decision with
-            | `Err (code, msg) -> err conn code msg
-            | `Attach s ->
-                Hashtbl.replace conn.sessions sid s;
-                Mailbox.put srv.mailboxes.(s.worker) (W_attach s)
-            | `Recover s ->
-                Hashtbl.replace conn.sessions sid s;
-                Atomic.incr srv.dstats.(s.worker).live;
-                Mailbox.put srv.mailboxes.(s.worker) (W_recover s)))
+                      Fmt.str "no durable session %d" sid )
+          in
+          Mutex.unlock srv.reg_mutex;
+          match decision with
+          | `Err (code, msg) -> err conn code msg
+          | `Attach s ->
+              Hashtbl.replace conn.sessions sid s;
+              Mailbox.put srv.mailboxes.(s.worker) (W_attach s)
+          | `Recover s ->
+              Hashtbl.replace conn.sessions sid s;
+              Atomic.incr srv.dstats.(s.worker).live;
+              Mailbox.put srv.mailboxes.(s.worker) (W_recover s)))
 
 (* The admission path: the degradation ladder lives here, in the reader,
-   because the reader is what sees mailbox pressure.  v1 connections keep
-   the legacy backpressure (block the reader, stall the socket); v2
-   connections are never blocked — over the high-watermark their frame is
-   discarded and answered with [Throttle]/[Shed] so the client can back
-   off and re-send idempotently. *)
+   because the reader is what sees mailbox pressure.  The reader never
+   blocks on a full mailbox: over the high-watermark the frame is discarded
+   and answered with [Throttle]/[Shed], so the client can back off and
+   re-send idempotently. *)
 let handle_events srv conn sid from events =
   match Hashtbl.find_opt conn.sessions sid with
   | None ->
       err conn Protocol.Unknown_session
         (Fmt.str "no open session %d on this connection" sid)
+  | Some s when s.dmode = Protocol.M_shed ->
+      send_frame conn
+        (Protocol.Shed { session = sid; reason = "session is shed" })
   | Some s ->
-      if s.dmode = Protocol.M_shed then
-        send_frame conn
-          (Protocol.Shed { session = sid; reason = "session is shed" })
-      else if conn.version < 2 then
-        Mailbox.put srv.mailboxes.(s.worker) (W_events (s, from, events))
-      else begin
-        let mb = srv.mailboxes.(s.worker) in
-        let throttle () =
-          s.throttles <- s.throttles + 1;
-          if s.throttles >= srv.cfg.throttle_shed then begin
-            s.dmode <- Protocol.M_shed;
-            srv.cfg.log
-              (Fmt.str "session %d: shed after %d consecutive throttles" sid
-                 s.throttles);
-            send_frame conn
-              (Protocol.Shed
-                 {
-                   session = sid;
-                   reason =
-                     Fmt.str "overloaded: %d consecutive throttles"
-                       s.throttles;
-                 })
-          end
-          else begin
-            if
-              s.throttles >= srv.cfg.throttle_sample
-              && s.dmode = Protocol.M_full
-            then begin
-              s.dmode <- Protocol.M_sampling;
-              srv.cfg.log
-                (Fmt.str "session %d: sampling after %d throttles" sid
-                   s.throttles)
-            end;
-            send_frame conn
-              (Protocol.Throttle
-                 { session = sid; retry_after_ms = srv.cfg.retry_after_ms })
-          end
-        in
-        let admit =
-          if s.dmode = Protocol.M_sampling then begin
-            s.admit_flip <- not s.admit_flip;
-            s.admit_flip
-          end
-          else true
-        in
-        if not admit then throttle ()
-        else if Mailbox.length mb >= srv.cfg.hwm then throttle ()
-        else if not (Mailbox.try_put mb (W_events (s, from, events))) then
-          throttle ()
-        else if Mailbox.length mb * 2 < srv.cfg.hwm then begin
-          s.throttles <- 0;
-          if s.dmode = Protocol.M_sampling then s.dmode <- Protocol.M_full
+      let mb = srv.mailboxes.(s.worker) in
+      let throttle () =
+        s.throttles <- s.throttles + 1;
+        if s.throttles >= srv.cfg.throttle_shed then begin
+          s.dmode <- Protocol.M_shed;
+          srv.cfg.log
+            (Fmt.str "session %d: shed after %d consecutive throttles" sid
+               s.throttles);
+          send_frame conn
+            (Protocol.Shed
+               {
+                 session = sid;
+                 reason =
+                   Fmt.str "overloaded: %d consecutive throttles" s.throttles;
+               })
         end
+        else begin
+          if
+            s.throttles >= srv.cfg.throttle_sample
+            && s.dmode = Protocol.M_full
+          then begin
+            s.dmode <- Protocol.M_sampling;
+            srv.cfg.log
+              (Fmt.str "session %d: sampling after %d throttles" sid
+                 s.throttles)
+          end;
+          send_frame conn (Protocol.Throttle { session = sid; retry_after_ms })
+        end
+      in
+      let admit =
+        if s.dmode = Protocol.M_sampling then begin
+          s.admit_flip <- not s.admit_flip;
+          s.admit_flip
+        end
+        else true
+      in
+      if not admit then throttle ()
+      else if Mailbox.length mb >= srv.cfg.hwm then throttle ()
+      else if not (Mailbox.try_put mb (W_events (s, from, events))) then
+        throttle ()
+      else if Mailbox.length mb * 2 < srv.cfg.hwm then begin
+        s.throttles <- 0;
+        if s.dmode = Protocol.M_sampling then s.dmode <- Protocol.M_full
       end
 
 let with_session srv conn sid k =
@@ -675,9 +637,7 @@ let serve_frames srv conn =
         | Protocol.Events { session; events } ->
             handle_events srv conn session None events
         | Protocol.Events_at { session; from; events } ->
-            if conn.version < 2 then
-              err conn Protocol.Bad_frame "Events_at requires protocol v2"
-            else handle_events srv conn session (Some from) events
+            handle_events srv conn session (Some from) events
         | Protocol.Resume { session; from = _ } ->
             handle_resume srv conn session
         | Protocol.Heartbeat -> send_frame conn Protocol.Heartbeat
@@ -692,14 +652,10 @@ let serve_frames srv conn =
                 err conn Protocol.Unknown_session
                   (Fmt.str "no open session %d on this connection" session))
         | Protocol.Stats_req -> send_frame conn (stats_frame srv)
-        | Protocol.Shards_req { session } ->
-            if conn.version < 3 then
-              err conn Protocol.Bad_frame "Shards_req requires protocol v3"
-            else with_session srv conn session (fun s -> W_shards s)
         | Protocol.Goodbye -> continue := false
         | Protocol.Hello _ | Protocol.Verdict _ | Protocol.Stats _
         | Protocol.Err _ | Protocol.Resumed _ | Protocol.Throttle _
-        | Protocol.Shed _ | Protocol.Shards _ ->
+        | Protocol.Shed _ ->
             err conn Protocol.Bad_frame
               (Fmt.str "unexpected frame %a" Protocol.pp_frame frame))
     | Wire.Malformed msg ->
@@ -826,7 +782,6 @@ let accept_loop srv () =
               fd;
               conn_id = Atomic.fetch_and_add srv.next_conn 1;
               wmutex = Mutex.create ();
-              version = 1;
               alive = true;
               sessions = Hashtbl.create 8;
             }

@@ -30,17 +30,17 @@
     [Throttle].
 
     {2 Overload}: admission control refuses connections over [max_conns]
-    and sessions over [max_sessions] with [Error overloaded].  A v2
-    session whose worker's mailbox is at the high-watermark walks the
-    degradation ladder — throttle (frame discarded, [Throttle] reply),
-    sampling (alternate frames admitted) after [throttle_sample]
-    consecutive throttles, shed (sticky; later events discarded, verdicts
-    carry [mode = shed] and the covered prefix) after [throttle_shed] —
-    instead of blocking; v1 connections keep the legacy blocking
-    backpressure.  Reads and writes both carry [session_timeout]-second
-    socket deadlines (slow-loris: a silent or never-draining peer is cut
-    loose, its durable sessions orphaned-resumable); idle clients
-    heartbeat to stay attached, and the server echoes [Heartbeat]. *)
+    and sessions over [max_sessions] with [Error overloaded].  A session
+    whose worker's mailbox is at the high-watermark walks the degradation
+    ladder — throttle (frame discarded, [Throttle] reply), sampling
+    (alternate frames admitted) after [throttle_sample] consecutive
+    throttles, shed (sticky; later events discarded, verdicts carry
+    [mode = shed] and the covered prefix) after [throttle_shed] — instead
+    of blocking the connection's reader.  Reads and writes both carry
+    [session_timeout]-second socket deadlines (slow-loris: a silent or
+    never-draining peer is cut loose, its durable sessions
+    orphaned-resumable); idle clients heartbeat to stay attached, and the
+    server echoes [Heartbeat]. *)
 
 type config = {
   addr : Wire.addr;
@@ -53,16 +53,11 @@ type config = {
   session_timeout : float;
       (** socket read/write deadline, and how long an orphaned durable
           session stays resumable *)
-  heartbeat : float;  (** advertised idle-client heartbeat interval *)
   max_conns : int;  (** admission: concurrent connections *)
   max_sessions : int;  (** admission: live sessions *)
-  hwm : int;  (** mailbox high-watermark that starts throttling (v2) *)
+  hwm : int;  (** mailbox high-watermark that starts throttling *)
   throttle_sample : int;  (** consecutive throttles before sampling *)
   throttle_shed : int;  (** consecutive throttles before shedding *)
-  retry_after_ms : int;  (** backoff hint carried in [Throttle] frames *)
-  snapshot_every : int;
-      (** auto-checkpoint a durable session every N journalled events —
-          bounds crash-recovery replay *)
   log : string -> unit;  (** server-side event log (malformed frames, ...) *)
 }
 
@@ -73,23 +68,20 @@ val config :
   ?journal_dir:string ->
   ?journal_sync:bool ->
   ?session_timeout:float ->
-  ?heartbeat:float ->
   ?max_conns:int ->
   ?max_sessions:int ->
   ?hwm:int ->
   ?throttle_sample:int ->
   ?throttle_shed:int ->
-  ?retry_after_ms:int ->
-  ?snapshot_every:int ->
   ?log:(string -> unit) ->
   Wire.addr ->
   config
 (** Defaults: 4 domains, no search budget, 64-item queues, not durable, no
-    fsync, {!Protocol.default_session_timeout} /
-    {!Protocol.default_heartbeat}, 1024 connections, 8192 sessions,
-    [hwm = queue_capacity / 2], sampling after 4 and shedding after 16
-    consecutive throttles, 50 ms retry hint, snapshot every 50k events,
-    silent log. *)
+    fsync, {!Protocol.default_session_timeout}, 1024 connections, 8192
+    sessions, [hwm = queue_capacity / 2], sampling after 4 and shedding
+    after 16 consecutive throttles, silent log.  [Throttle] frames always
+    carry a 50 ms retry hint, and a durable session checkpoints itself
+    every 50,000 journalled events. *)
 
 type t
 

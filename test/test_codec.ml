@@ -162,8 +162,8 @@ let gen_frame =
         (fun s token -> Protocol.Checkpoint { session = s; token })
         session (0 -- 1_000);
       map (fun s -> Protocol.Close_session { session = s }) session;
-      (* Both tail-free verdicts (applied = events, full mode — the v1
-         encoding) and v2 verdicts carrying a degradation tail. *)
+      (* Both tail-free verdicts (applied = events, full mode) and
+         verdicts carrying a degradation tail. *)
       map3
         (fun s token (events, status) ->
           Protocol.Verdict
@@ -400,6 +400,22 @@ let batch_encode_long () =
     "round-trips" true
     (List.equal Event.equal events (Codec.get_events r) && Codec.at_end r)
 
+(* Tags 17 and 18 carried protocol 3's certify-counter request and reply.
+   They are unassigned now: even a body that was valid under the old
+   layout must be refused, never misread as another frame. *)
+let retired_tags_refused () =
+  List.iter
+    (fun (name, body) ->
+      match Protocol.decode body with
+      | Ok f -> Alcotest.failf "%s decoded as %a" name Protocol.pp_frame f
+      | Error _ -> ())
+    [
+      ("tag 17, empty", "\x11");
+      ("tag 17 with a session", "\x11\x01");
+      ("tag 18, empty", "\x12");
+      ("tag 18 with a protocol-3 payload", "\x12\x01\x01\x03\x03\x00\x00");
+    ]
+
 let prop_garbage =
   qtest ~count:1000 "protocol: arbitrary bytes never crash the decoder"
     QCheck2.Gen.(string_size ~gen:(0 -- 255 |> map Char.chr) (0 -- 64))
@@ -433,5 +449,10 @@ let suite =
         prop_batch_encode_hostile;
       ] );
     ( "protocol",
-      [ prop_frame_roundtrip; prop_frame_fuzz; prop_garbage ] );
+      [
+        prop_frame_roundtrip;
+        prop_frame_fuzz;
+        prop_garbage;
+        test "retired tags 17 and 18 do not decode" retired_tags_refused;
+      ] );
   ]

@@ -221,6 +221,54 @@ let test_extend () =
   | Ok h3 -> Alcotest.(check int) "extended again" 3 (History.length h3)
   | Error e -> Alcotest.failf "extend: %a" History.pp_error e
 
+(* Histories share their event buffer, and sessions on different domains
+   extend histories that share one — a fresh empty history, or a common
+   prefix.  Two domains, released together by a barrier each trial, extend
+   the same history by 16 events of their own transaction; each result
+   must hold exactly its own events, with no exception.  Half the trials
+   start from a fresh empty history, half from one event with spare
+   capacity behind it, where both domains reach for the same free slot. *)
+let test_extend_across_domains () =
+  let trials = 2_000 in
+  let own k =
+    List.init 16 (fun i ->
+        if i mod 2 = 0 then Inv (k, Write (0, (100 * k) + i))
+        else Res (k, Write_ok))
+  in
+  let base t =
+    let h = History.of_events_exn [] in
+    if t mod 2 = 0 then h
+    else
+      match History.extend h (Inv (3, Read 0)) with
+      | Ok h -> h
+      | Error e -> Alcotest.failf "extend: %a" History.pp_error e
+  in
+  let bases = Array.init trials base in
+  let arrived = Atomic.make 0 in
+  let run k () =
+    let corrupt = ref 0 in
+    for t = 0 to trials - 1 do
+      Atomic.incr arrived;
+      while Atomic.get arrived < 2 * (t + 1) do Domain.cpu_relax () done;
+      let b = bases.(t) in
+      let want = History.to_list b @ own k in
+      match
+        List.fold_left
+          (fun h ev ->
+            match History.extend h ev with Ok h -> h | Error _ -> raise Exit)
+          b (own k)
+      with
+      | h -> if not (List.equal Event.equal want (History.to_list h)) then incr corrupt
+      | exception (Exit | Invalid_argument _) -> incr corrupt
+    done;
+    !corrupt
+  in
+  let other = Domain.spawn (run 2) in
+  let mine = run 1 () in
+  let theirs = Domain.join other in
+  Alcotest.(check (pair int int)) "corrupt histories per domain" (0, 0)
+    (mine, theirs)
+
 let test_extend_rejects () =
   match History.extend History.empty (Res (1, Read_ok 0)) with
   | Ok _ -> Alcotest.fail "expected rejection"
@@ -304,6 +352,7 @@ let suite =
         test "live sets" test_live_sets;
         test "prefix" test_prefix;
         test "extend" test_extend;
+        test "extend from two domains at once" test_extend_across_domains;
         test "extend rejects ill-formed" test_extend_rejects;
         test "project" test_project;
         test "equivalence" test_equivalent;

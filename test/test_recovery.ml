@@ -423,21 +423,81 @@ let test_heartbeat_echo () =
         (offline_status Figures.fig1) v.Protocol.status;
       Client.close c)
 
-let test_v1_client_still_served () =
+let test_durable_wait_is_untimed () =
+  (* A durable submission waits silently, with no receive timeout: a reply
+     slower than the heartbeat interval must not cost a reconnect.  The
+     proxy holds the first checkpoint verdict (server-to-client frame 2,
+     after the Hello and the Resume refusal) past [default_heartbeat]. *)
   with_durable_server (fun _srv _cfg addr ->
-      let c = Client.connect ~version:1 addr in
-      guard (Client.fd c);
-      Alcotest.(check int) "negotiated down to v1" 1 (Client.version c);
-      let v = Client.submit ~session:1 c Figures.fig1 in
-      Alcotest.check status "v1 verdict" (offline_status Figures.fig1)
-        v.Protocol.status;
-      Alcotest.(check bool) "v1 verdicts decode tail-free" true
-        (v.Protocol.mode = Protocol.M_full
-        && v.Protocol.applied = v.Protocol.events);
-      Client.close c)
+      let listen =
+        match addr with
+        | `Unix path -> `Unix (path ^ "-proxy")
+        | `Tcp _ -> Alcotest.fail "expected a Unix-socket server"
+      in
+      let plan =
+        [
+          {
+            Service.Proxy.at = 2;
+            dir = `S2c;
+            fault = Service.Proxy.Delay (Protocol.default_heartbeat +. 1.);
+          };
+        ]
+      in
+      let proxy = Service.Proxy.start ~plan ~listen ~upstream:addr () in
+      Fun.protect
+        ~finally:(fun () -> Service.Proxy.stop proxy)
+        (fun () ->
+          let r =
+            Client.submit_durable ~session:1
+              ~connect:(fun () -> Client.connect listen)
+              (History.to_list Figures.fig1)
+          in
+          Alcotest.(check int) "the delay fired" 1
+            (List.length (Service.Proxy.fired proxy));
+          Alcotest.(check int) "no reconnects" 0 r.Client.reconnects;
+          Alcotest.check status "verdict" (offline_status Figures.fig1)
+            r.Client.verdict.Protocol.status))
 
-let test_resume_needs_v2_and_durability () =
-  (* On a v2 but non-durable server, Resume is a clean protocol error. *)
+let test_version_refusal_not_retried () =
+  (* A server of another protocol version refuses every Hello; retrying
+     cannot help, so a durable submission must give up at once.  The stub
+     answers one connection only: a retry would find nobody listening and
+     end in "giving up" instead of [Refused]. *)
+  with_dir (fun dir ->
+      let addr = `Unix (Filename.concat dir "sock") in
+      let lfd = Wire.listen addr in
+      let stub =
+        Thread.create
+          (fun () ->
+            let fd, _ = Wire.accept lfd in
+            Unix.close lfd;
+            guard fd;
+            ignore (Wire.recv fd);
+            Wire.send fd
+              (Protocol.Err
+                 {
+                   code = Protocol.Unsupported_version;
+                   message = "server speaks another version";
+                 });
+            Unix.close fd)
+          ()
+      in
+      let outcome =
+        match
+          Client.submit_durable ~session:1
+            ~backoff:{ Client.default_backoff with base_ms = 1 }
+            ~connect:(fun () -> Client.connect addr)
+            (History.to_list Figures.fig1)
+        with
+        | _ -> "a verdict"
+        | exception Client.Refused _ -> "refused"
+        | exception e -> Printexc.to_string e
+      in
+      Thread.join stub;
+      Alcotest.(check string) "refused without retrying" "refused" outcome)
+
+let test_resume_on_non_durable_server_is_clean_error () =
+  (* Without a journal there is nothing to resume: a clean protocol error. *)
   with_dir (fun dir ->
       let addr = `Unix (Filename.concat dir "sock") in
       let srv = Server.start (Server.config ~domains:1 addr) in
@@ -496,8 +556,11 @@ let suite =
     ( "recovery: protocol",
       [
         test "heartbeats echo" test_heartbeat_echo;
-        test "v1 clients served byte-compatibly" test_v1_client_still_served;
-        test "resume requires a durable server" test_resume_needs_v2_and_durability;
+        slow "a durable submit waits out a slow reply without reconnecting"
+          test_durable_wait_is_untimed;
+        test "a version refusal is not retried" test_version_refusal_not_retried;
+        test "resume requires a durable server"
+          test_resume_on_non_durable_server_is_clean_error;
       ] );
     ( "recovery: network chaos",
       [ slow "4-seed proxy chaos campaign, no wrong verdicts, no hangs"

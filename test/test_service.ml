@@ -252,6 +252,33 @@ let test_handshake_required () =
       | Wire.Malformed msg -> Alcotest.failf "expected EOF, got (%s)" msg);
       Unix.close fd)
 
+(* There is one protocol version: a [Hello] for any other is refused and
+   the connection is closed before it can open a session. *)
+let test_version_mismatch_refused () =
+  with_server (fun srv addr ->
+      let fd = Wire.connect addr in
+      guard fd;
+      Wire.send fd (Protocol.Hello { version = Protocol.version - 1 });
+      expect_frame fd "refusal" (function
+        | Protocol.Err { code = Protocol.Unsupported_version; _ } -> ()
+        | f ->
+            Alcotest.failf "expected unsupported-version, got %a"
+              Protocol.pp_frame f);
+      (try Wire.send fd (Protocol.Open_session { session = 1 })
+       with Unix.Unix_error _ -> ());
+      (match Wire.recv fd with
+      | exception (Wire.Closed | Unix.Unix_error _) -> ()
+      | Wire.Frame f ->
+          Alcotest.failf "expected EOF, got %a" Protocol.pp_frame f
+      | Wire.Malformed msg -> Alcotest.failf "expected EOF, got (%s)" msg);
+      Unix.close fd;
+      let live =
+        List.fold_left
+          (fun a (d : Protocol.domain_stats) -> a + d.live_sessions)
+          0 (Server.stats srv)
+      in
+      Alcotest.(check int) "no session opened" 0 live)
+
 let test_session_errors () =
   with_server (fun _srv addr ->
       let c = connect addr in
@@ -280,7 +307,7 @@ let test_stats () =
         events;
       Client.close c)
 
-(* --- session monitors and the v3 counters frame ---------------------------- *)
+(* --- session monitors ------------------------------------------------------- *)
 
 (* Every session streams through one conflict graph that hands the stream
    to a sequential monitor when it cannot certify it; the paper figures
@@ -304,61 +331,6 @@ let test_session_verdicts () =
             (Fmt.str "norec-fault seed %d" seed)
             (offline_status h) v.Protocol.status)
         [ 7; 21; 42 ];
-      Client.close c)
-
-let test_shard_stats () =
-  with_server (fun _srv addr ->
-      let c = connect addr in
-      Alcotest.(check int) "negotiated v3" 3 (Client.version c);
-      (* fig6 has unique written values: the graph certifies it without
-         escalating, so every certify is answered incrementally *)
-      Client.open_session c 1;
-      Client.send_events c 1 (History.to_list Figures.fig6);
-      ignore (Client.checkpoint c 1);
-      let st = Client.shard_stats c 1 in
-      Alcotest.(check int) "shard count" 1 st.Protocol.shards;
-      Alcotest.(check bool) "certified at least once" true
-        (st.Protocol.certifies > 0);
-      Alcotest.(check bool) "never escalated" true (st.Protocol.escalated = None);
-      Alcotest.(check int) "every certify incremental" st.Protocol.certifies
-        st.Protocol.incremental;
-      Alcotest.(check int) "no full validation" 0 st.Protocol.full;
-      ignore (Client.close_session c 1);
-      (* fig1 writes the same value twice: the graph poisons and the
-         session is handed to the sequential monitor, with the reason
-         travelling in the counters frame *)
-      Client.open_session c 2;
-      Client.send_events c 2 (History.to_list Figures.fig1);
-      ignore (Client.checkpoint c 2);
-      let st = Client.shard_stats c 2 in
-      (match st.Protocol.escalated with
-      | Some why ->
-          Alcotest.(check bool)
-            (Fmt.str "escalation reason names Corollary 2: %s" why)
-            true
-            (contains why "Corollary 2")
-      | None -> Alcotest.fail "escalation reason not reported");
-      ignore (Client.close_session c 2);
-      (* counters for an unknown session are an error, not a hang *)
-      (match Client.shard_stats c 99 with
-      | _ -> Alcotest.fail "shard_stats on unopened session must fail"
-      | exception Client.Server_error _ -> ());
-      Client.close c)
-
-let test_shard_stats_gated () =
-  with_server (fun _srv addr ->
-      let c = Client.connect ~version:2 addr in
-      guard (Client.fd c);
-      Alcotest.(check int) "negotiated v2" 2 (Client.version c);
-      Client.open_session c 1;
-      (match Client.shard_stats c 1 with
-      | _ -> Alcotest.fail "Shards_req must be refused on a v2 connection"
-      | exception Client.Server_error _ -> ());
-      (* the refusal did not poison the connection *)
-      Client.send_events c 1 (History.to_list Figures.fig1);
-      let v = Client.close_session c 1 in
-      Alcotest.check status "verdict after refusal"
-        (offline_status Figures.fig1) v.Protocol.status;
       Client.close c)
 
 (* Concurrency: many connections spread over four worker domains; verdicts
@@ -425,6 +397,8 @@ let suite =
         test "malformed frame answered, connection survives"
           test_malformed_frame_survived;
         test "handshake is mandatory" test_handshake_required;
+        test "a Hello for another version is refused"
+          test_version_mismatch_refused;
         test "unknown and duplicate sessions reported" test_session_errors;
         test "stats count every domain" test_stats;
         test "accepted TCP sockets get TCP_NODELAY" test_accept_nodelay;
@@ -433,10 +407,6 @@ let suite =
       [
         test "session verdicts match the offline checker"
           test_session_verdicts;
-        test "Shards_req reports one graph's certify counters"
-          test_shard_stats;
-        test "Shards_req is v3-gated, refusal is survivable"
-          test_shard_stats_gated;
         slow "6 connections x 7 sessions over four domains"
           test_session_concurrent;
       ] );
