@@ -116,6 +116,24 @@ let stm_history ~stm ~txns ~seed =
 
 let tl2_history ~txns ~seed = stm_history ~stm:"tl2" ~txns ~seed
 
+(* [bench check]'s TL2 recording of about [target] events: 4 threads, 4 ops
+   per transaction, 64 variables, seed [42 + target]. *)
+let check_recording ~values ~target =
+  let threads = 4 and ops = 4 in
+  (* ~10 events per transaction attempt: 2 per op plus the tryC pair. *)
+  let txns = max 4 (target / 10) in
+  let params =
+    {
+      Stm.Workload.default with
+      n_threads = threads;
+      txns_per_thread = (txns + threads - 1) / threads;
+      ops_per_txn = ops;
+      n_vars = 64;
+      values;
+    }
+  in
+  (Sim.Runner.run ~stm:"tl2" ~params ~seed:(42 + target) ()).Sim.Runner.history
+
 let bench_checker_scaling () =
   section_header
     "checker-scaling — checker cost vs history size (TL2-recorded, du-opaque \
@@ -270,22 +288,12 @@ type monitor_row = {
   row_full_s : float;
 }
 
-let measure_monitor_stream ~stm ~txns ~seed =
-  let h = stm_history ~stm ~txns ~seed in
+let run_monitor ~stm h =
   let events = History.to_list h in
   let t0 = Stm.Clock.now () in
   let m = Monitor.create () in
   ignore (Monitor.push_all m events);
   let inc_s = Stm.Clock.now () -. t0 in
-  let t0 = Stm.Clock.now () in
-  let hint = ref None in
-  List.iter
-    (fun i ->
-      match Du_opacity.check ?hint:!hint (History.prefix h i) with
-      | Verdict.Sat s -> hint := Some s.Serialization.order
-      | Verdict.Unsat _ | Verdict.Unknown _ -> ())
-    (History.response_indices h);
-  let full_s = Stm.Clock.now () -. t0 in
   {
     row_stm = stm;
     row_events = List.length events;
@@ -294,14 +302,40 @@ let measure_monitor_stream ~stm ~txns ~seed =
     row_searches = Monitor.searches_run m;
     row_nodes = Monitor.nodes_total m;
     row_inc_s = inc_s;
-    row_full_s = full_s;
+    row_full_s = 0.;
   }
+
+let measure_monitor_stream ~stm ~txns ~seed =
+  let h = stm_history ~stm ~txns ~seed in
+  let row = run_monitor ~stm h in
+  let t0 = Stm.Clock.now () in
+  let hint = ref None in
+  List.iter
+    (fun i ->
+      match Du_opacity.check ?hint:!hint (History.prefix h i) with
+      | Verdict.Sat s -> hint := Some s.Serialization.order
+      | Verdict.Unsat _ | Verdict.Unknown _ -> ())
+    (History.response_indices h);
+  { row with row_full_s = Stm.Clock.now () -. t0 }
 
 let monitor_rows () =
   (* >= 2000 events per stream (3 threads x 84 txns x 4 boundaries x 2). *)
   List.map
     (fun (stm, seed) -> measure_monitor_stream ~stm ~txns:252 ~seed)
     [ ("tl2", 4000); ("norec", 5000) ]
+
+(* [bench check]'s repeated-values recordings (11,352 and 33,470 events).
+   Written values repeat, so the graph leaves fallbacks to the search.  No
+   full baseline: re-searching every prefix is quadratic at these sizes. *)
+let repeated_monitor_rows () =
+  List.map
+    (fun target ->
+      run_monitor ~stm:"tl2" (check_recording ~values:(`Range 100) ~target))
+    [ 10_000; 30_000 ]
+
+let us_per_event row =
+  if row.row_events = 0 then 0.
+  else row.row_inc_s *. 1e6 /. float_of_int row.row_events
 
 let events_per_s row seconds =
   if seconds <= 0. then 0. else float_of_int row.row_events /. seconds
@@ -312,7 +346,7 @@ let hit_rate row =
 
 let json_mode = ref false
 
-let monitor_json rows =
+let monitor_json rows repeated =
   (* Hand-rolled JSON: stable keys, no dependency. *)
   let row_json r =
     Fmt.str
@@ -328,11 +362,21 @@ let monitor_json rows =
       (events_per_s r r.row_full_s)
       (if r.row_inc_s <= 0. then 0. else r.row_full_s /. r.row_inc_s)
   in
-  Fmt.pr {|{"benchmark": "monitor", "unit": "events_per_s", "streams": [@.%s@.]}@.|}
+  let repeated_json r =
+    Fmt.str
+      {|    {"stm": %S, "values": "repeated", "events": %d, "responses": %d,
+     "us_per_event": %.2f, "fastpath_hits": %d, "searches": %d, "nodes": %d}|}
+      r.row_stm r.row_events r.row_responses (us_per_event r) r.row_hits
+      r.row_searches r.row_nodes
+  in
+  Fmt.pr
+    {|{"benchmark": "monitor", "unit": "events_per_s", "streams": [@.%s@.],
+ "repeated_values": [@.%s@.]}@.|}
     (String.concat ",\n" (List.map row_json rows))
+    (String.concat ",\n" (List.map repeated_json repeated))
 
 let bench_monitor () =
-  if !json_mode then monitor_json (monitor_rows ())
+  if !json_mode then monitor_json (monitor_rows ()) (repeated_monitor_rows ())
   else begin
     section_header "monitor — online verification cost";
     let tests =
@@ -377,7 +421,20 @@ let bench_monitor () =
       (monitor_rows ());
     Fmt.pr
       "  => expected shape: >= 90%% of responses absorbed by certificate \
-       revalidation; speedup grows with stream length.@."
+       revalidation; speedup grows with stream length.@.";
+    Fmt.pr "@.  bench check's repeated-values recordings (no full baseline):@.";
+    Fmt.pr "  %-7s %7s %10s %8s %9s %9s@." "stm" "events" "responses"
+      "us/event" "searches" "nodes";
+    List.iter
+      (fun r ->
+        Fmt.pr "  %-7s %7d %10d %8.1f %9d %9d@." r.row_stm r.row_events
+          r.row_responses (us_per_event r) r.row_searches r.row_nodes)
+      (repeated_monitor_rows ());
+    Fmt.pr
+      "  => expected shape: tens of us/event, growing slowly with length \
+       (the local checks walk the certificate order); commit and abort \
+       responses the local checks cannot absorb go to the graph, then the \
+       search.@."
   end
 
 (* --- Section: service --------------------------------------------------- *)
@@ -1108,23 +1165,6 @@ let bench_check () =
      which the graph decides, and with values drawn from 0-99, whose
      repeats leave reads-from open (Corollary 2), so the graph answers
      [Ambiguous] and the search decides. *)
-  let history_of ~values ~target =
-    let threads = 4 and ops = 4 in
-    (* ~10 events per transaction attempt: 2 per op plus the tryC pair. *)
-    let txns = max 4 (target / 10) in
-    let params =
-      {
-        Stm.Workload.default with
-        n_threads = threads;
-        txns_per_thread = (txns + threads - 1) / threads;
-        ops_per_txn = ops;
-        n_vars = 64;
-        values;
-      }
-    in
-    (Sim.Runner.run ~stm:"tl2" ~params ~seed:(42 + target) ())
-      .Sim.Runner.history
-  in
   (* The searches keep a cap, to bound the step's time; the graph backend
      runs at every size. *)
   let search_cap = 120_000 in
@@ -1147,7 +1187,7 @@ let bench_check () =
   in
   List.iter
     (fun (target, (values, label)) ->
-      let h = history_of ~values ~target in
+      let h = check_recording ~values ~target in
       let events = History.length h in
       let key = (events, label) in
       if not !json_mode then

@@ -52,7 +52,7 @@ let analyze ?max_nodes ~family ~depths () =
   (* Serialization chain: one online monitor consumes the family member by
      member — each member's events beyond the previous one are pushed and
      the running certificate read off at the boundary.  This is the König
-     path construction run through the monitor's revalidation fast path:
+     path construction run through the monitor's local-check fast path:
      searches only happen where a response actually perturbs the running
      certificate, and each is hinted by it. *)
   let all_du = ref true in

@@ -257,46 +257,17 @@ let handle_response m h' k res =
         m.forward <- None;
         hit ()
       end
-      else begin
-        (* Commit [k] in place — e.g. a snapshot-style transaction whose
-           reads are older than an interleaved writer — and let the full
-           certificate validator arbitrate. *)
-        let cand =
-          {
-            Serialization.order = List.rev m.rev_order;
-            committed = Serialization.Tx_set.add k m.committed;
-          }
-        in
-        match Serialization.validate ~claim:Serialization.Du_opaque h' cand with
-        | Ok () ->
-            m.committed <- cand.Serialization.committed;
-            m.forward <- Some cand;
-            hit ()
-        | Error _ -> run_search m h'
-      end
+      else run_search m h'
   | Event.Aborted ->
       if not (Serialization.Tx_set.mem k m.committed) then
         (* The certificate already aborts [k]: the pending operation was
            resolved with A_k in the completion, which the response now
            makes literal. *)
         hit ()
-      else begin
+      else
         (* A commit-pending transaction the certificate chose to commit
-           (someone read its value) aborted after all; flip and revalidate,
-           searching — typically refuting — when the flip fails. *)
-        let cand =
-          {
-            Serialization.order = List.rev m.rev_order;
-            committed = Serialization.Tx_set.remove k m.committed;
-          }
-        in
-        match Serialization.validate ~claim:Serialization.Du_opaque h' cand with
-        | Ok () ->
-            m.committed <- cand.Serialization.committed;
-            m.forward <- Some cand;
-            hit ()
-        | Error _ -> run_search m h'
-      end
+           (someone read its value) aborted after all. *)
+        run_search m h'
 
 let push m ev =
   match m.failed with

@@ -15,18 +15,22 @@
 
     Event ingestion is cheap by default.  Invocations extend the running
     certificate in O(1): the new pending operation aborts in a completion
-    and constrains nothing.  Responses go through a {e certificate
-    revalidation} fast path before any search: the running certificate,
-    extended with the completion choice the response implies (commit a
-    pending [tryC] in place or at the end of the order, keep everything
-    else), is checked against the clauses of Definition 3 that the new
-    event could violate — via the independent {!Serialization} validator
-    where a full recheck is needed — and only when no such extension is
-    valid does the monitor fall back to the backtracking search, seeded
-    with the previous order as a hint and run over a persistent
-    {!Search.ictx} so the per-transaction tables are never rebuilt.  On
-    well-behaved streams (e.g. recorded from TL2 or NOrec) nearly all
-    responses are absorbed by revalidation; see {!fastpath_hits}.
+    and constrains nothing.  Each response is decided in one of three
+    ways.  First, a {e local check} against the running certificate: a
+    read is compared with the values Definition 3 expects at its
+    transaction's slot, or at the end of the order, where the transaction
+    is then moved; a commit is accepted when the committing transaction's
+    reads are valid at the end of the order; an abort is accepted when the
+    certificate already aborts the transaction.  Otherwise the
+    incremental conflict graph, fed every event, is consulted, and its
+    [Sat] certificate is adopted only after the independent
+    {!Serialization} validator accepts it.  Only when the graph cannot
+    decide does the monitor run the backtracking search, seeded with the
+    previous order as a hint and run over a persistent {!Search.ictx} so
+    the per-transaction tables are never rebuilt.  No response revalidates
+    the whole certificate.  On well-behaved streams (e.g. recorded from
+    TL2 or NOrec) nearly all responses are absorbed by the local checks;
+    see {!fastpath_hits}.
 
     The monitor accepts {e incomplete} input gracefully: histories whose
     final event leaves transactions live or commit-pending (crashed
@@ -70,24 +74,24 @@ val pending_txns : t -> int
 val events_seen : t -> int
 
 val responses_seen : t -> int
-(** Response events accepted or rejected so far; every one was handled
-    either by the revalidation fast path or by a search. *)
+(** Well-formed response events accepted so far; each was decided by a
+    local check, the graph or the search. *)
 
 val fastpath_hits : t -> int
-(** Responses absorbed by certificate revalidation — no backtracking
-    search ran.  [fastpath_hits / responses_seen] is the fast-path hit
-    rate reported by [tm monitor] and [tm chaos]. *)
+(** Responses absorbed by a local check against the running certificate —
+    neither the graph nor the search was consulted.
+    [fastpath_hits / responses_seen] is the fast-path hit rate reported by
+    [tm monitor] and [tm chaos]. *)
 
 val searches_run : t -> int
 val nodes_total : t -> int
 
 val graph_hits : t -> int
-(** Fallback situations the incremental conflict-graph backend decided —
-    a validated [Sat] certificate adopted, or a sound [Unsat] — so no
-    backtracking search ran.  Counted inside {!searches_run}'s trigger
-    sites but not in {!searches_run} itself: a response is accounted to
-    exactly one of revalidation ({!fastpath_hits}), the graph, or the
-    search. *)
+(** Responses the local checks could not absorb and the incremental
+    conflict graph decided — a [Sat] certificate the validator accepted,
+    or a sound [Unsat] — so no backtracking search ran.  Every response is
+    accounted to exactly one of the local checks ({!fastpath_hits}), the
+    graph, or the search ({!searches_run}). *)
 
 type snapshot = {
   events : int;  (** {!events_seen} *)

@@ -23,12 +23,12 @@ type outcome = [ `Ok | `Violation of string | `Budget of string ]
 type monitor_stats = {
   responses : int;  (** response events the monitor handled *)
   fastpath_hits : int;
-      (** responses absorbed by certificate revalidation, no search *)
+      (** responses absorbed by a local check, no graph or search *)
   searches : int;  (** backtracking searches run *)
   nodes : int;  (** total search nodes across the stream *)
 }
 (** How the online monitor spent its time over one recorded history —
-    [fastpath_hits / responses] is the revalidation hit rate reported by
+    [fastpath_hits / responses] is the fast-path hit rate reported by
     [tm chaos]. *)
 
 type report = {

@@ -167,6 +167,48 @@ let test_long_stream_fastpath () =
     (Fmt.str "wall time bounded (%.3fs)" elapsed)
     true (elapsed < 10.)
 
+let test_repeated_values_fast () =
+  (* [bench check]'s 33,470-event repeated-values recording.  Written
+     values repeat, so commit and abort responses that the local checks
+     cannot absorb fall back to the graph and then the search; a monitor
+     that revalidated the whole certificate there paid O(T^2) per
+     fallback and took ~17 s on a 2-vCPU VM.  Every response must be
+     accounted to exactly one of the three deciders. *)
+  let params =
+    {
+      Stm.Workload.default with
+      n_threads = 4;
+      txns_per_thread = 750;
+      ops_per_txn = 4;
+      n_vars = 64;
+      values = `Range 100;
+    }
+  in
+  let h =
+    (Sim.Runner.run ~stm:"tl2" ~params ~seed:30_042 ()).Sim.Runner.history
+  in
+  let events = History.to_list h in
+  let n = List.length events in
+  Alcotest.(check int) "recording length" 33_470 n;
+  let t0 = Stm.Clock.now () in
+  let m = Monitor.create () in
+  (match Monitor.push_all m events with
+  | `Ok -> ()
+  | `Violation why -> Alcotest.failf "violation: %s" why
+  | `Budget why -> Alcotest.failf "budget: %s" why);
+  let elapsed = Stm.Clock.now () -. t0 in
+  Alcotest.(check int) "every response decided exactly once"
+    (Monitor.responses_seen m)
+    (Monitor.fastpath_hits m + Monitor.graph_hits m + Monitor.searches_run m);
+  Alcotest.(check bool)
+    (Fmt.str "nodes bounded (%d nodes over %d events)" (Monitor.nodes_total m)
+       n)
+    true
+    (Monitor.nodes_total m <= 50 * n);
+  Alcotest.(check bool)
+    (Fmt.str "wall time bounded (%.3fs)" elapsed)
+    true (elapsed < 8.)
+
 (* --- serializable checkpoints (persist / of_persisted) ------------------- *)
 
 (* The durable-session contract: persisting a monitor mid-stream and
@@ -252,6 +294,7 @@ let suite =
           test_commit_pending_stream;
         test "incremental efficiency" test_incremental_efficiency;
         test "long TL2 stream rides the fast path" test_long_stream_fastpath;
+        test "repeated-values stream stays fast" test_repeated_values_fast;
         slow "persist/resume is verdict- and hit-rate-transparent"
           test_persist_roundtrip;
         test "corrupt capsules rejected" test_persist_rejects_corrupt;

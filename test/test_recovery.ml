@@ -21,12 +21,13 @@ let status = Alcotest.testable Protocol.pp_status ( = )
 
 let guard fd = Unix.setsockopt_float fd Unix.SO_RCVTIMEO 30.
 
-let offline_status h =
-  let m = Monitor.create () in
-  match Monitor.push_all m (History.to_list h) with
+let outcome_status : Monitor.outcome -> Protocol.status = function
   | `Ok -> Protocol.S_ok
   | `Violation why -> Protocol.S_violation why
   | `Budget why -> Protocol.S_budget why
+
+let offline_status h =
+  outcome_status (Monitor.push_all (Monitor.create ()) (History.to_list h))
 
 (* --- scratch directories -------------------------------------------------- *)
 
@@ -193,16 +194,74 @@ let test_kill_and_recover_verdict_parity () =
           (try Client.close c with Unix.Unix_error _ -> ())))
     Figures.catalog
 
+let test_concurrent_resume_keeps_capsules_apart () =
+  (* Two sessions resumed at once on a two-domain server restore, replay
+     and extend their histories in parallel.  Each session's capsule must
+     hold its own stream and nothing of the other's: a history buffer
+     shared across sessions without a synchronized claim once let one
+     session write the other's events into its capsule, which a later
+     recovery then rejected or misjudged. *)
+  with_durable_server (fun srv cfg addr ->
+      let streams = [ (1, recording 1); (2, recording 2) ] in
+      let first =
+        List.map
+          (fun (id, h) ->
+            let events = History.to_list h in
+            let c = connect addr in
+            Client.open_session c id;
+            Client.send_events_at c id ~from:0
+              (fst (split_at (List.length events / 2) events));
+            ignore (Client.checkpoint c id);
+            c)
+          streams
+      in
+      Server.crash !srv;
+      List.iter
+        (fun c -> try Client.close c with Unix.Unix_error _ -> ())
+        first;
+      srv := Server.start cfg;
+      let finish (id, h) =
+        let failure = ref None in
+        let resume () =
+          try
+            let c = connect addr in
+            let applied, _mode, _status = resume_eventually c id ~from:0 in
+            Client.send_events_at c id ~from:applied
+              (snd (split_at applied (History.to_list h)));
+            ignore (Client.checkpoint c id);
+            Client.close c
+          with e -> failure := Some e
+        in
+        (Thread.create resume (), failure)
+      in
+      List.iter
+        (fun (t, failure) ->
+          Thread.join t;
+          Option.iter raise !failure)
+        (List.map finish streams);
+      Server.crash !srv;
+      let dir = Option.get cfg.Server.journal_dir in
+      List.iter
+        (fun (id, h) ->
+          match Journal.recover ~dir ~session:id () with
+          | Error why -> Alcotest.failf "session %d: recover: %s" id why
+          | Ok (m, _applied, j) ->
+              Journal.close j;
+              Alcotest.(check (list event))
+                (Fmt.str "session %d: capsule holds its own stream" id)
+                (History.to_list h)
+                (History.to_list (Session_monitor.history m));
+              Alcotest.check status
+                (Fmt.str "session %d: recovered verdict" id)
+                (offline_status h)
+                (outcome_status (Session_monitor.status m)))
+        streams)
+
 let test_capsules_interchange () =
   (* The session monitor and the sequential monitor share the capsule
      format, so a journal checkpointed by either recovers every figure
      with the uninterrupted verdict: snapshot half the stream, journal
      the rest, recover. *)
-  let outcome_status : Monitor.outcome -> Protocol.status = function
-    | `Ok -> Protocol.S_ok
-    | `Violation why -> Protocol.S_violation why
-    | `Budget why -> Protocol.S_budget why
-  in
   List.iter
     (fun (writer, persist) ->
       List.iter
@@ -537,6 +596,8 @@ let suite =
       [
         slow "server crash: recovered verdicts equal uninterrupted"
           test_kill_and_recover_verdict_parity;
+        test "two sessions resumed at once keep their own capsules"
+          test_concurrent_resume_keeps_capsules_apart;
         test "capsules from either monitor recover every figure"
           test_capsules_interchange;
         test "kill at violation: verdict survives a budget change"
