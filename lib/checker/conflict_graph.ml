@@ -29,7 +29,16 @@
    respecting the order is free; otherwise the affected region is
    discovered and its order indices reassigned.  Edges live in
    index-linked arena pools, so insertion allocates nothing beyond
-   amortised array growth. *)
+   amortised array growth.  {!Topo} does not deduplicate: only a
+   reads-from edge can repeat one already present (a reader reads several
+   variables from one writer, or from its real-time predecessor), so
+   [do_read] alone asks [Topo.mem_edge] first.
+
+   No per-event step hashes a tuple.  Transactions and variables are
+   interned through [Int]-keyed tables; each written or read (variable,
+   value) pair has one mutable [slot] found through its variable's
+   value table; a node's deferred writes are a short (variable, value)
+   list; per-variable state is a vector indexed by the dense variable id. *)
 
 type result =
   | Sat of Serialization.t
@@ -45,32 +54,7 @@ type stats = {
 }
 
 module Pvec = Topo.Pvec
-
-(* Dense bitsets over interned variable ids (32 bits per word so shifts
-   stay well inside OCaml's 63-bit integers). *)
-module Bitset = struct
-  type t = { mutable w : int array }
-
-  let create () = { w = [||] }
-
-  let add t i =
-    let j = i lsr 5 in
-    if j >= Array.length t.w then begin
-      let a' = Array.make (max (j + 1) ((2 * Array.length t.w) + 1)) 0 in
-      Array.blit t.w 0 a' 0 (Array.length t.w);
-      t.w <- a'
-    end;
-    t.w.(j) <- t.w.(j) lor (1 lsl (i land 31))
-
-  let iter f t =
-    Array.iteri
-      (fun j word ->
-        if word <> 0 then
-          for b = 0 to 31 do
-            if word land (1 lsl b) <> 0 then f ((j lsl 5) + b)
-          done)
-      t.w
-end
+module Itbl = Hashtbl.Make (Int)
 
 module Inc = struct
   (* A value-returning external read, as recorded at its response.
@@ -88,12 +72,21 @@ module Inc = struct
   let dummy_reader =
     { rd_node = -1; rd_var = -1; rd_value = 0; rd_res = -1; rd_writer = -1 }
 
+  (* Everything known about one written or read (variable, value) pair,
+     so a write or a read costs one lookup. *)
+  type slot = {
+    mutable seen : int;  (* node owning the value among all writes; -1 *)
+    mutable final : int;  (* node whose current final write it is; -1 *)
+    mutable readers : (int * int) list;
+        (* (reader node, attributed writer | -1 init | -2 none) *)
+  }
+
   type t = {
     (* interning *)
-    node_of_tx : (Event.tx, int) Hashtbl.t;
+    node_of_tx : int Itbl.t;
     tx_of_node : int Pvec.t;
-    var_of_tvar : (Event.tvar, int) Hashtbl.t;
-    mutable nvars : int;
+    var_of_tvar : int Itbl.t;
+    tvar_of_var : Event.tvar Pvec.t;
     (* the DSG itself: nodes, edges and the maintained topological order
        all live in the Pearce–Kelly structure *)
     topo : Topo.t;
@@ -106,23 +99,18 @@ module Inc = struct
     pend_kind : int Pvec.t;  (* 0 none / 1 read / 2 write / 3 tryC / 4 tryA *)
     pend_var : int Pvec.t;
     pend_val : int Pvec.t;
-    wset : Bitset.t Pvec.t;
-    rset : Bitset.t Pvec.t;
-    (* write bookkeeping; keys are dense (var, value) or (node, var) *)
-    own : (int * int, int) Hashtbl.t;  (* deferred buffer: (node,var) -> v *)
-    writes_seen : (int * int, int) Hashtbl.t;  (* all writes: (var,v) -> node *)
-    final_writer : (int * int, int) Hashtbl.t;  (* (var,v) -> node, current *)
-    fw_val : (int * int, int) Hashtbl.t;  (* (node,var) -> current final v *)
-    readers_by_vv : (int * int, (int * int) list ref) Hashtbl.t;
-        (* (var,v) -> (reader node, attributed writer | -1 init | -2 none) *)
+    writes : (int * int) list Pvec.t;
+        (* the node's deferred buffer: (var, current final value) *)
+    (* per-variable state (parallel vectors, indexed by variable) *)
+    slots : slot Itbl.t Pvec.t;  (* value -> slot *)
+    writers_of_var : int list Pvec.t;  (* committed writers *)
+    var_cache : ((int * int) array * int) Pvec.t;
+        (* sorted (ord, node) committed-writer positions, epoch at build;
+           rebuilt lazily *)
     reads : reader Pvec.t;  (* attributed + initial-value reads, in order *)
-    writers_of_var : (int, int list ref) Hashtbl.t;  (* committed writers *)
     (* frontier of maximal t-complete transactions (queue over a vector) *)
     frontier : int Pvec.t;
     mutable f_lo : int;
-    (* per-variable sorted committed-writer positions, rebuilt lazily *)
-    var_cache : (int, (int * int) array * int) Hashtbl.t;
-        (* var -> (sorted (ord, node) positions, epoch at build) *)
     mutable epoch : int;  (* bumped at each resolution pass *)
     (* stream state *)
     mutable idx : int;
@@ -133,12 +121,14 @@ module Inc = struct
     mutable repairs : int;
   }
 
+  let stale = ([||], -1)
+
   let create () =
     {
-      node_of_tx = Hashtbl.create 64;
+      node_of_tx = Itbl.create 64;
       tx_of_node = Pvec.create 0;
-      var_of_tvar = Hashtbl.create 16;
-      nvars = 0;
+      var_of_tvar = Itbl.create 16;
+      tvar_of_var = Pvec.create 0;
       topo = Topo.create ();
       first_ev = Pvec.create 0;
       completion = Pvec.create (-1);
@@ -148,18 +138,13 @@ module Inc = struct
       pend_kind = Pvec.create 0;
       pend_var = Pvec.create 0;
       pend_val = Pvec.create 0;
-      wset = Pvec.create (Bitset.create ());
-      rset = Pvec.create (Bitset.create ());
-      own = Hashtbl.create 64;
-      writes_seen = Hashtbl.create 64;
-      final_writer = Hashtbl.create 64;
-      fw_val = Hashtbl.create 64;
-      readers_by_vv = Hashtbl.create 64;
+      writes = Pvec.create [];
+      slots = Pvec.create (Itbl.create 1);
+      writers_of_var = Pvec.create [];
+      var_cache = Pvec.create stale;
       reads = Pvec.create dummy_reader;
-      writers_of_var = Hashtbl.create 16;
       frontier = Pvec.create 0;
       f_lo = 0;
-      var_cache = Hashtbl.create 16;
       epoch = 0;
       idx = 0;
       poison = None;
@@ -176,27 +161,27 @@ module Inc = struct
   let violate g why = if g.violation = None then g.violation <- Some (g.idx, why)
 
   let vid g x =
-    match Hashtbl.find_opt g.var_of_tvar x with
+    match Itbl.find_opt g.var_of_tvar x with
     | Some i -> i
     | None ->
-        let i = g.nvars in
-        g.nvars <- i + 1;
-        Hashtbl.replace g.var_of_tvar x i;
+        let i = g.tvar_of_var.Pvec.n in
+        Itbl.replace g.var_of_tvar x i;
+        Pvec.push g.tvar_of_var x;
+        Pvec.push g.slots (Itbl.create 16);
+        Pvec.push g.writers_of_var [];
+        Pvec.push g.var_cache stale;
         i
 
-  (* Variable names in messages: dense ids are only ever created from
-     [Event.tvar]s, so keep a reverse map implicitly via messages built at
-     intern sites.  For verdict-time messages we print the dense id. *)
-  let pp_var g ppf v =
-    let shown = ref false in
-    Hashtbl.iter
-      (fun tv dv ->
-        if dv = v && not !shown then begin
-          shown := true;
-          Event.pp_tvar ppf tv
-        end)
-      g.var_of_tvar;
-    if not !shown then Fmt.pf ppf "X?%d" v
+  let pp_var g ppf v = Event.pp_tvar ppf (Pvec.get g.tvar_of_var v)
+
+  let slot g x v =
+    let tbl = Pvec.get g.slots x in
+    match Itbl.find_opt tbl v with
+    | Some s -> s
+    | None ->
+        let s = { seen = -1; final = -1; readers = [] } in
+        Itbl.add tbl v s;
+        s
 
   (* --- edges and Pearce–Kelly maintenance ------------------------------ *)
 
@@ -237,11 +222,11 @@ module Inc = struct
     else violate g (cycle_msg g u v)
 
   let node g k =
-    match Hashtbl.find_opt g.node_of_tx k with
+    match Itbl.find_opt g.node_of_tx k with
     | Some n -> n
     | None ->
         let n = nnodes g in
-        Hashtbl.replace g.node_of_tx k n;
+        Itbl.replace g.node_of_tx k n;
         Pvec.push g.tx_of_node k;
         (* new nodes take the largest order index, so edges from existing
            nodes never trigger a reorder *)
@@ -255,11 +240,12 @@ module Inc = struct
         Pvec.push g.pend_kind 0;
         Pvec.push g.pend_var (-1);
         Pvec.push g.pend_val 0;
-        Pvec.push g.wset (Bitset.create ());
-        Pvec.push g.rset (Bitset.create ());
+        Pvec.push g.writes [];
         (* real-time edges: the frontier holds exactly the maximal
            t-complete transactions, each of which really-time-precedes the
-           newcomer; everything below them is implied transitively *)
+           newcomer; everything below them is implied transitively.  The
+           members are distinct and [n] has no edges yet, so none of these
+           is a duplicate. *)
         for fi = g.f_lo to g.frontier.Pvec.n - 1 do
           match add_edge g (Pvec.get g.frontier fi) n with
           | `Ok -> ()
@@ -281,136 +267,125 @@ module Inc = struct
     Pvec.push g.frontier n
 
   let register_writer g x w =
-    (match Hashtbl.find_opt g.writers_of_var x with
-    | Some r -> r := w :: !r
-    | None -> Hashtbl.replace g.writers_of_var x (ref [ w ]));
-    Hashtbl.remove g.var_cache x
+    Pvec.set g.writers_of_var x (w :: Pvec.get g.writers_of_var x);
+    Pvec.set g.var_cache x stale
 
   let force_commit g w =
     if Pvec.get g.must_commit w = 0 then begin
       Pvec.set g.must_commit w 1;
-      Bitset.iter (fun x -> register_writer g x w) (Pvec.get g.wset w)
+      List.iter (fun (x, _) -> register_writer g x w) (Pvec.get g.writes w)
     end
 
-  let add_vv_reader g x v entry =
-    match Hashtbl.find_opt g.readers_by_vv (x, v) with
-    | Some r -> r := entry :: !r
-    | None -> Hashtbl.replace g.readers_by_vv (x, v) (ref [ entry ])
-
   let do_write g n x v =
-    (match Hashtbl.find_opt g.writes_seen (x, v) with
-    | Some o when o <> n ->
-        (* A duplicate from an already-aborted writer — the common case
-           under STM retry, where an aborted attempt's program re-executes —
-           is harmless: no read can ever be legally attributed to the
-           aborted transaction (any that was is already a violation), so
-           the value's ownership simply transfers.  A duplicate between two
-           transactions that could both commit leaves reads-from genuinely
-           undetermined: poison. *)
-        if Pvec.get g.aborted o = 1 then Hashtbl.replace g.writes_seen (x, v) n
-        else
-          poison g
-            (Fmt.str
-               "T%d and T%d both write %d to %a, which forfeits prefix \
-                closure (Corollary 2)"
-               (tx g o) (tx g n) v (pp_var g) x)
-    | Some _ -> ()
-    | None -> Hashtbl.replace g.writes_seen (x, v) n);
+    let s = slot g x v in
+    if s.seen < 0 then s.seen <- n
+    else if s.seen <> n then begin
+      (* A duplicate from an already-aborted writer — the common case
+         under STM retry, where an aborted attempt's program re-executes —
+         is harmless: no read can ever be legally attributed to the
+         aborted transaction (any that was is already a violation), so
+         the value's ownership simply transfers.  A duplicate between two
+         transactions that could both commit leaves reads-from genuinely
+         undetermined: poison. *)
+      if Pvec.get g.aborted s.seen = 1 then s.seen <- n
+      else
+        poison g
+          (Fmt.str
+             "T%d and T%d both write %d to %a, which forfeits prefix \
+              closure (Corollary 2)"
+             (tx g s.seen) (tx g n) v (pp_var g) x)
+    end;
     (* a write whose (var, value) an earlier read already returned — not
        attributed to this writer — could retract that read's verdict.
        Reads bound to a since-aborted writer, and reads no write could
        explain, are already recorded violations that precede this write,
        so they need no poison. *)
-    (match Hashtbl.find_opt g.readers_by_vv (x, v) with
-    | Some readers ->
-        if
-          List.exists
-            (fun (_, w) ->
-              w = -1 || (w >= 0 && w <> n && Pvec.get g.aborted w = 0))
-            !readers
-        then
+    if
+      List.exists
+        (fun (_, w) -> w = -1 || (w >= 0 && w <> n && Pvec.get g.aborted w = 0))
+        s.readers
+    then
+      poison g
+        (Fmt.str
+           "T%d writes %d to %a, a value an earlier read returned from \
+            elsewhere"
+           (tx g n) v (pp_var g) x);
+    let ws = Pvec.get g.writes n in
+    (match List.assoc_opt x ws with
+    | Some v_old when v_old <> v ->
+        let so = slot g x v_old in
+        if List.exists (fun (_, w) -> w = n) so.readers then
           poison g
             (Fmt.str
-               "T%d writes %d to %a, a value an earlier read returned from \
-                elsewhere"
-               (tx g n) v (pp_var g) x)
-    | None -> ());
-    (match Hashtbl.find_opt g.fw_val (n, x) with
-    | Some v_old when v_old <> v ->
-        (match Hashtbl.find_opt g.readers_by_vv (x, v_old) with
-        | Some readers ->
-            if List.exists (fun (_, w) -> w = n) !readers then
-              poison g
-                (Fmt.str
-                   "T%d overwrites %a after a read was attributed to its \
-                    previous write"
-                   (tx g n) (pp_var g) x)
-        | None -> ());
-        Hashtbl.remove g.final_writer (x, v_old)
-    | Some _ | None -> ());
-    Hashtbl.replace g.fw_val (n, x) v;
-    Hashtbl.replace g.final_writer (x, v) n;
-    Hashtbl.replace g.own (n, x) v;
-    Bitset.add (Pvec.get g.wset n) x
+               "T%d overwrites %a after a read was attributed to its \
+                previous write"
+               (tx g n) (pp_var g) x);
+        so.final <- -1;
+        Pvec.set g.writes n ((x, v) :: List.remove_assoc x ws)
+    | Some _ -> ()
+    | None -> Pvec.set g.writes n ((x, v) :: ws));
+    s.final <- n
 
   let do_read g n x v =
-    Bitset.add (Pvec.get g.rset n) x;
-    match Hashtbl.find_opt g.own (n, x) with
+    match List.assoc_opt x (Pvec.get g.writes n) with
     | Some own_v ->
         if v <> own_v then
           violate g
             (Fmt.str "T%d: internal read of %a returned %d, own write was %d"
                (tx g n) (pp_var g) x v own_v)
     | None ->
+        let s = slot g x v in
+        let w = s.final in
         if v = Event.init_value then begin
-          (match Hashtbl.find_opt g.final_writer (x, v) with
-          | Some w when w <> n && Pvec.get g.aborted w = 0 ->
-              poison g
-                (Fmt.str
-                   "T%d writes the initial value %d to %a: ambiguous \
-                    reads-from"
-                   (tx g w) v (pp_var g) x)
-          | Some _ | None -> ());
-          add_vv_reader g x v (n, -1);
+          if w >= 0 && w <> n && Pvec.get g.aborted w = 0 then
+            poison g
+              (Fmt.str
+                 "T%d writes the initial value %d to %a: ambiguous \
+                  reads-from"
+                 (tx g w) v (pp_var g) x);
+          s.readers <- (n, -1) :: s.readers;
           Pvec.push g.reads
             { rd_node = n; rd_var = x; rd_value = v; rd_res = g.idx;
               rd_writer = -1 }
         end
-        else
-          match Hashtbl.find_opt g.final_writer (x, v) with
-          | None ->
-              violate g
-                (Fmt.str
-                   "T%d reads %d from %a but no transaction's final write \
-                    has that value"
-                   (tx g n) v (pp_var g) x);
-              add_vv_reader g x v (n, -2)
-          | Some w when w = n ->
-              poison g (Fmt.str "T%d externally reads its own write" (tx g n))
-          | Some w ->
-              if Pvec.get g.aborted w = 1 then
-                violate g
-                  (Fmt.str "T%d reads from T%d, which cannot commit" (tx g n)
-                     (tx g w))
-              else begin
-                let tc = Pvec.get g.tryc_inv w in
-                if tc < 0 || tc >= g.idx then
-                  violate g
-                    (Fmt.str
-                       "T%d reads from T%d before it invoked tryC (deferred \
-                        update violated)"
-                       (tx g n) (tx g w))
-                else begin
-                  force_commit g w;
-                  (match add_edge g w n with
-                  | `Ok -> ()
-                  | `Cycle -> on_cycle g w n);
-                  add_vv_reader g x v (n, w);
-                  Pvec.push g.reads
-                    { rd_node = n; rd_var = x; rd_value = v; rd_res = g.idx;
-                      rd_writer = w }
-                end
-              end
+        else if w < 0 then begin
+          violate g
+            (Fmt.str
+               "T%d reads %d from %a but no transaction's final write has \
+                that value"
+               (tx g n) v (pp_var g) x);
+          s.readers <- (n, -2) :: s.readers
+        end
+        else if w = n then
+          poison g (Fmt.str "T%d externally reads its own write" (tx g n))
+        else if Pvec.get g.aborted w = 1 then
+          violate g
+            (Fmt.str "T%d reads from T%d, which cannot commit" (tx g n)
+               (tx g w))
+        else begin
+          let tc = Pvec.get g.tryc_inv w in
+          if tc < 0 || tc >= g.idx then
+            violate g
+              (Fmt.str
+                 "T%d reads from T%d before it invoked tryC (deferred \
+                  update violated)"
+                 (tx g n) (tx g w))
+          else begin
+            force_commit g w;
+            (* the one edge kind that can repeat: [n] may already have read
+               another variable from [w], or have [w] as a real-time
+               predecessor *)
+            if not (Topo.mem_edge g.topo w n) then begin
+              match add_edge g w n with
+              | `Ok -> ()
+              | `Cycle -> on_cycle g w n
+            end;
+            s.readers <- (n, w) :: s.readers;
+            Pvec.push g.reads
+              { rd_node = n; rd_var = x; rd_value = v; rd_res = g.idx;
+                rd_writer = w }
+          end
+        end
 
   let push g ev =
     (match ev with
@@ -472,19 +447,15 @@ module Inc = struct
      against freshly built arrays, so staleness costs at most an extra
      pass, never a wrong verdict. *)
   let writer_array g x =
-    match Hashtbl.find_opt g.var_cache x with
-    | Some (arr, ep) when ep = g.epoch -> arr
+    match Pvec.get g.var_cache x with
+    | arr, ep when ep = g.epoch -> arr
     | _ ->
-        let current =
-          match Hashtbl.find_opt g.writers_of_var x with
-          | Some r -> !r
-          | None -> []
-        in
         let arr =
-          Array.of_list (List.map (fun n -> (ord g n, n)) current)
+          Array.of_list
+            (List.map (fun n -> (ord g n, n)) (Pvec.get g.writers_of_var x))
         in
         Array.sort (fun (a, _) (b, _) -> Int.compare a b) arr;
-        Hashtbl.replace g.var_cache x (arr, g.epoch);
+        Pvec.set g.var_cache x (arr, g.epoch);
         arr
 
   (* Committed writers of [r.rd_var] strictly inside the serialization
@@ -599,10 +570,11 @@ module Inc = struct
      the current graph (Kahn's algorithm over a binary heap), then a purely
      static validation of every read interval and a linear replay against
      the resulting order — no graph mutation, no Pearce–Kelly reorders.
-     On histories an STM actually produced, the commit order IS a valid
-     serialization, so this succeeds and the whole verdict is
-     O((nodes + edges + reads) log nodes).  When it fails, the exact
-     repair machinery below takes over. *)
+     When it succeeds the whole verdict is O((nodes + edges + reads) log
+     nodes).  It rarely does on recorded histories, whose completion order
+     is seldom a serialization: it certifies 4 of 80 ~600-event TL2/NOrec
+     sessions and none of three ~112k-event TL2 histories (EXPERIMENTS
+     §16).  The repair machinery below decides the rest. *)
 
   let greedy_order g =
     let n = nnodes g in
@@ -675,32 +647,32 @@ module Inc = struct
     let n = nnodes g in
     let pos = Array.make (max 1 n) 0 in
     Array.iteri (fun p nd -> pos.(nd) <- p) order;
-    let by_var = Hashtbl.create 64 in
-    Hashtbl.iter
-      (fun x r ->
-        let arr = Array.of_list (List.map (fun w -> pos.(w)) !r) in
-        Array.sort Int.compare arr;
-        Hashtbl.replace by_var x arr)
-      g.writers_of_var;
+    let by_var =
+      Array.init g.writers_of_var.Pvec.n (fun x ->
+          let arr =
+            Array.of_list
+              (List.map (fun w -> pos.(w)) (Pvec.get g.writers_of_var x))
+          in
+          Array.sort Int.compare arr;
+          arr)
+    in
     let ok = ref true in
     let ri = ref 0 in
     while !ok && !ri < g.reads.Pvec.n do
       let r = Pvec.get g.reads !ri in
-      (match Hashtbl.find_opt by_var r.rd_var with
-      | None -> ()
-      | Some arr ->
-          let lo = if r.rd_writer < 0 then -1 else pos.(r.rd_writer) in
-          let hi = pos.(r.rd_node) in
-          (* first position > lo *)
-          let l = ref 0 and rgt = ref (Array.length arr) in
-          while !l < !rgt do
-            let m = (!l + !rgt) / 2 in
-            if arr.(m) <= lo then l := m + 1 else rgt := m
-          done;
-          (* any committed writer strictly inside (lo, hi) offends — the
-             bound writer sits at lo and the reader at hi, so neither can
-             be such an entry *)
-          if !l < Array.length arr && arr.(!l) < hi then ok := false);
+      let arr = by_var.(r.rd_var) in
+      let lo = if r.rd_writer < 0 then -1 else pos.(r.rd_writer) in
+      let hi = pos.(r.rd_node) in
+      (* first position > lo *)
+      let l = ref 0 and rgt = ref (Array.length arr) in
+      while !l < !rgt do
+        let m = (!l + !rgt) / 2 in
+        if arr.(m) <= lo then l := m + 1 else rgt := m
+      done;
+      (* any committed writer strictly inside (lo, hi) offends — the bound
+         writer sits at lo and the reader at hi, so neither can be such an
+         entry *)
+      if !l < Array.length arr && arr.(!l) < hi then ok := false;
       incr ri
     done;
     !ok
@@ -741,8 +713,9 @@ module Inc = struct
       let r = Pvec.get g.reads ri in
       reads_of.(r.rd_node) <- r :: reads_of.(r.rd_node)
     done;
-    let state = Array.make (max 1 g.nvars) Event.init_value in
-    let stacks = Array.make (max 1 g.nvars) [] in
+    let nvars = max 1 g.tvar_of_var.Pvec.n in
+    let state = Array.make nvars Event.init_value in
+    let stacks = Array.make nvars [] in
     (* (tryC invocation index, value), newest first *)
     let bad = ref None in
     Array.iter
@@ -767,17 +740,24 @@ module Inc = struct
               end)
             reads_of.(nd);
           if !bad = None && Pvec.get g.must_commit nd = 1 then
-            Bitset.iter
-              (fun x ->
-                match Hashtbl.find_opt g.fw_val (nd, x) with
-                | Some v ->
-                    state.(x) <- v;
-                    stacks.(x) <- (Pvec.get g.tryc_inv nd, v) :: stacks.(x)
-                | None -> ())
-              (Pvec.get g.wset nd)
+            List.iter
+              (fun (x, v) ->
+                state.(x) <- v;
+                stacks.(x) <- (Pvec.get g.tryc_inv nd, v) :: stacks.(x))
+              (Pvec.get g.writes nd)
         end)
       order;
     !bad
+
+  let certificate g order =
+    let ids = Array.to_list (Array.map (tx g) order) in
+    let committed =
+      List.filter_map
+        (fun nd ->
+          if Pvec.get g.must_commit nd = 1 then Some (tx g nd) else None)
+        (Array.to_list order)
+    in
+    Sat (Serialization.make ~order:ids ~committed)
 
   let verdict g =
     (* Whichever fired first in stream order wins: a violation detected
@@ -790,53 +770,26 @@ module Inc = struct
     | _, Some (_, vw) -> Unsat vw
     | Some (_, pw), None -> Ambiguous pw
     | None, None -> (
-        let fast =
-          let order = greedy_order g in
-          if intervals_ok g order && replay g order = None then Some order
-          else None
-        in
-        match fast with
-        | Some order ->
-            let ids = Array.to_list (Array.map (fun nd -> tx g nd) order) in
-            let committed =
-              List.filter
-                (fun k ->
-                  Pvec.get g.must_commit (Hashtbl.find g.node_of_tx k) = 1)
-                ids
-            in
-            Sat (Serialization.make ~order:ids ~committed)
-        | None -> (
-        match resolve g with
-        | () -> (
-                let n = nnodes g in
-                let order = Array.init n (fun i -> i) in
-                Array.sort
-                  (fun a b -> Int.compare (ord g a) (ord g b))
-                  order;
-                match replay g order with
-                | Some why ->
-                    (* defensive: the resolution missed a clause; the exact
-                       search arbitrates *)
-                    Ambiguous ("internal: graph certificate rejected: " ^ why)
-                | None ->
-                    let ids =
-                      Array.to_list (Array.map (fun nd -> tx g nd) order)
-                    in
-                    let committed =
-                      List.filter
-                        (fun k ->
-                          Pvec.get g.must_commit
-                            (Hashtbl.find g.node_of_tx k)
-                          = 1)
-                        ids
-                    in
-                    Sat (Serialization.make ~order:ids ~committed))
-        | exception Decided r ->
-            (match r with
-            | Unsat why -> violate g why
-            | Ambiguous why -> poison g why
-            | Sat _ -> ());
-            r))
+        let order = greedy_order g in
+        if intervals_ok g order && replay g order = None then
+          certificate g order
+        else
+          match resolve g with
+          | () -> (
+              let order = Array.init (nnodes g) (fun i -> i) in
+              Array.sort (fun a b -> Int.compare (ord g a) (ord g b)) order;
+              match replay g order with
+              | Some why ->
+                  (* defensive: the resolution missed a clause; the exact
+                     search arbitrates *)
+                  Ambiguous ("internal: graph certificate rejected: " ^ why)
+              | None -> certificate g order)
+          | exception Decided r ->
+              (match r with
+              | Unsat why -> violate g why
+              | Ambiguous why -> poison g why
+              | Sat _ -> ());
+              r)
 
   let certifiable g = g.poison = None && g.violation = None
   let events g = g.idx
@@ -855,7 +808,9 @@ end
 let check_stats h =
   let g = Inc.create () in
   List.iter (Inc.push g) (History.to_list h);
-  (Inc.verdict g, Inc.stats g)
+  (* the verdict's resolution adds edges and repairs: count them *)
+  let r = Inc.verdict g in
+  (r, Inc.stats g)
 
 let check h = fst (check_stats h)
 

@@ -11,10 +11,11 @@
     case on event streams, where edges point forward in time) and a bounded
     reorder of the affected region otherwise, instead of a re-search or an
     O(n²) transitive-closure matrix.  Transactions and variables
-    are interned to dense ids, per-transaction read/write sets are bitsets,
-    and the adjacency lists live in arena-allocated (index-linked) edge
-    pools, so checking a million-event history allocates a handful of flat
-    arrays.
+    are interned to dense ids, each written or read (variable, value) pair
+    has one mutable slot, a transaction's deferred writes are a short
+    list, and the adjacency lists live in arena-allocated (index-linked)
+    edge pools, so no event hashes a tuple and checking a million-event
+    history allocates little beyond a handful of flat arrays.
 
     The backend is {e sound but deliberately partial}: on states it cannot
     decide cheaply it answers {!Ambiguous} and the caller falls back to the

@@ -4,10 +4,13 @@
    Nodes are dense ids handed out by [add_node]; a new node takes the
    largest order index, so edges from existing nodes never trigger a
    reorder.  Edges live in two index-linked arena pools (out- and
-   in-adjacency) plus a hash set for O(1) duplicate suppression, so
-   insertion allocates nothing beyond amortised array growth.  An edge
-   already respecting the maintained order is free; otherwise the affected
-   region — forward reachability from the target bounded by the source's
+   in-adjacency), so insertion allocates nothing beyond amortised array
+   growth.  There is no duplicate suppression: [add_edge] stores what it
+   is given, and a caller that may repeat an edge asks [mem_edge] first,
+   which walks the target's in-list (see the .mli for why the conflict
+   graph needs this only for reads-from edges).  An edge already
+   respecting the maintained order is free; otherwise the affected region
+   — forward reachability from the target bounded by the source's
    position, backward from the source bounded by the target's — is
    discovered and its order indices reassigned.  [`Cycle] leaves the graph
    exactly as it was. *)
@@ -43,7 +46,6 @@ type t = {
   e_next : int Pvec.t;
   e_src : int Pvec.t;
   e_inext : int Pvec.t;
-  edge_set : (int * int, unit) Hashtbl.t;
   (* work areas *)
   mark : int Pvec.t;
   mutable stamp : int;
@@ -62,7 +64,6 @@ let create () =
     e_next = Pvec.create (-1);
     e_src = Pvec.create (-1);
     e_inext = Pvec.create (-1);
-    edge_set = Hashtbl.create 256;
     mark = Pvec.create 0;
     stamp = 0;
     dfs_stack = Pvec.create 0;
@@ -187,13 +188,9 @@ let reorder t =
 
 let add_edge t u v =
   if u = v then `Cycle
-  else if Hashtbl.mem t.edge_set (u, v) then `Ok
   else begin
     arena_add t u v;
-    if Pvec.get t.ord u < Pvec.get t.ord v then begin
-      Hashtbl.replace t.edge_set (u, v) ();
-      `Ok
-    end
+    if Pvec.get t.ord u < Pvec.get t.ord v then `Ok
     else begin
       let lb = Pvec.get t.ord v and ub = Pvec.get t.ord u in
       if dfs_fwd t v ub u then begin
@@ -203,11 +200,16 @@ let add_edge t u v =
       else begin
         dfs_bwd t u lb;
         reorder t;
-        Hashtbl.replace t.edge_set (u, v) ();
         `Ok
       end
     end
   end
+
+let mem_edge t u v =
+  let rec go e =
+    e >= 0 && (Pvec.get t.e_src e = u || go (Pvec.get t.e_inext e))
+  in
+  go (Pvec.get t.in_head v)
 
 (* Is there a path a ~> b?  Only possible when ord a < ord b; DFS bounded
    by b's order index. *)

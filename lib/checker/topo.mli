@@ -2,11 +2,20 @@
 
     The acyclicity engine of the conflict-graph backend
     ({!Conflict_graph.Inc}).  Nodes are dense ids handed out by
-    {!add_node}; edges are arena-allocated and deduplicated, and
-    {!add_edge} maintains a topological order incrementally — an edge that
-    already respects the order is O(1), anything else pays a bounded
-    affected-region reorder, and an edge that would close a cycle is
-    refused with the graph left exactly as it was. *)
+    {!add_node}; edges are arena-allocated, and {!add_edge} maintains a
+    topological order incrementally — an edge that already respects the
+    order is O(1), anything else pays a bounded affected-region reorder,
+    and an edge that would close a cycle is refused with the graph left
+    exactly as it was.
+
+    Edges are not deduplicated: {!add_edge} stores every edge it accepts,
+    and {!mem_edge} is how a caller that may repeat one avoids it.  In the
+    conflict graph only a reads-from edge can repeat (a reader reads
+    several variables from one writer, or from its real-time
+    predecessor).  A real-time edge runs from a distinct frontier member
+    to a node created just now, which has no edges yet; a repair edge
+    [u -> v] is only inserted when [ord u > ord v], and an existing edge
+    [u -> v] would have forced [ord u < ord v]. *)
 
 (** Growable array with push/get/set — shared with the conflict-graph
     backend's per-node state vectors. *)
@@ -39,8 +48,12 @@ val ord : t -> int -> int
 
 val add_edge : t -> int -> int -> [ `Ok | `Cycle ]
 (** Insert edge [u -> v], maintaining the order.  [`Cycle] refuses the
-    insertion and leaves the graph untouched; duplicates are [`Ok]
-    no-ops. *)
+    insertion and leaves the graph untouched.  The edge must not be
+    present already: a duplicate is stored twice and counted twice by
+    {!edge_count}. *)
+
+val mem_edge : t -> int -> int -> bool
+(** Is [u -> v] an edge?  Walks [v]'s in-list, so costs [v]'s in-degree. *)
 
 val reach : t -> int -> int -> bool
 (** Is there a path [a ~> b]?  DFS bounded by [b]'s order index. *)

@@ -275,7 +275,8 @@ let test_monitor_graph_unsat () =
 
 (* --- offline check smoke at a non-toy size -------------------------------- *)
 
-let test_offline_medium () =
+(* A ~10k-event unique-writes TL2 recording whose verdict needs repairs. *)
+let offline_medium_history () =
   let params =
     {
       Stm.Workload.default with
@@ -286,7 +287,10 @@ let test_offline_medium () =
       values = `Unique;
     }
   in
-  let h = (Sim.Runner.run ~stm:"tl2" ~params ~seed:3 ()).Sim.Runner.history in
+  (Sim.Runner.run ~stm:"tl2" ~params ~seed:3 ()).Sim.Runner.history
+
+let test_offline_medium () =
+  let h = offline_medium_history () in
   let r, stats = Conflict_graph.check_stats h in
   (match r with
   | Conflict_graph.Sat c -> (
@@ -300,6 +304,126 @@ let test_offline_medium () =
     Alcotest.failf "expected a non-toy run, interned %d nodes"
       stats.Conflict_graph.nodes
 
+(* [Inc.verdict], then [Inc.stats], on a graph fed all of [h]. *)
+let verdict_then_stats h =
+  let g = Conflict_graph.Inc.create () in
+  List.iter (Conflict_graph.Inc.push g) (History.to_list h);
+  let r = Conflict_graph.Inc.verdict g in
+  (r, Conflict_graph.Inc.stats g)
+
+(* [check_stats] must report the stats after the verdict ran: its
+   resolution adds the repair edges and reorders them. *)
+let test_check_stats_after_verdict () =
+  let h = offline_medium_history () in
+  let _, stats = Conflict_graph.check_stats h in
+  if stats <> snd (verdict_then_stats h) then
+    Alcotest.fail "check_stats differs from Inc.stats after Inc.verdict";
+  if stats.Conflict_graph.repairs = 0 then
+    Alcotest.fail "the verdict on this recording needs repairs"
+
+(* --- edge deduplication ------------------------------------------------ *)
+
+(* Only a reads-from edge can repeat an edge already in the graph: here
+   T2 reads X and Y from T1, which is also its real-time predecessor, so
+   both reads land on the frontier edge T1 -> T2.  In the second history
+   T2 also reads Z from the concurrent T3, a committed writer of X that
+   then cannot leave the interval (T1, T2): Unsat, and the counterexample
+   cycle runs through the reads-from edge T3 -> T2. *)
+let test_edge_dedup () =
+  let open Dsl in
+  let sat_h = history [ w 1 x 1; w 1 y 2; c 1; r 2 x 1; r 2 y 2; c 2 ] in
+  (match verdict_then_stats sat_h with
+  | Conflict_graph.Sat _, s ->
+      Alcotest.(check int) "one edge T1 -> T2" 1 s.Conflict_graph.edges
+  | r, _ -> Alcotest.failf "expected Sat, got %s" (show_graph r));
+  let cyc_h =
+    history
+      [ w 1 x 1; w 1 y 2; c 1; r 2 x 1; r 2 y 2; w 3 x 3; w 3 z 4; c 3;
+        r 2 z 4; c 2 ]
+  in
+  (match verdict_then_stats cyc_h with
+  | Conflict_graph.Unsat why, s ->
+      Alcotest.(check string) "reason"
+        "committed writer T3 cannot leave the interval between T1 and its \
+         reader T2"
+        why;
+      Alcotest.(check int) "edges T1 -> T2, T1 -> T3, T3 -> T2" 3
+        s.Conflict_graph.edges
+  | r, _ -> Alcotest.failf "expected Unsat, got %s" (show_graph r));
+  Alcotest.(check (option (list int))) "counterexample cycle" (Some [ 2; 3 ])
+    (Conflict_graph.counterexample_cycle cyc_h);
+  check_unsat "the search agrees" (Du_opacity.check cyc_h)
+
+(* --- parity pin ------------------------------------------------------- *)
+
+(* The graph's stats and a digest of its verdict text (for [Sat], the
+   certificate's order with its commit marks), taken after [Inc.verdict].
+   Any change to the graph's internals must reproduce them exactly: the
+   order of edges, reorders and repairs is observable through the
+   certificate. *)
+let pin_row h =
+  let r, s = verdict_then_stats h in
+  let text =
+    match r with
+    | Conflict_graph.Sat c -> Fmt.str "Sat %a" Serialization.pp c
+    | Conflict_graph.Unsat why -> "Unsat " ^ why
+    | Conflict_graph.Ambiguous why -> "Ambiguous " ^ why
+  in
+  Conflict_graph.
+    ( s.nodes, s.edges, s.reorders, s.repairs, s.tainted,
+      Digest.to_hex (Digest.string text) )
+
+(* Sixteen short sessions shaped like the service's open-loop traffic
+   (3 threads, 66 transactions of 3 operations over 16 variables, unique
+   values), alternating TL2 and NOrec. *)
+let short_session i =
+  let params =
+    {
+      Stm.Workload.default with
+      n_threads = 3;
+      txns_per_thread = 22;
+      ops_per_txn = 3;
+      n_vars = 16;
+      values = `Unique;
+    }
+  in
+  let stm = if i mod 2 = 0 then "tl2" else "norec" in
+  ( Fmt.str "%s/%d" stm (i + 1),
+    (Sim.Runner.run ~stm ~params ~seed:(i + 1) ()).Sim.Runner.history )
+
+let pinned_rows =
+  [
+    ("offline medium", (1832, 7966, 175, 175, true, "1515da9a3e88932bb2300a1adafd9475"));
+    ("tl2/1", (80, 280, 5, 5, false, "b29aa9af0f07696a3dbd8d39e44e13b1"));
+    ("norec/2", (71, 240, 7, 6, true, "cf6ddabbedf9f95a4664f19df81ac047"));
+    ("tl2/3", (78, 262, 2, 2, false, "73f584030d9ed7e37c7114227a6a7df6"));
+    ("norec/4", (71, 221, 6, 2, false, "82a7a29a73f12e3c07c46821c7a8a2d6"));
+    ("tl2/5", (79, 253, 5, 5, true, "5878d1566c1c18d1828ffacc16d2c84e"));
+    ("norec/6", (73, 225, 4, 3, false, "2538e733d2e6713d3404eb279951cf12"));
+    ("tl2/7", (84, 288, 9, 9, true, "ebf797347b23631f3579d01a14d48f66"));
+    ("norec/8", (71, 223, 8, 5, false, "8f722654712cd3caa44561d5e9012193"));
+    ("tl2/9", (85, 273, 0, 0, false, "8cbed52d6c62caa59b347ed104ec4cf9"));
+    ("norec/10", (69, 227, 8, 5, false, "b7cc59c12bcfa8a58c4c679ee85f2c45"));
+    ("tl2/11", (81, 273, 5, 5, false, "9af24758fd3e6a18565c6041c47893b8"));
+    ("norec/12", (68, 193, 7, 5, false, "f65508a778d1d51a05c6814bd62b1714"));
+    ("tl2/13", (88, 282, 5, 5, false, "7cb016c2a4a4927dc77d4a556b9804d2"));
+    ("norec/14", (71, 214, 7, 4, false, "2d6d2b0d7693cb09c246e06d0454aefb"));
+    ("tl2/15", (86, 300, 3, 3, false, "18e8aa0dac6fc6d5b797c5e458b2ca9e"));
+    ("norec/16", (70, 211, 13, 6, false, "1fb0acf01f25c8fac8de9fd9a378997d"));
+  ]
+
+let test_parity_pin () =
+  let cases =
+    ("offline medium", offline_medium_history ()) :: List.init 16 short_session
+  in
+  let show (name, (n, e, ro, rp, t, d)) =
+    Fmt.str "(%S, (%d, %d, %d, %d, %b, %S));" name n e ro rp t d
+  in
+  let actual = List.map (fun (name, h) -> (name, pin_row h)) cases in
+  if actual <> pinned_rows then
+    Alcotest.failf "graph parity pin moved; now:@.%s"
+      (String.concat "\n" (List.map show actual))
+
 let suite =
   [
     ( "conflict graph",
@@ -310,6 +434,10 @@ let suite =
         test "monitor graph fast path" test_monitor_graph_hits;
         test "monitor graph Unsat path" test_monitor_graph_unsat;
         slow "offline check, ~10k events" test_offline_medium;
+        test "stats and verdicts pinned" test_parity_pin;
+        test "check_stats counts the verdict's repairs"
+          test_check_stats_after_verdict;
+        test "a repeated reads-from edge is stored once" test_edge_dedup;
         prop_graph_agrees;
       ]
       @ hand_built_tests @ undecided_unique_writes_tests );
