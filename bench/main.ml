@@ -1217,18 +1217,25 @@ let bench_check () =
             (fun () ->
               Last_use_opacity.to_verdict (Last_use_opacity.check h))
             verdict_of
-      end)
+      end;
+      (* what `tm check` pays before any backend runs: decoding the
+         recording's binary encoding, validation included *)
+      let bin = Service.Codec.history_to_string h in
+      time key "decode"
+        (fun () -> Service.Codec.history_of_string bin)
+        (function Ok _ -> "ok" | Error _ -> "error"))
     (List.concat_map
        (fun target ->
          [ (target, (`Unique, "unique")); (target, (`Range 100, "repeated")) ])
        !opt_check_sizes);
   let rows = List.rev !rows in
-  (* Speedups at every recording where the graph and a capped backend both
-     ran; on repeated values the graph only answers Ambiguous. *)
+  (* Speedups at every recording where the graph and a capped checker both
+     ran (decoding is not one); on repeated values the graph only answers
+     Ambiguous. *)
   let speedups =
     List.filter_map
       (fun (n, b, s, _) ->
-        if b = "graph" then None
+        if b = "graph" || b = "decode" then None
         else
           List.find_map
             (fun (n', b', s', _) ->

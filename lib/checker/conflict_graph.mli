@@ -91,8 +91,9 @@ module Inc : sig
   val push : t -> Event.t -> unit
   (** Ingest one event.  O(1) amortised for responses that do not change
       the edge set; edge insertions cost a Pearce–Kelly update.  Events
-      must be pushed in stream order and be well-formed (the monitor's
-      {!History.extend} has already validated them). *)
+      must be pushed in stream order and be well-formed (the session
+      monitor's {!History.Builder} and the monitor's {!History.extend}
+      have already validated them). *)
 
   val verdict : t -> result
   (** Verdict for the pushed prefix.  May add forced anti-dependency edges

@@ -11,7 +11,7 @@ type mode = Graph of Inc.t | Escalated of Monitor.t
 type t = {
   max_nodes : int option;
   mutable mode : mode;
-  mutable history : History.t;
+  events : History.Builder.t;  (* the graph's stream, validated *)
   mutable events_seen : int;
   mutable responses_seen : int;
   mutable completed : int;  (* C_k / A_k responses: pending = nodes - this *)
@@ -25,7 +25,7 @@ let create ?max_nodes () =
   {
     max_nodes;
     mode = Graph (Inc.create ());
-    history = History.empty;
+    events = History.Builder.create ();
     events_seen = 0;
     responses_seen = 0;
     completed = 0;
@@ -39,7 +39,9 @@ let status t =
   match t.mode with Graph _ -> `Ok | Escalated m -> Monitor.status m
 
 let history t =
-  match t.mode with Graph _ -> t.history | Escalated m -> Monitor.history m
+  match t.mode with
+  | Graph _ -> History.Builder.history t.events
+  | Escalated m -> Monitor.history m
 
 let violation_index t =
   match t.mode with Graph _ -> None | Escalated m -> Monitor.violation_index m
@@ -84,7 +86,7 @@ let escalate t why =
   | Graph _ ->
       t.why <- Some why;
       let m = Monitor.create ?max_nodes:t.max_nodes () in
-      ignore (Monitor.push_all m (History.to_list t.history));
+      ignore (Monitor.push_all m (History.Builder.to_list t.events));
       t.mode <- Escalated m;
       m
 
@@ -104,14 +106,13 @@ let push t ev =
   | Escalated m -> Monitor.push m ev
   | Graph g -> (
       t.events_seen <- t.events_seen + 1;
-      match History.extend t.history ev with
+      match History.Builder.add t.events ev with
       | Error _ ->
           (* A monitor rejects this event too, but it may also have failed
              earlier, inside the uncertified window; its replay decides
              both with the right violation index. *)
           Monitor.push (escalate t "ill-formed event") ev
-      | Ok h ->
-          t.history <- h;
+      | Ok () ->
           Inc.push g ev;
           (match ev with
           | Event.Res (_, (Event.Committed | Event.Aborted)) ->

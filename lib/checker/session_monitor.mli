@@ -3,7 +3,7 @@
     fallback.
 
     Events stream in one at a time.  {!push} checks well-formedness
-    ({!History.extend}) and feeds the graph; verdicts are computed at
+    (appending to a {!History.Builder}) and feeds the graph; verdicts are computed at
     {!certify}, from the graph's verdict on everything pushed so far:
 
     - [Sat], tainted or not, certifies the stream: [`Ok];
@@ -76,7 +76,7 @@ val escalated : t -> bool
 
 val escalation : t -> string option
 (** The graph's reason for escalating ("ill-formed event" for a stream
-    {!History.extend} rejected); [None] while un-escalated. *)
+    the {!History.Builder} rejected); [None] while un-escalated. *)
 
 val certifies : t -> int
 (** {!certify} calls answered by the graph. *)

@@ -1,11 +1,23 @@
 module Int_map = Map.Make (Int)
 
+module Int_tbl = Hashtbl.Make (struct
+  include Int
+  let hash k = k land max_int
+end)
+
 (* Histories share their event storage, and a snapshot of length [len]
    never reads beyond [len].  [used] marks how far the buffer has been
    claimed: [extend] appends in place only when it wins the
    compare-and-set of [used] from [len] to [len + 1], so each slot is
    written once, by one domain.  Every other extension copies, and a full
-   buffer is never resized in place — growing allocates a new one. *)
+   buffer is never resized in place — growing allocates a new one.
+
+   Construction validates with [wf_rule] alone; the first [info], [txns] or
+   [infos] fills [summary] from the first [len] slots, which never change
+   once the history exists.  So domains racing on the fill build equal
+   immutable summaries, and a single-word store publishes a fully built one:
+   the write is idempotent and safe.  A mutable [Builder] is not: it must
+   stay on one domain. *)
 type buffer = { arr : Event.t array; used : int Atomic.t }
 
 type summary = { tbl : Txn.t Int_map.t; rev_order : Event.tx list }
@@ -18,7 +30,27 @@ let pp_error ppf e =
   Fmt.pf ppf "ill-formed history at event %d (%a): %s" e.index Event.pp
     e.event e.reason
 
-let empty_summary = { tbl = Int_map.empty; rev_order = [] }
+let wf_rule prev ev =
+  match prev, ev with
+  | _, _ when Event.tx_of ev <= 0 ->
+      Some "transaction identifiers must be positive (0 is T0)"
+  | (None | Some (Event.Res (_, (Event.Read_ok _ | Event.Write_ok)))), Event.Inv _ -> None
+  | Some (Event.Res (_, (Event.Committed | Event.Aborted))), Event.Inv _ ->
+      Some "event after the transaction committed or aborted"
+  | Some (Event.Inv _), Event.Inv _ ->
+      Some "invocation while the previous operation is pending"
+  | None, Event.Res _ -> Some "response without a participating transaction"
+  | Some (Event.Res _), Event.Res _ -> Some "response without a pending invocation"
+  | Some (Event.Inv (_, inv)), Event.Res (_, res) ->
+      if Event.matches inv res then None
+      else Some "response does not match the pending invocation"
+
+(* Admit [ev] at [i] after its transaction's last event, recorded in [last]. *)
+let admit last i ev =
+  let k = Event.tx_of ev in
+  match wf_rule (Int_tbl.find_opt last k) ev with
+  | Some reason -> Error { index = i; event = ev; reason }
+  | None -> Int_tbl.replace last k ev; Ok ()
 
 let status_of_ops (ops : Op.t array) : Txn.status =
   let n = Array.length ops in
@@ -35,100 +67,56 @@ let status_of_ops (ops : Op.t array) : Txn.status =
         | Event.Try_abort -> Txn.Abort_pending
         | Event.Read _ | Event.Write _ -> Txn.Live)
 
-let array_snoc a x =
-  let n = Array.length a in
-  let b = Array.make (n + 1) x in
-  Array.blit a 0 b 0 n;
-  b
+(* A transaction's summary while [build_summary] reads it, ops newest first. *)
+type draft = { first : int; mutable last : int; mutable rev_ops : Op.t list }
 
-(* Incorporate event [ev] at position [i] into [s], or explain why the
-   extended history is ill-formed. *)
-let step (s : summary) i ev : (summary, error) result =
-  let err reason = Error { index = i; event = ev; reason } in
-  let k = Event.tx_of ev in
-  if k <= 0 then err "transaction identifiers must be positive (0 is T0)"
-  else
-    match ev, Int_map.find_opt k s.tbl with
-    | Event.Inv (_, inv), None ->
-        let op =
-          { Op.tx = k; inv; inv_index = i; res = None; res_index = None }
-        in
-        let txn =
-          {
-            Txn.id = k;
-            ops = [| op |];
-            first_index = i;
-            last_index = i;
-            status = status_of_ops [| op |];
-          }
-        in
-        Ok { tbl = Int_map.add k txn s.tbl; rev_order = k :: s.rev_order }
-    | Event.Inv (_, inv), Some txn -> (
-        match txn.Txn.status with
-        | Txn.Committed | Txn.Aborted ->
-            err "event after the transaction committed or aborted"
-        | Txn.Commit_pending | Txn.Abort_pending | Txn.Live ->
-            let n = Array.length txn.Txn.ops in
-            if n > 0 && not (Op.is_complete txn.Txn.ops.(n - 1)) then
-              err "invocation while the previous operation is pending"
-            else
-              let op =
-                { Op.tx = k; inv; inv_index = i; res = None; res_index = None }
-              in
-              let ops = array_snoc txn.Txn.ops op in
-              let txn =
-                {
-                  txn with
-                  Txn.ops;
-                  last_index = i;
-                  status = status_of_ops ops;
-                }
-              in
-              Ok { s with tbl = Int_map.add k txn s.tbl })
-    | Event.Res (_, _), None -> err "response without a participating transaction"
-    | Event.Res (_, res), Some txn ->
-        let n = Array.length txn.Txn.ops in
-        if n = 0 || Op.is_complete txn.Txn.ops.(n - 1) then
-          err "response without a pending invocation"
-        else
-          let op = txn.Txn.ops.(n - 1) in
-          if not (Event.matches op.Op.inv res) then
-            err "response does not match the pending invocation"
-          else
-            let op = { op with Op.res = Some res; res_index = Some i } in
-            let ops = Array.copy txn.Txn.ops in
-            ops.(n - 1) <- op;
-            let txn =
-              { txn with Txn.ops; last_index = i; status = status_of_ops ops }
-            in
-            Ok { s with tbl = Int_map.add k txn s.tbl }
-
-let compute_summary arr len : (summary, error) result =
-  let rec go s i =
-    if i >= len then Ok s
-    else match step s i arr.(i) with Ok s -> go s (i + 1) | Error _ as e -> e
+(* The summary of the well-formed events [arr.(0 .. len - 1)], in one pass. *)
+let build_summary arr len =
+  let drafts = Int_tbl.create 64 and rev_order = ref [] in
+  for i = 0 to len - 1 do
+    match arr.(i) with
+    | Event.Inv (k, inv) -> (
+        let op = { Op.tx = k; inv; inv_index = i; res = None; res_index = None } in
+        match Int_tbl.find_opt drafts k with
+        | Some d -> d.last <- i; d.rev_ops <- op :: d.rev_ops
+        | None ->
+            rev_order := k :: !rev_order;
+            Int_tbl.add drafts k { first = i; last = i; rev_ops = [ op ] })
+    | Event.Res (k, res) -> (
+        let d = Int_tbl.find drafts k in
+        d.last <- i;
+        match d.rev_ops with
+        | op :: rest ->
+            d.rev_ops <- { op with Op.res = Some res; res_index = Some i } :: rest
+        | [] -> assert false (* well-formed: an invocation is pending *))
+  done;
+  let freeze k d tbl =
+    let ops = Array.of_list (List.rev d.rev_ops) in
+    Int_map.add k { Txn.id = k; ops; first_index = d.first; last_index = d.last;
+                    status = status_of_ops ops } tbl
   in
-  go empty_summary 0
+  { tbl = Int_tbl.fold freeze drafts Int_map.empty; rev_order = !rev_order }
 
 let summary h =
   match h.summary with
   | Some s -> s
-  | None -> (
-      match compute_summary h.buf.arr h.len with
-      | Ok s ->
-          h.summary <- Some s;
-          s
-      | Error e ->
-          (* Construction validates, so stored histories are well-formed. *)
-          Fmt.invalid_arg "History.summary: %a" pp_error e)
+  | None -> let s = build_summary h.buf.arr h.len in h.summary <- Some s; s
+
+let of_array arr len = { buf = { arr; used = Atomic.make len }; len; summary = None }
+
+(* The first event of [arr.(0 .. len - 1)] that [wf_rule] rejects. *)
+let validate arr len =
+  let last = Int_tbl.create 64 in
+  let rec go i =
+    if i >= len then Ok ()
+    else match admit last i arr.(i) with Ok () -> go (i + 1) | Error _ as e -> e
+  in
+  go 0
 
 let of_events events =
   let arr = Array.of_list events in
   let len = Array.length arr in
-  match compute_summary arr len with
-  | Ok s ->
-      Ok { buf = { arr; used = Atomic.make len }; len; summary = Some s }
-  | Error e -> Error e
+  Result.map (fun () -> of_array arr len) (validate arr len)
 
 let of_events_exn events =
   match of_events events with
@@ -138,30 +126,16 @@ let of_events_exn events =
 let of_events_prefix events =
   let arr = Array.of_list events in
   let len = Array.length arr in
-  match compute_summary arr len with
-  | Ok s -> ({ buf = { arr; used = Atomic.make len }; len; summary = Some s }, [])
-  | Error e ->
-      (* Validation is a left-to-right fold of [step], so the first failure
-         at index [i] certifies the prefix of length [i] well-formed; one
-         truncation therefore always succeeds. *)
-      let keep = e.index in
-      let prefix = Array.sub arr 0 keep in
-      let tail = Array.to_list (Array.sub arr keep (len - keep)) in
-      (match compute_summary prefix keep with
-      | Ok s ->
-          ( { buf = { arr = prefix; used = Atomic.make keep }; len = keep;
-              summary = Some s },
-            tail )
-      | Error e ->
-          Fmt.invalid_arg "History.of_events_prefix: prefix ill-formed: %a"
-            pp_error e)
+  match validate arr len with
+  | Ok () -> (of_array arr len, [])
+  | Error { index = keep; _ } ->
+      (* [wf_rule] reads only earlier events, so the events before the
+         first rejected one are a well-formed history. *)
+      (of_array arr keep, Array.to_list (Array.sub arr keep (len - keep)))
 
-let empty =
-  { buf = { arr = [||]; used = Atomic.make 0 }; len = 0;
-    summary = Some empty_summary }
+let empty = of_array [||] 0
 
 let length h = h.len
-let is_empty h = h.len = 0
 
 let get h i =
   if i < 0 || i >= h.len then invalid_arg "History.get: index out of bounds";
@@ -266,25 +240,61 @@ let is_prefix h ~of_:g =
      in
      go 0)
 
+(* [s] with [ev], which [wf_rule] admitted after [prev]'s last event,
+   appended at position [i]. *)
+let step s (prev : Txn.t option) i ev =
+  let txn =
+    match ev, prev with
+    | Event.Inv (k, inv), _ ->
+        let ops, first_index =
+          match prev with
+          | Some txn -> (txn.Txn.ops, txn.Txn.first_index)
+          | None -> ([||], i)
+        in
+        let op = { Op.tx = k; inv; inv_index = i; res = None; res_index = None } in
+        let ops = Array.append ops [| op |] in
+        { Txn.id = k; ops; first_index; last_index = i; status = status_of_ops ops }
+    | Event.Res (_, res), Some txn ->
+        let ops = Array.copy txn.Txn.ops in
+        let n = Array.length ops in
+        ops.(n - 1) <- { ops.(n - 1) with Op.res = Some res; res_index = Some i };
+        { txn with Txn.ops; last_index = i; status = status_of_ops ops }
+    | Event.Res _, None -> assert false (* rejected by [wf_rule] *)
+  in
+  let k = txn.Txn.id in
+  { tbl = Int_map.add k txn s.tbl;
+    rev_order = (if Option.is_none prev then k :: s.rev_order else s.rev_order) }
+
+let last_event (txn : Txn.t) =
+  let op = txn.Txn.ops.(Array.length txn.Txn.ops - 1) in
+  match op.Op.res with
+  | Some res -> Event.Res (txn.Txn.id, res)
+  | None -> Event.Inv (txn.Txn.id, op.Op.inv)
+
+(* [h] followed by [ev], in place when [h] claims the next slot. *)
+let append h ev summary =
+  let buf =
+    if
+      h.len < Array.length h.buf.arr
+      && Atomic.compare_and_set h.buf.used h.len (h.len + 1)
+    then begin
+      h.buf.arr.(h.len) <- ev;
+      h.buf
+    end
+    else begin
+      let arr = Array.make (max 8 (2 * h.len)) ev in
+      Array.blit h.buf.arr 0 arr 0 h.len;
+      { arr; used = Atomic.make (h.len + 1) }
+    end
+  in
+  { buf; len = h.len + 1; summary }
+
 let extend h ev =
-  match step (summary h) h.len ev with
-  | Error _ as e -> e
-  | Ok s ->
-      let buf =
-        if
-          h.len < Array.length h.buf.arr
-          && Atomic.compare_and_set h.buf.used h.len (h.len + 1)
-        then begin
-          h.buf.arr.(h.len) <- ev;
-          h.buf
-        end
-        else begin
-          let arr = Array.make (max 8 (2 * h.len)) ev in
-          Array.blit h.buf.arr 0 arr 0 h.len;
-          { arr; used = Atomic.make (h.len + 1) }
-        end
-      in
-      Ok { buf; len = h.len + 1; summary = Some s }
+  let s = summary h in
+  let prev = Int_map.find_opt (Event.tx_of ev) s.tbl in
+  match wf_rule (Option.map last_event prev) ev with
+  | Some reason -> Error { index = h.len; event = ev; reason }
+  | None -> Ok (append h ev (Some (step s prev h.len ev)))
 
 let project h ~keep =
   let events =
@@ -329,3 +339,18 @@ let pp ppf h =
   Fmt.(list ~sep:(any "@\n") pp_item) ppf items
 
 let pp_inline ppf h = Fmt.(list ~sep:sp Event.pp) ppf (to_list h)
+
+module Builder = struct
+  type history = t
+  type t = { mutable h : history; last : Event.t Int_tbl.t }
+
+  let create () = { h = empty; last = Int_tbl.create 16 }
+  let length b = b.h.len
+  let to_list b = to_list b.h
+  let history b = b.h
+
+  let add b ev =
+    match admit b.last b.h.len ev with
+    | Ok () -> Ok (b.h <- append b.h ev None)
+    | Error _ as e -> e
+end

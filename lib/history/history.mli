@@ -23,10 +23,18 @@ type error = {
 
 val pp_error : Format.formatter -> error -> unit
 
+val wf_rule : Event.t option -> Event.t -> string option
+(** [wf_rule prev ev] is [None] when [ev] may follow [prev], the previous
+    event of its transaction ([None]: it has none), and otherwise the
+    reason the history is ill-formed at [ev]:  transaction identifiers are
+    positive; per transaction, events alternate invocation/response with
+    matching kinds; no event follows [C_k] or [A_k].  Every constructor
+    below validates with this rule alone. *)
+
 val of_events : Event.t list -> (t, error) result
-(** Validates well-formedness:  transaction identifiers are positive; per
-    transaction, events alternate invocation/response with matching kinds;
-    no event follows [C_k] or [A_k]. *)
+(** Validates well-formedness with {!wf_rule}, one table lookup per event.
+    The summaries ({!info}, {!txns}, {!infos}) are built in one more pass
+    when first asked for; a caller that only reads events never pays. *)
 
 val of_events_exn : Event.t list -> t
 (** @raise Invalid_argument on ill-formed input. *)
@@ -46,7 +54,6 @@ val empty : t
 val length : t -> int
 val get : t -> int -> Event.t
 val to_list : t -> Event.t list
-val is_empty : t -> bool
 
 val txns : t -> Event.tx list
 (** Transactions participating in the history, ordered by first event. *)
@@ -105,8 +112,10 @@ val prefix : t -> int -> t
     [H^i]).  O(1); shares storage with [h]. *)
 
 val extend : t -> Event.t -> (t, error) result
-(** Append one event, revalidating incrementally.  Amortised O(1); used by
-    the online monitor. *)
+(** Append one event, revalidating incrementally and stepping the
+    summaries persistently (building them first if not yet built): for the
+    online monitor, which reads {!info} after every event.  A stream that
+    only needs validation is cheaper through a {!Builder}. *)
 
 val is_prefix : t -> of_:t -> bool
 (** [is_prefix h ~of_:g] — the events of [h] are the first [length h]
@@ -133,3 +142,25 @@ val pp : Format.formatter -> t -> unit
 
 val pp_inline : Format.formatter -> t -> unit
 (** All events on one line. *)
+
+(** {1 Streaming construction} *)
+
+(** Append-only validation for one owner: {!add} costs one {!wf_rule}
+    check and one table update, and no summary is kept.  A builder is
+    mutable and unsynchronised, so it must not be shared across domains;
+    the histories it hands out may be. *)
+module Builder : sig
+  type history := t
+  type t
+
+  val create : unit -> t
+
+  val add : t -> Event.t -> (unit, error) result
+  (** Append the event, or say why it is ill-formed ([index] = {!length}). *)
+
+  val length : t -> int
+  val to_list : t -> Event.t list
+
+  val history : t -> history
+  (** The events added so far.  O(1); shares storage as {!extend} does. *)
+end

@@ -338,6 +338,92 @@ let test_of_events_prefix () =
   Alcotest.(check int) "empty prefix" 0 (History.length empty);
   Alcotest.(check (list event)) "all torn" [ orphan ] tail
 
+(* One mutation of a generated history: swap two events, drop one,
+   duplicate one, or move one to another transaction (ids 0 and -1
+   included). *)
+let mutate rng events =
+  let a = Array.of_list events in
+  let n = Array.length a in
+  let i = Random.State.int rng n in
+  match Random.State.int rng 4 with
+  | 0 ->
+      let j = Random.State.int rng n in
+      let e = a.(i) in
+      a.(i) <- a.(j);
+      a.(j) <- e;
+      Array.to_list a
+  | 1 -> List.filteri (fun j _ -> j <> i) events
+  | 2 -> List.concat (List.mapi (fun j ev -> if j = i then [ ev; ev ] else [ ev ]) events)
+  | _ ->
+      let k = Random.State.int rng 12 - 1 in
+      a.(i) <- (match a.(i) with Inv (_, inv) -> Inv (k, inv) | Res (_, r) -> Res (k, r));
+      Array.to_list a
+
+let fold_extend events =
+  List.fold_left
+    (fun acc ev -> Result.bind acc (fun h -> History.extend h ev))
+    (Ok History.empty) events
+
+let fold_builder events =
+  let b = History.Builder.create () in
+  List.fold_left
+    (fun acc ev -> Result.bind acc (fun () -> History.Builder.add b ev))
+    (Ok ()) events
+  |> Result.map (fun () -> History.Builder.history b)
+
+(* Batch validation, a builder fold and an extend fold give one verdict on
+   every mutated history, down to the error; on accepted ones the lazily
+   built summaries equal the ones [extend] kept up to date. *)
+let test_validators_agree () =
+  let rng = Random.State.make [| 24 |] in
+  let accepted = ref 0 in
+  for seed = 1 to 2_000 do
+    let params = { Gen.default with n_txns = 2 + (seed mod 9); pending_ratio = 0.2 } in
+    let events = mutate rng (History.to_list (Gen.run_seed params seed)) in
+    let verdict = Result.map (fun _ -> ()) in
+    let batch = History.of_events events
+    and built = fold_builder events
+    and extended = fold_extend events in
+    if verdict batch <> verdict extended || verdict built <> verdict extended then
+      Alcotest.failf "seed %d: the validators disagree" seed;
+    match batch, built, extended with
+    | Ok h, Ok hb, Ok he ->
+        incr accepted;
+        if History.txns h <> History.txns he || History.infos h <> History.infos he
+           || History.infos hb <> History.infos he
+        then Alcotest.failf "seed %d: the summaries differ" seed
+    | _ -> ()
+  done;
+  (* both verdicts occur often *)
+  Alcotest.(check bool) "accepted and rejected" true
+    (!accepted > 200 && !accepted < 1_800)
+
+(* Every history fills its summary on first use, so two domains may race
+   on it.  Both, released together by a barrier each trial, force [infos]
+   on one fresh history and must see the single-domain result. *)
+let test_lazy_summary_across_domains () =
+  let trials = 500 in
+  let events = History.to_list (Gen.run_seed { Gen.default with n_txns = 40 } 7) in
+  let want = History.infos (History.of_events_exn events) in
+  let hs = Array.init trials (fun _ -> History.of_events_exn events) in
+  let arrived = Atomic.make 0 in
+  let run () =
+    let wrong = ref 0 in
+    for t = 0 to trials - 1 do
+      Atomic.incr arrived;
+      while Atomic.get arrived < 2 * (t + 1) do Domain.cpu_relax () done;
+      if History.infos hs.(t) <> want then incr wrong
+    done;
+    !wrong
+  in
+  let other = Domain.spawn run in
+  let mine = run () in
+  let theirs = Domain.join other in
+  Alcotest.(check (pair int int)) "wrong summaries per domain" (0, 0)
+    (mine, theirs);
+  Alcotest.(check bool) "filled once and kept" true
+    (Array.for_all (fun h -> History.infos h = want) hs)
+
 let suite =
   [
     ("history: well-formedness", formation_tests);
@@ -359,5 +445,8 @@ let suite =
         test "sequential predicates" test_sequential_predicates;
         test "response indices" test_response_indices;
         test "of_events_prefix salvages torn logs" test_of_events_prefix;
+        test "batch, builder and extend validate alike" test_validators_agree;
+        test "lazy summary from two domains at once"
+          test_lazy_summary_across_domains;
       ] );
   ]
