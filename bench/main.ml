@@ -1275,7 +1275,7 @@ let bench_check () =
           b n values)
       speedups;
     Fmt.pr
-      "  => expected shape: graph linear (greedy fast path) through 1M \
+      "  => expected shape: graph linear (repair pass and replay) through 1M \
        events on unique values, Ambiguous on repeated ones, where the \
        search decides; the searches are capped at %d events to bound the \
        run.@."

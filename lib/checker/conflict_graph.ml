@@ -22,7 +22,10 @@
      interval" test a binary search — and only actual offenders get an
      edge, forced when one direction would close a cycle, by tryC order
      otherwise (a heuristic, recorded in [tainted]: contradictions reached
-     after a heuristic choice answer Ambiguous, never Unsat).
+     after a heuristic choice answer Ambiguous, never Unsat).  The
+     repaired order is then replayed against Definition 3's value
+     clauses and, if the replay passes, is the certificate: the verdict
+     has no other way to a [Sat].
 
    Acyclicity under edge insertion is maintained with the Pearce–Kelly
    dynamic topological order, which lives in {!Topo}: an edge already
@@ -566,117 +569,6 @@ module Inc = struct
       end
     end
 
-  (* Greedy verdict fast path: one commit-key-greedy topological sort of
-     the current graph (Kahn's algorithm over a binary heap), then a purely
-     static validation of every read interval and a linear replay against
-     the resulting order — no graph mutation, no Pearce–Kelly reorders.
-     When it succeeds the whole verdict is O((nodes + edges + reads) log
-     nodes).  It rarely does on recorded histories, whose completion order
-     is seldom a serialization: it certifies 4 of 80 ~600-event TL2/NOrec
-     sessions and none of three ~112k-event TL2 histories (EXPERIMENTS
-     §16).  The repair machinery below decides the rest. *)
-
-  let greedy_order g =
-    let n = nnodes g in
-    let indeg = Array.make (max 1 n) 0 in
-    for u = 0 to n - 1 do
-      Topo.succ_iter g.topo u (fun v -> indeg.(v) <- indeg.(v) + 1)
-    done;
-    (* binary min-heap of (commit_key, node) *)
-    let hk = Array.make (max 1 n) 0 and hn = Array.make (max 1 n) 0 in
-    let hsz = ref 0 in
-    let swap i j =
-      let k = hk.(i) and m = hn.(i) in
-      hk.(i) <- hk.(j);
-      hn.(i) <- hn.(j);
-      hk.(j) <- k;
-      hn.(j) <- m
-    in
-    let push key nd =
-      hk.(!hsz) <- key;
-      hn.(!hsz) <- nd;
-      let i = ref !hsz in
-      incr hsz;
-      while !i > 0 && hk.((!i - 1) / 2) > hk.(!i) do
-        swap ((!i - 1) / 2) !i;
-        i := (!i - 1) / 2
-      done
-    in
-    let pop () =
-      let nd = hn.(0) in
-      decr hsz;
-      hk.(0) <- hk.(!hsz);
-      hn.(0) <- hn.(!hsz);
-      let i = ref 0 in
-      let go = ref true in
-      while !go do
-        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-        let s = ref !i in
-        if l < !hsz && hk.(l) < hk.(!s) then s := l;
-        if r < !hsz && hk.(r) < hk.(!s) then s := r;
-        if !s <> !i then begin
-          swap !s !i;
-          i := !s
-        end
-        else go := false
-      done;
-      nd
-    in
-    for nd = 0 to n - 1 do
-      if indeg.(nd) = 0 then push (commit_key g nd) nd
-    done;
-    (* [Array.make n] and not [max 1 n]: an empty graph must yield an
-       empty order, or the phantom slot masquerades as node 0 downstream *)
-    let order = Array.make n 0 in
-    let k = ref 0 in
-    while !hsz > 0 do
-      let nd = pop () in
-      order.(!k) <- nd;
-      incr k;
-      Topo.succ_iter g.topo nd (fun v ->
-          indeg.(v) <- indeg.(v) - 1;
-          if indeg.(v) = 0 then push (commit_key g v) v)
-    done;
-    (* the graph is acyclic by construction, so the sort is total *)
-    assert (!k = n);
-    order
-
-  (* Do all reads respect their anti-dependency intervals under [order]?
-     Purely static: positions instead of graph edges. *)
-  let intervals_ok g order =
-    let n = nnodes g in
-    let pos = Array.make (max 1 n) 0 in
-    Array.iteri (fun p nd -> pos.(nd) <- p) order;
-    let by_var =
-      Array.init g.writers_of_var.Pvec.n (fun x ->
-          let arr =
-            Array.of_list
-              (List.map (fun w -> pos.(w)) (Pvec.get g.writers_of_var x))
-          in
-          Array.sort Int.compare arr;
-          arr)
-    in
-    let ok = ref true in
-    let ri = ref 0 in
-    while !ok && !ri < g.reads.Pvec.n do
-      let r = Pvec.get g.reads !ri in
-      let arr = by_var.(r.rd_var) in
-      let lo = if r.rd_writer < 0 then -1 else pos.(r.rd_writer) in
-      let hi = pos.(r.rd_node) in
-      (* first position > lo *)
-      let l = ref 0 and rgt = ref (Array.length arr) in
-      while !l < !rgt do
-        let m = (!l + !rgt) / 2 in
-        if arr.(m) <= lo then l := m + 1 else rgt := m
-      done;
-      (* any committed writer strictly inside (lo, hi) offends — the bound
-         writer sits at lo and the reader at hi, so neither can be such an
-         entry *)
-      if !l < Array.length arr && arr.(!l) < hi then ok := false;
-      incr ri
-    done;
-    !ok
-
   (* Repair every read's interval to a clean fixpoint.  The first pass
      applies only forced repairs (unit propagation); later passes also
      decide unconstrained pairs by commit order.  Because all heuristic
@@ -759,37 +651,39 @@ module Inc = struct
     in
     Sat (Serialization.make ~order:ids ~committed)
 
+  (* One path: a recorded poison or violation answers at once; otherwise
+     [resolve] repairs every read's interval, the maintained topological
+     order is replayed, and the replayed order is the certificate.
+     Between a poison and a violation, whichever fired first in stream
+     order wins: a violation detected before any poison rests only on
+     trustworthy attributions (and non-du-opacity is monotone under
+     extension), while a violation detected after a poison may rest on
+     state the poison made unreliable. *)
   let verdict g =
-    (* Whichever fired first in stream order wins: a violation detected
-       before any poison rests only on trustworthy attributions (and
-       non-du-opacity is monotone under extension), while a violation
-       detected after a poison may rest on state the poison made
-       unreliable. *)
     match (g.poison, g.violation) with
     | Some (pi, pw), Some (vi, _) when pi < vi -> Ambiguous pw
     | _, Some (_, vw) -> Unsat vw
     | Some (_, pw), None -> Ambiguous pw
     | None, None -> (
-        let order = greedy_order g in
-        if intervals_ok g order && replay g order = None then
-          certificate g order
-        else
-          match resolve g with
-          | () -> (
-              let order = Array.init (nnodes g) (fun i -> i) in
-              Array.sort (fun a b -> Int.compare (ord g a) (ord g b)) order;
-              match replay g order with
-              | Some why ->
-                  (* defensive: the resolution missed a clause; the exact
-                     search arbitrates *)
-                  Ambiguous ("internal: graph certificate rejected: " ^ why)
-              | None -> certificate g order)
-          | exception Decided r ->
-              (match r with
-              | Unsat why -> violate g why
-              | Ambiguous why -> poison g why
-              | Sat _ -> ());
-              r)
+        match resolve g with
+        | () -> (
+            (* [ord] is a permutation of the node ids: invert it *)
+            let order = Array.make (nnodes g) 0 in
+            for nd = 0 to nnodes g - 1 do
+              order.(ord g nd) <- nd
+            done;
+            match replay g order with
+            | Some why ->
+                (* defensive: the resolution missed a clause; the exact
+                   search arbitrates *)
+                Ambiguous ("internal: graph certificate rejected: " ^ why)
+            | None -> certificate g order)
+        | exception Decided r ->
+            (match r with
+            | Unsat why -> violate g why
+            | Ambiguous why -> poison g why
+            | Sat _ -> ());
+            r)
 
   let certifiable g = g.poison = None && g.violation = None
   let events g = g.idx

@@ -1,4 +1,4 @@
-(** Direct-serialization-graph backend for du-opacity (ROADMAP item 2).
+(** Direct-serialization-graph backend for du-opacity (EXPERIMENTS §16).
 
     Where {!Search} decides Definition 3 by backtracking over transaction
     orders, this module builds the {e direct serialization graph} the
@@ -96,9 +96,11 @@ module Inc : sig
       have already validated them). *)
 
   val verdict : t -> result
-  (** Verdict for the pushed prefix.  May add forced anti-dependency edges
-      (monotone: they remain valid for every later verdict) and runs the
-      linear replay validation on success. *)
+  (** Verdict for the pushed prefix.  One path: a recorded poison or
+      violation answers at once; otherwise anti-dependency repair edges
+      are added (monotone: they remain valid for every later verdict), and
+      the repaired topological order is the certificate once it passes the
+      linear replay validation. *)
 
   val certifiable : t -> bool
   (** [false] once a poison or a forced violation is recorded: from then

@@ -274,10 +274,3 @@ let find_path t v u =
       Some (build u [])
     end
   end
-
-let succ_iter t n f =
-  let e = ref (Pvec.get t.out_head n) in
-  while !e >= 0 do
-    f (Pvec.get t.e_dst !e);
-    e := Pvec.get t.e_next !e
-  done

@@ -43,8 +43,10 @@ val reorders : t -> int
 (** Affected-region reorders performed so far. *)
 
 val ord : t -> int -> int
-(** The node's current topological index.  Total over nodes; any two
-    nodes compare consistently with every inserted edge. *)
+(** The node's current topological index.  Over the [n] nodes the
+    indices are a permutation of [0 .. n-1] (a new node takes [n], and a
+    reorder reassigns the affected nodes' own indices), and any two nodes
+    compare consistently with every inserted edge. *)
 
 val add_edge : t -> int -> int -> [ `Ok | `Cycle ]
 (** Insert edge [u -> v], maintaining the order.  [`Cycle] refuses the
@@ -61,6 +63,3 @@ val reach : t -> int -> int -> bool
 val find_path : t -> int -> int -> int list option
 (** [find_path t v u] is a path [v ... u] when one exists — used to
     recover a counterexample cycle after [add_edge t u v] was refused. *)
-
-val succ_iter : t -> int -> (int -> unit) -> unit
-(** Iterate the direct successors of a node. *)
