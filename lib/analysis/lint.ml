@@ -778,6 +778,7 @@ let blocking_calls =
     "Unix.read"; "Unix.write"; "Unix.accept"; "Unix.connect"; "Unix.select";
     "Unix.sleep"; "Unix.sleepf"; "Thread.delay"; "Thread.join"; "Domain.join";
     "Mailbox.put"; "Mailbox.take"; "Wire.send"; "Wire.send_many"; "Wire.recv";
+    "Wire.recv_body";
   ]
 
 let check_lock_hygiene (m : Source_model.t) =

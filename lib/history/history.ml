@@ -271,6 +271,10 @@ let last_event (txn : Txn.t) =
   | Some res -> Event.Res (txn.Txn.id, res)
   | None -> Event.Inv (txn.Txn.id, op.Op.inv)
 
+(* Grown buffers are filled with a static constant, not the new event:
+   [Array.make] of a major-heap length with a young fill forces a minor GC. *)
+let filler = Event.Res (0, Event.Aborted)
+
 (* [h] followed by [ev], in place when [h] claims the next slot. *)
 let append h ev summary =
   let buf =
@@ -282,7 +286,8 @@ let append h ev summary =
       h.buf
     end
     else begin
-      let arr = Array.make (max 8 (2 * h.len)) ev in
+      let arr = Array.make (max 8 (2 * h.len)) filler in
+      arr.(h.len) <- ev;
       Array.blit h.buf.arr 0 arr 0 h.len;
       { arr; used = Atomic.make (h.len + 1) }
     end

@@ -306,6 +306,17 @@ let decode body =
      on adversarial bytes must become a decode error, never a raise *)
   | exception _ -> Error "undecodable frame"
 
+let events_header body =
+  let r = Codec.reader body in
+  try
+    match Codec.get_byte r with
+    | 3 -> Some (Codec.get_uvarint r, None)
+    | 15 ->
+        let session = Codec.get_uvarint r in
+        Some (session, Some (Codec.get_uvarint r))
+    | _ -> None
+  with Codec.Error _ -> None
+
 let pp_status ppf = function
   | S_ok -> Fmt.string ppf "ok"
   | S_violation why -> Fmt.pf ppf "VIOLATION (%s)" why

@@ -249,5 +249,9 @@ val to_string : frame -> string
 val decode : string -> (frame, string) result
 (** Total: adversarial bodies yield [Error _], never an exception. *)
 
+val events_header : string -> (int * int option) option
+(** [Some (session, from)] for an [Events] ([from = None]) or [Events_at]
+    body whose header decodes, without decoding its events. *)
+
 val pp_status : Format.formatter -> status -> unit
 val pp_frame : Format.formatter -> frame -> unit

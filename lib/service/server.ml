@@ -113,9 +113,10 @@ and session = {
    the monitor (and journal) need no locking. *)
 type work =
   | W_open of session  (* create the journal of a fresh durable session *)
-  | W_events of session * int option * Event.t list
+  | W_events of session * int option * string
       (* [Some from]: idempotent re-send; dedup against [applied] here, in
-         the worker, so in-flight batches can never double-apply *)
+         the worker, so in-flight batches can never double-apply.  The
+         frame's body: a backlog holds wire bytes, not decoded events. *)
   | W_checkpoint of session * int
   | W_close of session
   | W_reap of session
@@ -157,6 +158,8 @@ let send_frame conn frame =
   if conn.alive then
     try Wire.send ~mutex:conn.wmutex conn.fd frame
     with Unix.Unix_error _ | Sys_error _ -> conn.alive <- false
+
+let err conn code message = send_frame conn (Protocol.Err { code; message })
 
 let status_of_outcome : Monitor.outcome -> Protocol.status = function
   | `Ok -> Protocol.S_ok
@@ -282,15 +285,20 @@ let worker srv i () =
                        }))
           | None -> ());
           loop ()
-      | W_events (s, from, events) ->
-          (match from with
-          | Some f when f > s.applied ->
+      | W_events (s, from, body) ->
+          (match (from, Protocol.decode body) with
+          | Some f, _ when f > s.applied ->
               (* A gap: applying would skip events.  Zero-delay throttle =
                  "not applied, re-send from your acknowledged index". *)
               send_frame s.sconn
                 (Protocol.Throttle
                    { session = s.client_sid; retry_after_ms = 0 })
-          | _ ->
+          | _, Error msg ->
+              srv.cfg.log
+                (Fmt.str "session %d: malformed events (%s)" s.client_sid msg);
+              err s.sconn Protocol.Bad_frame msg
+          | _, Ok (Protocol.Events { events; _ }
+                  | Protocol.Events_at { events; _ }) ->
               let events =
                 match from with
                 | Some f -> drop (s.applied - f) events  (* dedup re-sends *)
@@ -339,7 +347,8 @@ let worker srv i () =
                       snapshot_quiet srv s j
                   | _ -> ()
                 end
-              end);
+              end
+          | _, Ok _ -> assert false (* [events_header] admitted it *));
           loop ()
       | W_checkpoint (s, token) ->
           account d s;
@@ -422,8 +431,6 @@ let stats_frame srv =
               nodes = Atomic.get d.d_nodes;
             })
           srv.dstats))
-
-let err conn code message = send_frame conn (Protocol.Err { code; message })
 
 let handshake conn =
   match Wire.recv conn.fd with
@@ -627,43 +634,50 @@ let with_session srv conn sid k =
       err conn Protocol.Unknown_session
         (Fmt.str "no open session %d on this connection" sid)
 
+(* An events frame is admitted on its header alone and queued as its
+   body; the worker decodes the events. *)
 let serve_frames srv conn =
   let continue = ref true in
   while !continue && conn.alive do
-    match Wire.recv conn.fd with
-    | Wire.Frame frame -> (
-        match frame with
-        | Protocol.Open_session { session } -> open_session srv conn session
-        | Protocol.Events { session; events } ->
-            handle_events srv conn session None events
-        | Protocol.Events_at { session; from; events } ->
-            handle_events srv conn session (Some from) events
-        | Protocol.Resume { session; from = _ } ->
-            handle_resume srv conn session
-        | Protocol.Heartbeat -> send_frame conn Protocol.Heartbeat
-        | Protocol.Checkpoint { session; token } ->
-            with_session srv conn session (fun s -> W_checkpoint (s, token))
-        | Protocol.Close_session { session } -> (
-            match Hashtbl.find_opt conn.sessions session with
-            | Some s ->
-                Hashtbl.remove conn.sessions session;
-                Mailbox.put srv.mailboxes.(s.worker) (W_close s)
-            | None ->
-                err conn Protocol.Unknown_session
-                  (Fmt.str "no open session %d on this connection" session))
-        | Protocol.Stats_req -> send_frame conn (stats_frame srv)
-        | Protocol.Goodbye -> continue := false
-        | Protocol.Hello _ | Protocol.Verdict _ | Protocol.Stats _
-        | Protocol.Err _ | Protocol.Resumed _ | Protocol.Throttle _
-        | Protocol.Shed _ ->
-            err conn Protocol.Bad_frame
-              (Fmt.str "unexpected frame %a" Protocol.pp_frame frame))
-    | Wire.Malformed msg ->
-        (* The stream is still framed: report and keep serving, so one bad
-           frame never takes down the connection's other sessions. *)
-        srv.cfg.log
-          (Fmt.str "conn %d: malformed frame (%s)" conn.conn_id msg);
-        err conn Protocol.Bad_frame msg
+    let body = Wire.recv_body conn.fd in
+    match Protocol.events_header body with
+    | Some (session, from) -> handle_events srv conn session from body
+    | None -> (
+        match Protocol.decode body with
+        | Ok frame -> (
+            match frame with
+            | Protocol.Open_session { session } ->
+                open_session srv conn session
+            | Protocol.Events _ | Protocol.Events_at _ ->
+                assert false (* taken by [events_header] *)
+            | Protocol.Resume { session; from = _ } ->
+                handle_resume srv conn session
+            | Protocol.Heartbeat -> send_frame conn Protocol.Heartbeat
+            | Protocol.Checkpoint { session; token } ->
+                with_session srv conn session (fun s ->
+                    W_checkpoint (s, token))
+            | Protocol.Close_session { session } -> (
+                match Hashtbl.find_opt conn.sessions session with
+                | Some s ->
+                    Hashtbl.remove conn.sessions session;
+                    Mailbox.put srv.mailboxes.(s.worker) (W_close s)
+                | None ->
+                    err conn Protocol.Unknown_session
+                      (Fmt.str "no open session %d on this connection"
+                         session))
+            | Protocol.Stats_req -> send_frame conn (stats_frame srv)
+            | Protocol.Goodbye -> continue := false
+            | Protocol.Hello _ | Protocol.Verdict _ | Protocol.Stats _
+            | Protocol.Err _ | Protocol.Resumed _ | Protocol.Throttle _
+            | Protocol.Shed _ ->
+                err conn Protocol.Bad_frame
+                  (Fmt.str "unexpected frame %a" Protocol.pp_frame frame))
+        | Error msg ->
+            (* The stream is still framed: report and keep serving, so one bad
+               frame never takes down the connection's other sessions. *)
+            srv.cfg.log
+              (Fmt.str "conn %d: malformed frame (%s)" conn.conn_id msg);
+            err conn Protocol.Bad_frame msg)
   done
 
 let serve_conn srv conn () =

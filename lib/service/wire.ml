@@ -126,7 +126,7 @@ let send ?mutex fd frame = send_many ?mutex fd [ frame ]
 
 type input = Frame of Protocol.frame | Malformed of string
 
-let recv fd =
+let recv_body fd =
   let header = Bytes.create 4 in
   read_exact fd header 0 4;
   let len = Int32.to_int (Bytes.get_int32_be header 0) in
@@ -134,6 +134,9 @@ let recv fd =
     raise (Desync (Fmt.str "frame length %d out of bounds" len));
   let body = Bytes.create len in
   read_exact ~mid_frame:true fd body 0 len;
-  match Protocol.decode (Bytes.unsafe_to_string body) with
+  Bytes.unsafe_to_string body
+
+let recv fd =
+  match Protocol.decode (recv_body fd) with
   | Ok frame -> Frame frame
   | Error msg -> Malformed msg

@@ -41,6 +41,10 @@ type input =
       (** the body did not decode; the stream is still framed and the
           caller may keep reading after reporting the error *)
 
+val recv_body : Unix.file_descr -> string
+(** One frame's body, undecoded: {!recv} is [Protocol.decode] of it.
+    Same exceptions as {!recv}. *)
+
 val recv : Unix.file_descr -> input
 (** Reads retry [EINTR] rather than aborting a frame.
     @raise Closed on EOF at a frame boundary.

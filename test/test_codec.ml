@@ -270,6 +270,29 @@ let prop_frame_fuzz =
       let s = mutate (Protocol.to_string f) muts in
       match Protocol.decode s with Ok _ | Error _ -> true)
 
+(* A server's reader admits an events frame on [events_header] alone and
+   its worker decodes the body: the header must name the session (and
+   [from]) that [decode] finds, and must pass no body that [decode] reads
+   as another kind of frame. *)
+let header_agrees s =
+  match (Protocol.events_header s, Protocol.decode s) with
+  | h, Ok (Protocol.Events { session; _ }) -> h = Some (session, None)
+  | h, Ok (Protocol.Events_at { session; from; _ }) ->
+      h = Some (session, Some from)
+  | h, Ok _ -> h = None
+  | _, Error _ -> true
+
+let prop_events_header =
+  qtest ~count:1000 "protocol: events_header agrees with decode under mutation"
+    QCheck2.Gen.(
+      pair gen_frame (list_size (0 -- 8) (pair (0 -- 10_000) (0 -- 255))))
+    (fun (f, muts) -> header_agrees (mutate (Protocol.to_string f) muts))
+
+let prop_events_header_garbage =
+  qtest ~count:1000 "protocol: events_header agrees with decode on garbage"
+    QCheck2.Gen.(string_size ~gen:(0 -- 255 |> map Char.chr) (0 -- 64))
+    header_agrees
+
 (* --- batched decode ≡ per-event decode ----------------------------------- *)
 
 (* [get_events] decodes a whole batch in one pass with hoisted bounds
@@ -454,5 +477,7 @@ let suite =
         prop_frame_fuzz;
         prop_garbage;
         test "retired tags 17 and 18 do not decode" retired_tags_refused;
+        prop_events_header;
+        prop_events_header_garbage;
       ] );
   ]

@@ -236,6 +236,36 @@ let test_malformed_frame_survived () =
       Wire.send fd Protocol.Goodbye;
       Unix.close fd)
 
+(* An events frame's header is checked by the reader and its events by the
+   session's worker: a frame whose events do not decode is answered with
+   Bad_frame, applies nothing, and the session goes on. *)
+let test_malformed_events_survived () =
+  with_server (fun _srv addr ->
+      let fd = Wire.connect addr in
+      guard fd;
+      Wire.send fd (Protocol.Hello { version = Protocol.version });
+      expect_frame fd "handshake" (function
+        | Protocol.Hello _ -> ()
+        | f -> Alcotest.failf "expected Hello, got %a" Protocol.pp_frame f);
+      Wire.send fd (Protocol.Open_session { session = 1 });
+      (* Events, session 1, one event with the unassigned tag 9 *)
+      send_raw fd "\x03\x01\x01\x09\x01";
+      expect_frame fd "bad events answered" (function
+        | Protocol.Err { code = Protocol.Bad_frame; _ } -> ()
+        | f -> Alcotest.failf "expected Bad_frame, got %a" Protocol.pp_frame f);
+      let h = Figures.fig5 in
+      Wire.send fd
+        (Protocol.Events { session = 1; events = History.to_list h });
+      Wire.send fd (Protocol.Close_session { session = 1 });
+      expect_frame fd "verdict after bad events" (function
+        | Protocol.Verdict v ->
+            Alcotest.(check int) "events" (History.length h) v.Protocol.events;
+            Alcotest.check status "verdict" (offline_status h)
+              v.Protocol.status
+        | f -> Alcotest.failf "expected Verdict, got %a" Protocol.pp_frame f);
+      Wire.send fd Protocol.Goodbye;
+      Unix.close fd)
+
 let test_handshake_required () =
   with_server (fun _srv addr ->
       let fd = Wire.connect addr in
@@ -402,6 +432,8 @@ let suite =
         test "unknown and duplicate sessions reported" test_session_errors;
         test "stats count every domain" test_stats;
         test "accepted TCP sockets get TCP_NODELAY" test_accept_nodelay;
+        test "malformed events answered, session survives"
+          test_malformed_events_survived;
       ] );
     ( "service: session monitors",
       [
