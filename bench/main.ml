@@ -1085,7 +1085,22 @@ let bench_verify () =
             (fun (label, cfg, wall, results) ->
               Fmt.str {|{"label": %S, "report": %s}|} label
                 (V.to_json cfg ~wall results))
-            campaigns))
+            campaigns));
+  (* Any result that is not ok — a backend disagreement, a DPOR/naive
+     mismatch, a safe STM's violation or race — fails the section. *)
+  let failed =
+    List.concat_map
+      (fun (label, _, _, results) ->
+        List.filter_map
+          (fun (r : V.stm_result) ->
+            if V.ok r then None else Some (label ^ "/" ^ r.V.r_stm))
+          results)
+      campaigns
+  in
+  if failed <> [] then begin
+    Fmt.epr "bench verify: results not ok: %s@." (String.concat ", " failed);
+    exit 1
+  end
 
 (* --- Section: check ------------------------------------------------------ *)
 

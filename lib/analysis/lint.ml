@@ -195,8 +195,6 @@ module Source_model = struct
     stripped : string;
   }
 
-  let mentions t w = find_path t.stripped w <> None
-
   let line t l =
     if l >= 1 && l <= Array.length t.lines then t.lines.(l - 1) else ""
 
@@ -731,24 +729,26 @@ let check_ordering (m : Source_model.t) =
 
 (* --- rule: domain-safety ---
 
-   A module that spawns domains ([Domain.spawn]) shares its module-level
-   mutable state across them.  Naked [ref] / [Hashtbl] / [Bytes] /
-   [Buffer] / [Queue] bindings at the top level of such a module are
-   flagged unless the module shows a synchronization discipline at all
-   ([Mutex.] or [Atomic.] appears somewhere): a single unsynchronized cell
-   is exactly the silent-verdict-corruption seed the dynamic [Race]
-   analyzer hunts at the trace level. *)
+   Module-level mutable state is shared by every domain of the program,
+   whether or not the module itself spawns one: the domains that reach it
+   are spawned elsewhere (the service's workers, the parallel runner).  So
+   every module is scanned.  Naked [ref] / [Hashtbl] / [Bytes] / [Buffer] /
+   [Queue] bindings at its top level are flagged unless the module shows a
+   synchronization discipline at all ([Mutex.] or [Atomic.] appears
+   somewhere): a single unsynchronized cell is exactly the
+   silent-verdict-corruption seed the dynamic [Race] analyzer hunts at the
+   trace level.  A cell one domain owns by design carries a pragma saying
+   why. *)
 
 let mutable_makers =
   [ "= ref "; "= ref("; "Hashtbl.create"; "Bytes.create"; "Bytes.make";
     "Buffer.create"; "Queue.create"; "Array.make"; "Dynarray.create" ]
 
 let check_domain_safety (m : Source_model.t) =
-  let spawns = Source_model.mentions m "Domain.spawn" in
   let disciplined =
     contains_sub m.stripped "Mutex." || contains_sub m.stripped "Atomic."
   in
-  if (not spawns) || disciplined then []
+  if disciplined then []
   else begin
     let acc = ref [] in
     Array.iteri
@@ -896,14 +896,14 @@ let rules =
     };
     {
       name = "domain-safety";
-      doc = "unsynchronized module-level mutable state in a domain-spawning module";
+      doc = "unsynchronized module-level mutable state";
       check = check_domain_safety;
       positive =
         "let shared = ref 0\n\
-         let go () = Domain.spawn (fun () -> incr shared)\n";
+         let bump () = incr shared\n";
       negative =
         "let shared = Atomic.make 0\n\
-         let go () = Domain.spawn (fun () -> Atomic.incr shared)\n";
+         let bump () = Atomic.incr shared\n";
     };
     {
       name = "lock-hygiene";

@@ -92,8 +92,8 @@ module Inc : sig
   (** Ingest one event.  O(1) amortised for responses that do not change
       the edge set; edge insertions cost a Pearce–Kelly update.  Events
       must be pushed in stream order and be well-formed (the session
-      monitor's {!History.Builder} and the monitor's {!History.extend}
-      have already validated them). *)
+      monitor's and the monitor's {!History.Builder}s have already
+      validated them). *)
 
   val verdict : t -> result
   (** Verdict for the pushed prefix.  One path: a recorded poison or

@@ -28,7 +28,7 @@ val check_stats :
     per-transaction table construction across calls.  Same verdicts as
     {!check} on every input. *)
 
-type inc
+type inc = Search.ictx
 
 val incremental : unit -> inc
 (** A fresh du-mode incremental context. *)

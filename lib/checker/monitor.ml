@@ -13,12 +13,15 @@ type outcome = [ `Ok | `Violation of string | `Budget of string ]
    search fallback re-establishes it with a fresh witness. *)
 type t = {
   max_nodes : int option;
-  inc : Du_opacity.inc;  (* persistent search context for the fallback *)
+  events : History.Builder.t;  (* the accepted stream, validated *)
+  inc : Du_opacity.inc;
+      (* persistent search context for the fallback, synced every accepted
+         event: its transaction summaries serve the local checks, and its
+         index answers which transactions the certificate order holds *)
   graph : Conflict_graph.Inc.t;
       (* incremental conflict-graph backend, fed every accepted event;
          consulted before each backtracking search and trusted whenever it
          decides — see [run_search] *)
-  mutable history : History.t;
   mutable failed : outcome option;  (* [None] while the prefix is du-opaque *)
   mutable rev_order : Event.tx list;
   mutable committed : Serialization.Tx_set.t;
@@ -36,18 +39,14 @@ type t = {
          C_k/A_k.  [snapshot] is taken per batch by the streaming service,
          so recomputing this from [History.infos] (O(T log T)) would make
          per-session accounting quadratic over a stream. *)
-  seen : (Event.tx, unit) Hashtbl.t;
-      (* transactions already in the running certificate's order — O(1)
-         membership where scanning the order would make a long stream of
-         permanently-pending transactions quadratic *)
 }
 
 let create ?max_nodes () =
   {
     max_nodes;
+    events = History.Builder.create ();
     inc = Du_opacity.incremental ();
     graph = Conflict_graph.Inc.create ();
-    history = History.empty;
     failed = None;
     rev_order = [];
     committed = Serialization.Tx_set.empty;
@@ -60,7 +59,6 @@ let create ?max_nodes () =
     searches_run = 0;
     nodes_total = 0;
     pending = 0;
-    seen = Hashtbl.create 64;
   }
 
 let force_forward m =
@@ -76,7 +74,7 @@ let force_forward m =
 let fail m o =
   m.failed <- Some o;
   if m.violation_index = None then
-    m.violation_index <- Some (History.length m.history);
+    m.violation_index <- Some (History.Builder.length m.events);
   o
 
 let run_search m h' =
@@ -136,12 +134,23 @@ let run_search m h' =
    and the local-serialization expectation (latest committed writer retained
    by the deferred-update filter, Definition 3(3)); a valid certificate needs
    the read to return both. *)
-let expected m h ~skip ~res_index var before_rev =
+let expected m ~skip ~res_index var before_rev =
   let final_write w =
-    List.assoc_opt var (Txn.final_writes (History.info h w))
+    (* the latest successful write to [var], read off the ops in place *)
+    let ops = (Search.txn m.inc w).Txn.ops in
+    let rec latest i =
+      if i < 0 then None
+      else
+        match ops.(i) with
+        | { Op.inv = Event.Write (x, v); res = Some Event.Write_ok; _ }
+          when x = var ->
+            Some v
+        | _ -> latest (i - 1)
+    in
+    latest (Array.length ops - 1)
   in
   let retained w =
-    match Txn.tryc_inv_index (History.info h w) with
+    match Txn.tryc_inv_index (Search.txn m.inc w) with
     | Some j -> j < res_index
     | None -> false
   in
@@ -176,15 +185,15 @@ let expected m h ~skip ~res_index var before_rev =
    an entry that contributed nothing (aborted, or committing just now with
    no read downstream of the move), and the real-time clause cannot bind
    [k] forward since [k]'s latest event is the newest in the history. *)
-let reads_valid_at_end m h k =
-  let txn = History.info h k in
+let reads_valid_at_end m k =
+  let txn = Search.txn m.inc k in
   List.for_all
     (fun (r : Txn.read) ->
       match r.Txn.kind with
       | `Internal own -> r.Txn.value = own
       | `External ->
           let sem, du =
-            expected m h ~skip:k ~res_index:r.Txn.res_index r.Txn.var
+            expected m ~skip:k ~res_index:r.Txn.res_index r.Txn.var
               m.rev_order
           in
           r.Txn.value = sem && r.Txn.value = du)
@@ -218,8 +227,7 @@ let handle_response m h' k res =
          hence certificate-aborted) to the end of the order — the common
          case of a read that observed a transaction committed after [k]'s
          birth.  Only then search. *)
-      let txn = History.info h' k in
-      match last_read (Txn.reads txn) with
+      match last_read (Txn.reads (Search.txn m.inc k)) with
       | None -> run_search m h' (* defensive: cannot happen on Read_ok *)
       | Some r ->
           let ok_in_place =
@@ -231,13 +239,13 @@ let handle_response m h' k res =
                   | k' :: rest -> if k' = k then rest else drop_to rest
                 in
                 let sem, du =
-                  expected m h' ~skip:0 ~res_index:r.Txn.res_index r.Txn.var
+                  expected m ~skip:0 ~res_index:r.Txn.res_index r.Txn.var
                     (drop_to m.rev_order)
                 in
                 v = sem && v = du
           in
           if ok_in_place then hit ()
-          else if reads_valid_at_end m h' k then begin
+          else if reads_valid_at_end m k then begin
             move_to_end m k;
             hit ()
           end
@@ -247,7 +255,7 @@ let handle_response m h' k res =
         (* An earlier search already decided to commit [k]; the response
            merely resolves the pending tryC the way the certificate does. *)
         hit ()
-      else if reads_valid_at_end m h' k then begin
+      else if reads_valid_at_end m k then begin
         (* Flip [k]'s decision to commit while moving it to the end: its
            writes become visible to no one (nothing reads after the newest
            event) and the deferred-update filter retains it for no earlier
@@ -274,10 +282,17 @@ let push m ev =
   | Some o -> o
   | None -> (
       m.events_seen <- m.events_seen + 1;
-      match History.extend m.history ev with
+      match History.Builder.add m.events ev with
       | Error e -> fail m (`Violation (Fmt.str "%a" History.pp_error e))
-      | Ok h' -> (
-          m.history <- h';
+      | Ok () -> (
+          let h' = History.Builder.history m.events in
+          (* the context knows [k] iff the certificate order holds it *)
+          let fresh =
+            match ev with
+            | Event.Inv (k, _) -> not (Search.mem m.inc k)
+            | Event.Res _ -> false
+          in
+          Search.sync m.inc h';
           Conflict_graph.Inc.push m.graph ev;
           match ev with
           | Event.Inv (k, _) ->
@@ -286,15 +301,14 @@ let push m ev =
                  A transaction that never responds again — a crashed thread,
                  a stalled tryC — simply stays registered here forever: it
                  constrains nothing until a response event involves it. *)
-              if not (Hashtbl.mem m.seen k) then begin
-                Hashtbl.replace m.seen k ();
+              if fresh then begin
                 m.rev_order <- k :: m.rev_order;
                 m.forward <- None;
                 m.pending <- m.pending + 1
               end;
               `Ok
           | Event.Res (k, res) ->
-              (* [extend] validated the response against [k]'s pending
+              (* The builder validated the response against [k]'s pending
                  invocation, so C_k/A_k t-completes exactly one counted
                  transaction; later events for [k] are ill-formed and never
                  reach here. *)
@@ -310,7 +324,7 @@ let push_all m events =
     (match m.failed with Some o -> o | None -> `Ok)
     events
 
-let history m = m.history
+let history m = History.Builder.history m.events
 
 let certificate m =
   match m.failed with None -> Some (force_forward m) | Some _ -> None
@@ -359,7 +373,7 @@ type persisted = {
 let persist (m : t) =
   {
     p_max_nodes = m.max_nodes;
-    p_events = History.to_list m.history;
+    p_events = History.Builder.to_list m.events;
     p_status = status m;
     p_violation_index = m.violation_index;
     p_counters = snapshot m;
@@ -369,8 +383,8 @@ let persist (m : t) =
    original built its certificate, search context, and sticky state from
    exactly this push sequence, so the deterministic replay reproduces them
    bit for bit.  The recorded counters are then adopted wholesale — they can
-   legitimately exceed the replayed ones (events rejected by [History.extend]
-   are counted but never enter [history]) and must survive a round-trip so
+   legitimately exceed the replayed ones (events the builder rejects are
+   counted but never enter the history) and must survive a round-trip so
    hit rates are checkpoint-transparent.  A recorded [`Ok] that the replay
    refutes convicts the blob (or the code) of corruption; a recorded failure
    is adopted even where the replayed history alone stays clean, because the

@@ -27,8 +27,10 @@
     {!Serialization} validator accepts it.  Only when the graph cannot
     decide does the monitor run the backtracking search, seeded with the
     previous order as a hint and run over a persistent {!Search.ictx} so
-    the per-transaction tables are never rebuilt.  No response revalidates
-    the whole certificate.  On well-behaved streams (e.g. recorded from
+    the per-transaction tables are never rebuilt.  The stream grows through
+    one {!History.Builder} and is synced into that context event by event;
+    the local checks read the transaction summaries the context keeps
+    ({!Search.txn}).  No response revalidates the whole certificate.  On well-behaved streams (e.g. recorded from
     TL2 or NOrec) nearly all responses are absorbed by the local checks;
     see {!fastpath_hits}.
 

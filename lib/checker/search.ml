@@ -23,10 +23,14 @@ exception Exhausted
 (* Per-transaction data, indexed densely by 0..n-1, kept across searches.
 
    The context is a persistent accumulator: [sync] consumes only the events
-   appended since the previous call, growing the dense arrays amortised and
-   keeping the transaction/variable/key interning tables alive, so an online
-   monitor that searches occasionally over an ever-growing history pays for
-   each event once instead of rebuilding everything per search.
+   appended since the previous call, feeding each to its transaction's
+   summary draft, growing the dense arrays amortised and keeping the
+   transaction/variable/key interning tables alive, so an online monitor
+   that searches occasionally over an ever-growing history pays for each
+   event once instead of rebuilding everything per search.  Syncing only
+   feeds the drafts; a search recomputes the rows whose summary changed
+   since it last read them, so the context holds one row and one summary
+   per transaction, however many events arrive between searches.
 
    Real-time edges are derived at each transaction's birth, and only the
    immediate ones are kept.  The real-time order is an interval order: [a]
@@ -45,7 +49,11 @@ type ictx = {
   mutable n : int;  (* transactions known *)
   mutable synced : int;  (* events consumed so far *)
   mutable ids : Event.tx array;  (* dense index -> transaction id *)
+  mutable drafts : Txn.draft array;  (* each transaction's summary *)
+  mutable row_last : int array;  (* [last_index] of the summary a row is from *)
   mutable reads : Txn.read list array;  (* external reads, dense var ids *)
+  mutable bad_internal : Txn.read option array;
+      (* an internal read that did not return the transaction's own write *)
   mutable final_writes : (int * Event.value) list array;  (* dense var ids *)
   mutable choices : bool list array;
   mutable tryc_inv : int option array;
@@ -75,7 +83,10 @@ let ictx (opts : options) =
     n = 0;
     synced = 0;
     ids = [||];
+    drafts = [||];
+    row_last = [||];
     reads = [||];
+    bad_internal = [||];
     final_writes = [||];
     choices = [||];
     tryc_inv = [||];
@@ -93,7 +104,8 @@ let ictx (opts : options) =
     frontier = [];
   }
 
-let grow c =
+(* Room for one more transaction, whose draft [d] fills the new slots. *)
+let grow c d =
   let cap = Array.length c.ids in
   if c.n = cap then begin
     let ncap = max 8 (2 * cap) in
@@ -103,7 +115,10 @@ let grow c =
       b
     in
     c.ids <- g c.ids 0;
+    c.drafts <- g c.drafts d;
+    c.row_last <- g c.row_last (-1);
     c.reads <- g c.reads [];
+    c.bad_internal <- g c.bad_internal None;
     c.final_writes <- g c.final_writes [];
     c.choices <- g c.choices [];
     c.tryc_inv <- g c.tryc_inv None;
@@ -132,18 +147,27 @@ let key_of c xv =
       Hashtbl.replace c.keys xv k;
       k
 
-(* Recompute transaction [d]'s row from its summary in [h].  Values some
+(* Recompute transaction [d]'s row from its summary [txn].  Values some
    external read demands are interned as keys here; a writer's supplies are
    resolved per search (never cached), so a key interned after the writer
    last changed is still seen. *)
-let refresh c h d =
-  let txn = History.info h c.ids.(d) in
+let refresh c d txn =
+  c.row_last.(d) <- txn.Txn.last_index;
+  let all_reads = Txn.reads txn in
+  c.bad_internal.(d) <-
+    List.find_opt
+      (fun (r : Txn.read) ->
+        match r.Txn.kind with
+        | `Internal own -> r.Txn.value <> own
+        | `External -> false)
+      all_reads;
   let reads =
-    Txn.reads txn
-    |> List.filter_map (fun (r : Txn.read) ->
-           match r.Txn.kind with
-           | `Internal _ -> None (* checked by the prefilter *)
-           | `External -> Some { r with Txn.var = dense_var c r.Txn.var })
+    List.filter_map
+      (fun (r : Txn.read) ->
+        match r.Txn.kind with
+        | `Internal _ -> None (* checked by the prefilter *)
+        | `External -> Some { r with Txn.var = dense_var c r.Txn.var })
+      all_reads
   in
   c.reads.(d) <- reads;
   c.demands.(d) <-
@@ -154,6 +178,14 @@ let refresh c h d =
   c.tryc_inv.(d) <- Txn.tryc_inv_index txn;
   c.closing.(d) <-
     List.map (fun (x, p) -> (dense_var c x, p)) (Txn.closing_writes txn)
+
+(* Bring the rows whose summary changed up to date, in dense order: every
+   event moves its transaction's [last_index]. *)
+let refresh_changed c =
+  for d = 0 to c.n - 1 do
+    let txn = Txn.freeze c.drafts.(d) in
+    if txn.Txn.last_index <> c.row_last.(d) then refresh c d txn
+  done
 
 (* [d] completed at history index [i]: it joins the frontier, and raising
    the latest start drops the members that completed before it.  Those sit
@@ -177,69 +209,54 @@ let sync c h =
   let len = History.length h in
   if len < c.synced then
     invalid_arg "Search.sync: history is shorter than the synced prefix";
-  if len > c.synced then begin
-    let dirty = ref [] in
-    let mark d =
-      match !dirty with
-      | d' :: _ when d' = d -> ()
-      | _ -> dirty := d :: !dirty
-    in
-    for i = c.synced to len - 1 do
-      match History.get h i with
-      | Event.Inv (k, _) -> (
-          match Hashtbl.find_opt c.index k with
-          | Some d -> mark d
-          | None ->
-              grow c;
-              let d = c.n in
-              c.n <- d + 1;
-              Hashtbl.replace c.index k d;
-              c.ids.(d) <- k;
-              c.start.(d) <- i;
-              c.rt_preds.(d) <- (if c.respect_rt then c.frontier else []);
-              mark d)
-      | Event.Res (k, res) -> (
-          match Hashtbl.find_opt c.index k with
-          | None ->
-              invalid_arg "Search.sync: response without known transaction"
-          | Some d ->
-              mark d;
-              (match res with
-              | Event.Committed | Event.Aborted -> complete c d i
-              | Event.Read_ok _ | Event.Write_ok -> ()))
-    done;
-    c.synced <- len;
-    List.sort_uniq Int.compare !dirty |> List.iter (refresh c h)
-  end
+  for i = c.synced to len - 1 do
+    let ev = History.get h i in
+    match ev with
+    | Event.Inv (k, _) -> (
+        match Hashtbl.find_opt c.index k with
+        | Some d -> Txn.add c.drafts.(d) i ev
+        | None ->
+            let draft = Txn.draft i ev in
+            grow c draft;
+            let d = c.n in
+            c.n <- d + 1;
+            Hashtbl.replace c.index k d;
+            c.ids.(d) <- k;
+            c.drafts.(d) <- draft;
+            c.start.(d) <- i;
+            c.rt_preds.(d) <- (if c.respect_rt then c.frontier else []))
+    | Event.Res (k, res) -> (
+        match Hashtbl.find_opt c.index k with
+        | None ->
+            invalid_arg "Search.sync: response without known transaction"
+        | Some d ->
+            Txn.add c.drafts.(d) i ev;
+            (match res with
+            | Event.Committed | Event.Aborted -> complete c d i
+            | Event.Read_ok _ | Event.Write_ok -> ()))
+  done;
+  c.synced <- len
+
+let mem c k = Hashtbl.mem c.index k
+let txn c k = Txn.freeze c.drafts.(Hashtbl.find c.index k)
 
 (* Necessary conditions, checked in linear time.  A violation here refutes
    every serialization, so most negative instances never reach the search. *)
-let prefilter c h =
+let prefilter c =
   let n = c.n in
-  let internal_ok =
-    let rec check_infos = function
-      | [] -> Ok ()
-      | (t : Txn.t) :: rest ->
-          let bad =
-            List.find_opt
-              (fun (r : Txn.read) ->
-                match r.Txn.kind with
-                | `Internal own -> r.Txn.value <> own
-                | `External -> false)
-              (Txn.reads t)
-          in
-          (match bad with
-          | Some r ->
-              Error
-                (Fmt.str
-                   "T%d: internal read of %a returned %d instead of its own \
-                    latest write"
-                   t.Txn.id Event.pp_tvar r.Txn.var r.Txn.value)
-          | None -> check_infos rest)
-    in
-    check_infos (History.infos h)
+  let rec internal_ok d =
+    if d >= n then Ok ()
+    else
+      match c.bad_internal.(d) with
+      | Some r ->
+          Error
+            (Fmt.str
+               "T%d: internal read of %a returned %d instead of its own \
+                latest write"
+               c.ids.(d) Event.pp_tvar r.Txn.var r.Txn.value)
+      | None -> internal_ok (d + 1)
   in
-  match internal_ok with
+  match internal_ok 0 with
   | Error _ as e -> e
   | Ok () ->
       (* Every external read of a non-initial value needs a possible writer:
@@ -484,13 +501,13 @@ let interchangeable c n preds succs =
 (* One search over the transactions currently in [c].  Everything sized by
    the current [c.n] is local to the call: the dense rows persist, the
    search state does not. *)
-let run c ~max_nodes ~hint ~extra_edges ~commit_edges h =
+let run c ~max_nodes ~hint ~extra_edges ~commit_edges =
   let n = c.n in
   if n = 0 then
     ( Verdict.Sat (Serialization.make ~order:[] ~committed:[]),
       { nodes = 0; memo_hits = 0; prefiltered = true } )
   else
-    match prefilter c h with
+    match prefilter c with
     | Error why ->
         (Verdict.Unsat why, { nodes = 0; memo_hits = 0; prefiltered = true })
     | Ok () ->
@@ -852,8 +869,9 @@ let run c ~max_nodes ~hint ~extra_edges ~commit_edges h =
 
 let search_ictx ?max_nodes ?hint c h =
   sync c h;
+  refresh_changed c;
   run c ~max_nodes ~hint ~extra_edges:c.extra_edges
-    ~commit_edges:c.commit_edges h
+    ~commit_edges:c.commit_edges
 
 let search opts h =
   search_ictx ?max_nodes:opts.max_nodes ?hint:opts.hint (ictx opts) h

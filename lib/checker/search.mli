@@ -91,10 +91,10 @@ val serialize : options -> History.t -> Verdict.t
     An online monitor extends one history forever and searches it
     occasionally.  Rebuilding the per-transaction tables for every search
     would make each one Ω(events); an {!ictx} instead accumulates them
-    across calls — dense arrays grown amortised, transaction/variable/key
-    interning kept alive, real-time edges derived once at each transaction's
-    birth — so a search over an extension pays only for the events appended
-    since the previous call (plus the search proper). *)
+    across calls — its own {!Txn.draft} per transaction, dense arrays grown
+    amortised, interning kept alive, real-time edges derived once at each
+    transaction's birth — so a search over an extension pays only for the
+    new events and the rows they changed (plus the search proper). *)
 
 type ictx
 (** A persistent search context.  Mutable; not thread-safe. *)
@@ -104,9 +104,17 @@ val ictx : options -> ictx
     from [options] ([max_nodes] and [hint] are per-search, see
     {!search_ictx}). *)
 
+val sync : ictx -> History.t -> unit
+(** Consume the events of [h] not yet seen, O(1) amortised each.  Calls on
+    one context pass successive extensions of one history, e.g. the
+    snapshots of one {!History.Builder}. *)
+
+val mem : ictx -> Event.tx -> bool
+val txn : ictx -> Event.tx -> Txn.t
+(** {!History.info} of the synced history, cached until [T_k]'s next
+    event.  @raise Not_found if [T_k] has no synced event. *)
+
 val search_ictx :
   ?max_nodes:int -> ?hint:Event.tx list -> ictx -> History.t -> Verdict.t * stats
-(** [search_ictx c h] syncs [c] with [h] and searches.  Successive calls on
-    the same context must pass successive {e extensions} of the same
-    history (as produced by {!History.extend}); the context consumes only
-    the new events.  [search opts h] is [search_ictx (ictx opts) h]. *)
+(** [sync c h], then search, recomputing the rows whose summary changed.
+    [search opts h] is [search_ictx (ictx opts) h]. *)

@@ -6,11 +6,11 @@ module Int_tbl = Hashtbl.Make (struct
 end)
 
 (* Histories share their event storage, and a snapshot of length [len]
-   never reads beyond [len].  [used] marks how far the buffer has been
-   claimed: [extend] appends in place only when it wins the
-   compare-and-set of [used] from [len] to [len + 1], so each slot is
-   written once, by one domain.  Every other extension copies, and a full
-   buffer is never resized in place — growing allocates a new one.
+   never reads beyond [len].  Only a [Builder] appends, and only into a
+   buffer it allocated itself, at the end of what it has filled: so each
+   slot is written once, by its one owner, before any history that can
+   read it exists.  A full buffer is never resized in place — growing
+   allocates a new one.
 
    Construction validates with [wf_rule] alone; the first [info], [txns] or
    [infos] fills [summary] from the first [len] slots, which never change
@@ -18,11 +18,9 @@ end)
    immutable summaries, and a single-word store publishes a fully built one:
    the write is idempotent and safe.  A mutable [Builder] is not: it must
    stay on one domain. *)
-type buffer = { arr : Event.t array; used : int Atomic.t }
-
 type summary = { tbl : Txn.t Int_map.t; rev_order : Event.tx list }
 
-type t = { buf : buffer; len : int; mutable summary : summary option }
+type t = { arr : Event.t array; len : int; mutable summary : summary option }
 
 type error = { index : int; event : Event.t; reason : string }
 
@@ -52,57 +50,27 @@ let admit last i ev =
   | Some reason -> Error { index = i; event = ev; reason }
   | None -> Int_tbl.replace last k ev; Ok ()
 
-let status_of_ops (ops : Op.t array) : Txn.status =
-  let n = Array.length ops in
-  if n = 0 then Txn.Live
-  else
-    let last = ops.(n - 1) in
-    match last.Op.res with
-    | Some Event.Committed -> Txn.Committed
-    | Some Event.Aborted -> Txn.Aborted
-    | Some (Event.Read_ok _ | Event.Write_ok) -> Txn.Live
-    | None -> (
-        match last.Op.inv with
-        | Event.Try_commit -> Txn.Commit_pending
-        | Event.Try_abort -> Txn.Abort_pending
-        | Event.Read _ | Event.Write _ -> Txn.Live)
-
-(* A transaction's summary while [build_summary] reads it, ops newest first. *)
-type draft = { first : int; mutable last : int; mutable rev_ops : Op.t list }
-
 (* The summary of the well-formed events [arr.(0 .. len - 1)], in one pass. *)
 let build_summary arr len =
   let drafts = Int_tbl.create 64 and rev_order = ref [] in
   for i = 0 to len - 1 do
-    match arr.(i) with
-    | Event.Inv (k, inv) -> (
-        let op = { Op.tx = k; inv; inv_index = i; res = None; res_index = None } in
-        match Int_tbl.find_opt drafts k with
-        | Some d -> d.last <- i; d.rev_ops <- op :: d.rev_ops
-        | None ->
-            rev_order := k :: !rev_order;
-            Int_tbl.add drafts k { first = i; last = i; rev_ops = [ op ] })
-    | Event.Res (k, res) -> (
-        let d = Int_tbl.find drafts k in
-        d.last <- i;
-        match d.rev_ops with
-        | op :: rest ->
-            d.rev_ops <- { op with Op.res = Some res; res_index = Some i } :: rest
-        | [] -> assert false (* well-formed: an invocation is pending *))
+    let ev = arr.(i) in
+    let k = Event.tx_of ev in
+    match Int_tbl.find_opt drafts k with
+    | Some d -> Txn.add d i ev
+    | None ->
+        rev_order := k :: !rev_order;
+        Int_tbl.add drafts k (Txn.draft i ev)
   done;
-  let freeze k d tbl =
-    let ops = Array.of_list (List.rev d.rev_ops) in
-    Int_map.add k { Txn.id = k; ops; first_index = d.first; last_index = d.last;
-                    status = status_of_ops ops } tbl
-  in
+  let freeze k d tbl = Int_map.add k (Txn.freeze d) tbl in
   { tbl = Int_tbl.fold freeze drafts Int_map.empty; rev_order = !rev_order }
 
 let summary h =
   match h.summary with
   | Some s -> s
-  | None -> let s = build_summary h.buf.arr h.len in h.summary <- Some s; s
+  | None -> let s = build_summary h.arr h.len in h.summary <- Some s; s
 
-let of_array arr len = { buf = { arr; used = Atomic.make len }; len; summary = None }
+let of_array arr len = { arr; len; summary = None }
 
 (* The first event of [arr.(0 .. len - 1)] that [wf_rule] rejects. *)
 let validate arr len =
@@ -139,9 +107,9 @@ let length h = h.len
 
 let get h i =
   if i < 0 || i >= h.len then invalid_arg "History.get: index out of bounds";
-  h.buf.arr.(i)
+  h.arr.(i)
 
-let to_list h = Array.to_list (Array.sub h.buf.arr 0 h.len)
+let to_list h = Array.to_list (Array.sub h.arr 0 h.len)
 
 let txns h = List.rev (summary h).rev_order
 
@@ -218,9 +186,9 @@ let is_t_sequential h =
 let is_sequential h =
   let ok = ref true in
   for i = 0 to h.len - 2 do
-    match h.buf.arr.(i) with
+    match h.arr.(i) with
     | Event.Inv (k, inv) -> (
-        match h.buf.arr.(i + 1) with
+        match h.arr.(i + 1) with
         | Event.Res (k', res) when k = k' && Event.matches inv res -> ()
         | Event.Res _ | Event.Inv _ -> ok := false)
     | Event.Res _ -> ()
@@ -229,77 +197,16 @@ let is_sequential h =
 
 let prefix h i =
   if i < 0 || i > h.len then invalid_arg "History.prefix: bad length";
-  if i = h.len then h else { buf = h.buf; len = i; summary = None }
+  if i = h.len then h else { arr = h.arr; len = i; summary = None }
 
 let is_prefix h ~of_:g =
   h.len <= g.len
-  && (h.buf == g.buf
+  && (h.arr == g.arr
      ||
      let rec go i =
-       i >= h.len || (Event.equal h.buf.arr.(i) g.buf.arr.(i) && go (i + 1))
+       i >= h.len || (Event.equal h.arr.(i) g.arr.(i) && go (i + 1))
      in
      go 0)
-
-(* [s] with [ev], which [wf_rule] admitted after [prev]'s last event,
-   appended at position [i]. *)
-let step s (prev : Txn.t option) i ev =
-  let txn =
-    match ev, prev with
-    | Event.Inv (k, inv), _ ->
-        let ops, first_index =
-          match prev with
-          | Some txn -> (txn.Txn.ops, txn.Txn.first_index)
-          | None -> ([||], i)
-        in
-        let op = { Op.tx = k; inv; inv_index = i; res = None; res_index = None } in
-        let ops = Array.append ops [| op |] in
-        { Txn.id = k; ops; first_index; last_index = i; status = status_of_ops ops }
-    | Event.Res (_, res), Some txn ->
-        let ops = Array.copy txn.Txn.ops in
-        let n = Array.length ops in
-        ops.(n - 1) <- { ops.(n - 1) with Op.res = Some res; res_index = Some i };
-        { txn with Txn.ops; last_index = i; status = status_of_ops ops }
-    | Event.Res _, None -> assert false (* rejected by [wf_rule] *)
-  in
-  let k = txn.Txn.id in
-  { tbl = Int_map.add k txn s.tbl;
-    rev_order = (if Option.is_none prev then k :: s.rev_order else s.rev_order) }
-
-let last_event (txn : Txn.t) =
-  let op = txn.Txn.ops.(Array.length txn.Txn.ops - 1) in
-  match op.Op.res with
-  | Some res -> Event.Res (txn.Txn.id, res)
-  | None -> Event.Inv (txn.Txn.id, op.Op.inv)
-
-(* Grown buffers are filled with a static constant, not the new event:
-   [Array.make] of a major-heap length with a young fill forces a minor GC. *)
-let filler = Event.Res (0, Event.Aborted)
-
-(* [h] followed by [ev], in place when [h] claims the next slot. *)
-let append h ev summary =
-  let buf =
-    if
-      h.len < Array.length h.buf.arr
-      && Atomic.compare_and_set h.buf.used h.len (h.len + 1)
-    then begin
-      h.buf.arr.(h.len) <- ev;
-      h.buf
-    end
-    else begin
-      let arr = Array.make (max 8 (2 * h.len)) filler in
-      arr.(h.len) <- ev;
-      Array.blit h.buf.arr 0 arr 0 h.len;
-      { arr; used = Atomic.make (h.len + 1) }
-    end
-  in
-  { buf; len = h.len + 1; summary }
-
-let extend h ev =
-  let s = summary h in
-  let prev = Int_map.find_opt (Event.tx_of ev) s.tbl in
-  match wf_rule (Option.map last_event prev) ev with
-  | Some reason -> Error { index = h.len; event = ev; reason }
-  | None -> Ok (append h ev (Some (step s prev h.len ev)))
 
 let project h ~keep =
   let events =
@@ -307,34 +214,24 @@ let project h ~keep =
   in
   of_events_exn events
 
-(* Events of each transaction in history order, newest first — one pass over
-   the events instead of one full filter per transaction (O(T·n)). *)
-let group_by_tx h =
-  let tbl = Hashtbl.create 16 in
-  for i = 0 to h.len - 1 do
-    let ev = h.buf.arr.(i) in
-    let k = Event.tx_of ev in
-    let prev = try Hashtbl.find tbl k with Not_found -> [] in
-    Hashtbl.replace tbl k (ev :: prev)
-  done;
-  tbl
-
 let equivalent h h' =
-  let ts = List.sort Int.compare (txns h)
-  and ts' = List.sort Int.compare (txns h') in
-  List.equal Int.equal ts ts'
-  && (let g = group_by_tx h and g' = group_by_tx h' in
-      List.for_all
-        (fun k ->
-          (* Reversed on both sides, so comparing the rev-order groups
-             directly decides equality of the forward sequences. *)
-          List.equal Event.equal (Hashtbl.find g k) (Hashtbl.find g' k))
-        ts)
+  let same (a : Op.t) (b : Op.t) =
+    Event.equal_invocation a.Op.inv b.Op.inv
+    && Option.equal Event.equal_response a.Op.res b.Op.res
+  in
+  let sorted h = List.sort Int.compare (txns h) in
+  let ts = sorted h in
+  List.equal Int.equal ts (sorted h')
+  && List.for_all
+       (fun k ->
+         let a = (info h k).Txn.ops and b = (info h' k).Txn.ops in
+         Array.length a = Array.length b && Array.for_all2 same a b)
+       ts
 
 let response_indices h =
   let acc = ref [] in
   for i = h.len downto 1 do
-    if Event.is_res h.buf.arr.(i - 1) then acc := i :: !acc
+    if Event.is_res h.arr.(i - 1) then acc := i :: !acc
   done;
   !acc
 
@@ -345,6 +242,10 @@ let pp ppf h =
 
 let pp_inline ppf h = Fmt.(list ~sep:sp Event.pp) ppf (to_list h)
 
+(* Grown buffers are filled with a static constant, not the new event:
+   [Array.make] of a major-heap length with a young fill forces a minor GC. *)
+let filler = Event.Res (0, Event.Aborted)
+
 module Builder = struct
   type history = t
   type t = { mutable h : history; last : Event.t Int_tbl.t }
@@ -354,8 +255,23 @@ module Builder = struct
   let to_list b = to_list b.h
   let history b = b.h
 
+  (* [b.h] followed by [ev].  The buffer past [b.h.len] is this builder's
+     alone (see [t]): it allocated it, and nothing else appends. *)
+  let append b ev =
+    let { arr; len; _ } = b.h in
+    let arr =
+      if len < Array.length arr then arr
+      else begin
+        let grown = Array.make (max 8 (2 * len)) filler in
+        Array.blit arr 0 grown 0 len;
+        grown
+      end
+    in
+    arr.(len) <- ev;
+    b.h <- { arr; len = len + 1; summary = None }
+
   let add b ev =
     match admit b.last b.h.len ev with
-    | Ok () -> Ok (b.h <- append b.h ev None)
+    | Ok () -> Ok (append b ev)
     | Error _ as e -> e
 end

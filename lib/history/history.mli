@@ -6,10 +6,12 @@
     followed by its matching response before the next invocation, except
     possibly the last) and has no events after [C_k] or [A_k].
 
-    Values of type {!t} are immutable.  Prefixes and projections share the
-    underlying event storage, so [prefix] is O(1) and iterating over all
-    prefixes of a history is cheap — the checkers rely on this when deciding
-    opacity (Definition 5) and when monitoring a history online. *)
+    Values of type {!t} are immutable.  Prefixes share the underlying event
+    storage, so [prefix] is O(1) and iterating over all prefixes of a
+    history is cheap — the checkers rely on this when deciding opacity
+    (Definition 5).  A history grows one way: through a {!Builder}, whose
+    snapshots share its storage too; that is how the online monitors
+    stream. *)
 
 type t
 
@@ -111,17 +113,11 @@ val prefix : t -> int -> t
 (** [prefix h i] is the history made of the first [i] events (the paper's
     [H^i]).  O(1); shares storage with [h]. *)
 
-val extend : t -> Event.t -> (t, error) result
-(** Append one event, revalidating incrementally and stepping the
-    summaries persistently (building them first if not yet built): for the
-    online monitor, which reads {!info} after every event.  A stream that
-    only needs validation is cheaper through a {!Builder}. *)
-
 val is_prefix : t -> of_:t -> bool
 (** [is_prefix h ~of_:g] — the events of [h] are the first [length h]
     events of [g].  O(1) when the two share storage (one was produced from
-    the other by {!prefix} or {!extend}); a single traversal of [h]
-    otherwise — never materialises event lists. *)
+    the other by {!prefix}, or both are snapshots of one {!Builder}); a
+    single traversal of [h] otherwise. *)
 
 val project : t -> keep:(Event.tx -> bool) -> t
 (** Subsequence of events of the kept transactions (used e.g. to restrict a
@@ -145,10 +141,11 @@ val pp_inline : Format.formatter -> t -> unit
 
 (** {1 Streaming construction} *)
 
-(** Append-only validation for one owner: {!add} costs one {!wf_rule}
-    check and one table update, and no summary is kept.  A builder is
-    mutable and unsynchronised, so it must not be shared across domains;
-    the histories it hands out may be. *)
+(** The one way to grow a history: {!add} costs one {!wf_rule} check, one
+    table update and one slot write, and keeps no summary.  A builder
+    writes only into storage it allocated, past every snapshot it handed
+    out, so no slot has two writers.  It must stay on one domain; its
+    snapshots may be shared. *)
 module Builder : sig
   type history := t
   type t
@@ -162,5 +159,5 @@ module Builder : sig
   val to_list : t -> Event.t list
 
   val history : t -> history
-  (** The events added so far.  O(1); shares storage as {!extend} does. *)
+  (** The events added so far.  O(1); shares the builder's storage. *)
 end

@@ -13,6 +13,69 @@ type t = {
   status : status;
 }
 
+let status_of_ops (ops : Op.t array) =
+  let n = Array.length ops in
+  if n = 0 then Live
+  else
+    let last = ops.(n - 1) in
+    match last.Op.res with
+    | Some Event.Committed -> Committed
+    | Some Event.Aborted -> Aborted
+    | Some (Event.Read_ok _ | Event.Write_ok) -> Live
+    | None -> (
+        match last.Op.inv with
+        | Event.Try_commit -> Commit_pending
+        | Event.Try_abort -> Abort_pending
+        | Event.Read _ | Event.Write _ -> Live)
+
+(* A summary under construction: [d_ops.(0 .. d_n - 1)] in program order,
+   the rest spare capacity; the first op's invocation is the first event.
+   [frozen] caches the summary until the next event, and shares [d_ops],
+   trimmed to [d_n]: an event arriving while it is cached writes into a
+   copy. *)
+type draft = {
+  mutable d_last : int;
+  mutable d_ops : Op.t array;
+  mutable d_n : int;
+  mutable frozen : t;  (* [thawed]: none cached *)
+}
+
+let thawed = { id = 0; ops = [||]; first_index = 0; last_index = -1; status = Live }
+
+let add d i ev =
+  let shared = d.frozen != thawed in
+  d.d_last <- i;
+  d.frozen <- thawed;
+  match ev with
+  | Event.Inv (k, inv) ->
+      let op = { Op.tx = k; inv; inv_index = i; res = None; res_index = None } in
+      if shared || d.d_n = Array.length d.d_ops then begin
+        let ops = Array.make (max 4 (2 * d.d_n)) op in
+        Array.blit d.d_ops 0 ops 0 d.d_n;
+        d.d_ops <- ops
+      end;
+      d.d_ops.(d.d_n) <- op;
+      d.d_n <- d.d_n + 1
+  | Event.Res (_, res) ->
+      if shared then d.d_ops <- Array.copy d.d_ops;
+      let last = d.d_n - 1 in
+      d.d_ops.(last) <- { (d.d_ops.(last)) with Op.res = Some res; res_index = Some i }
+
+let draft i ev =
+  let d = { d_last = i; d_ops = [||]; d_n = 0; frozen = thawed } in
+  add d i ev;
+  d
+
+let freeze d =
+  if d.frozen == thawed then begin
+    if d.d_n < Array.length d.d_ops then d.d_ops <- Array.sub d.d_ops 0 d.d_n;
+    let ops = d.d_ops and first = d.d_ops.(0) in
+    d.frozen <-
+      { id = first.Op.tx; ops; first_index = first.Op.inv_index;
+        last_index = d.d_last; status = status_of_ops ops }
+  end;
+  d.frozen
+
 let is_t_complete info =
   match info.status with
   | Committed | Aborted -> true

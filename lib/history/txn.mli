@@ -3,8 +3,10 @@
     For each transaction [T_k] participating in a history [H], this module
     captures [H|k] in a digested form: its t-operations in program order, its
     span within [H], its completion status, and the reads/writes that matter
-    for legality checking.  Summaries are computed once by {!History.info}
-    and shared by all checkers. *)
+    for legality checking.  Every summary is built by a {!draft}: a
+    history builds all of its own at once on first use ({!History.info}),
+    an incremental search context feeds one per transaction as events
+    arrive. *)
 
 type status =
   | Committed       (** [H|k] ends with [C_k] *)
@@ -20,6 +22,19 @@ type t = {
   last_index : int;       (** position in the history of the last event *)
   status : status;
 }
+
+type draft
+(** A summary whose events are still arriving; mutable, one owner. *)
+
+val draft : int -> Event.t -> draft
+(** [draft i ev]: the transaction's first event, at history position [i]. *)
+
+val add : draft -> int -> Event.t -> unit
+(** The next event, at position [i], admitted by [History.wf_rule] after
+    the last one.  O(1) amortised. *)
+
+val freeze : draft -> t
+(** The summary so far, cached until the next {!add}. *)
 
 val is_t_complete : t -> bool
 (** [H|k] ends with [C_k] or [A_k]. *)

@@ -14,6 +14,15 @@ let dependent a b =
       && (Tm_stm.Trace.is_write a1.kind || Tm_stm.Trace.is_write a2.kind)
   | _, _ -> false
 
+(* A transition's footprint: its announced access, then the notes its
+   slice made ({!Sched.note}), in order. *)
+let footprint annot notes =
+  match annot with
+  | Sched.Access _ -> annot :: notes
+  | Sched.Start | Sched.Pause -> notes
+
+let conflicting fp fp' = List.exists (fun a -> List.exists (dependent a) fp') fp
+
 let is_write_annot = function
   | Sched.Access { kind; _ } -> Tm_stm.Trace.is_write kind
   | Sched.Start | Sched.Pause -> false
@@ -42,7 +51,7 @@ exception Abandon of [ `Sleep_blocked | `Steps ]
    at [step], chosen among [enabled] (queue order, parked fibers already
    filtered out).  Returns [Some result] when every fiber finished, [None]
    when the script abandoned the execution with {!Abandon} [`Steps]. *)
-let execute_schedule ~make ~script =
+let execute_schedule ?on_note ~make ~script () =
   let fibers, extract = make () in
   let parked : (int, unit) Hashtbl.t = Hashtbl.create 8 in
   let prev = ref None in
@@ -93,7 +102,7 @@ let execute_schedule ~make ~script =
     in
     find 0
   in
-  match Sched.run_info ~choose fibers with
+  match Sched.run_info ?on_note ~choose fibers with
   | () -> Some (extract ())
   | exception Abandon `Steps -> None
 
@@ -148,7 +157,7 @@ let run_naive ?(max_runs = 10_000) ?(max_steps = default_max_steps) ~make
             in
             enabled.(i).Sched.id
           in
-          (match execute_schedule ~make ~script with
+          (match execute_schedule ~make ~script () with
           | Some result ->
               incr runs;
               on_result result;
@@ -194,6 +203,12 @@ let run_naive ?(max_runs = 10_000) ?(max_steps = default_max_steps) ~make
    runnable fiber's next transition is known without executing it, which
    is what makes the sleep-set independence checks exact.
 
+   A transition's footprint is its access plus the notes its slice makes
+   ({!Sched.note}), known only once it has run: its clock, races and child
+   sleep set are settled at the next choice (or the end).  A sleeping
+   transition keeps the footprint it was explored with; only independent
+   steps run while it sleeps, so it is the same transition.
+
    State is re-executed, not checkpointed: to branch, the retained stack of
    frames is replayed from the start (the program is deterministic, which
    replay asserts by comparing enabled sets). *)
@@ -207,7 +222,9 @@ type frame = {
   mutable f_clock : int array;  (* vector clock of that transition *)
   mutable f_backtrack : Iset.t;  (* fiber ids that must also be tried *)
   mutable f_done : Iset.t;  (* fiber ids already tried (or slept over) *)
-  mutable f_sleep : (int * Sched.annot) list;  (* sleeping on entry *)
+  mutable f_notes : Sched.annot list;  (* its slice's notes *)
+  mutable f_sleep : (int * Sched.annot list) list;
+      (* sleeping on entry, each with its footprint *)
 }
 
 (* Per-location access memory for one execution: the last write and the
@@ -262,11 +279,108 @@ let run ?(max_runs = 10_000) ?(max_steps = default_max_steps) ~make
      default policy (first enabled fiber not asleep), updating clocks and
      backtrack sets as every transition is appended. *)
   let execute_once () =
-    let n_fibers = ref 0 in
+    (* Every fiber is enabled, with its [Start], at the first choice: that
+       sizes the clock matrix. *)
     let vcs = ref [||] in
     let locs : (int, loc_state) Hashtbl.t = Hashtbl.create 64 in
     let sleep_now = ref [] in
+    (* The transition chosen last, still running or awaiting [settle]. *)
+    let running = ref None in
+    let notes = ref [] in
+    let on_note ~loc kind = notes := Sched.Access { loc; kind } :: !notes in
+    (* Clocks, races and the child sleep set of transition [s], once its
+       slice has run and its footprint is known. *)
+    let settle () =
+      match !running with
+      | None -> ()
+      | Some (s, (frame : frame)) ->
+          running := None;
+          frame.f_notes <- List.rev !notes;
+          notes := [];
+          let p = frame.f_chosen and cp = !vcs.(frame.f_chosen) in
+          let fp = footprint frame.f_annot frame.f_notes in
+          let state loc =
+            match Hashtbl.find_opt locs loc with
+            | Some st -> st
+            | None ->
+                let st = { l_write = None; l_reads = [] } in
+                Hashtbl.add locs loc st;
+                st
+          in
+          (* Per access, the most recent dependent transitions: the clock
+             joins them all, and those not already ordered before [p]'s
+             clock as it was before this transition race with it. *)
+          let clock = Array.copy cp and races = ref [] in
+          List.iter
+            (function
+              | Sched.Access { loc; kind } ->
+                  let st = state loc in
+                  let w = Option.to_list st.l_write in
+                  let dep =
+                    if Tm_stm.Trace.is_write kind then w @ st.l_reads else w
+                  in
+                  List.iter
+                    (fun ((_, f, c) as t) ->
+                      Array.iteri (fun i v -> clock.(i) <- max clock.(i) v) c;
+                      if f <> p && not (vc_leq_at c cp f) then
+                        races := t :: !races)
+                    dep
+              | Sched.Start | Sched.Pause -> ())
+            fp;
+          clock.(p) <- clock.(p) + 1;
+          (* Backtrack (Flanagan–Godefroid): for each race at state [i],
+             request [p] there if enabled, otherwise a fiber whose explored
+             transition happens-before this one (it stands proxy for [p]),
+             otherwise conservatively everything enabled. *)
+          List.iter
+            (fun (i, _, _) ->
+              let fi = !frames.(i) in
+              let en = enabled_ids fi.f_enabled in
+              let considered = Iset.union fi.f_backtrack fi.f_done in
+              let add q =
+                if not (Iset.mem q considered) then
+                  fi.f_backtrack <- Iset.add q fi.f_backtrack
+              in
+              if List.mem p en then add p
+              else begin
+                let rec proxy j =
+                  if j >= s then None
+                  else
+                    let fj = !frames.(j) in
+                    if
+                      List.mem fj.f_chosen en
+                      && vc_leq_at fj.f_clock clock fj.f_chosen
+                    then Some fj.f_chosen
+                    else proxy (j + 1)
+                in
+                match proxy (i + 1) with
+                | Some q -> add q
+                | None -> List.iter add en
+              end)
+            !races;
+          List.iter
+            (function
+              | Sched.Access { loc; kind } ->
+                  let st = state loc in
+                  if Tm_stm.Trace.is_write kind then begin
+                    st.l_write <- Some (s, p, clock);
+                    st.l_reads <- []
+                  end
+                  else st.l_reads <- (s, p, clock) :: st.l_reads
+              | Sched.Start | Sched.Pause -> ())
+            fp;
+          !vcs.(p) <- clock;
+          frame.f_clock <- clock;
+          (* The child state's sleep set: survivors independent of it. *)
+          sleep_now :=
+            List.filter (fun (_, fp') -> not (conflicting fp' fp)) frame.f_sleep
+    in
     let script s (enabled : Sched.fiber_info array) =
+      settle ();
+      if s = 0 then begin
+        let n = Array.length enabled in
+        vcs := Array.init n (fun _ -> Array.make n 0)
+      end;
       if s >= max_steps then raise (Abandon `Steps);
       let frame =
         if s < !n_frames then begin
@@ -303,6 +417,7 @@ let run ?(max_runs = 10_000) ?(max_steps = default_max_steps) ~make
               f_clock = [||];
               f_backtrack = Iset.empty;
               f_done = Iset.singleton chosen;
+              f_notes = [];
               f_sleep = !sleep_now;
             }
           in
@@ -310,116 +425,13 @@ let run ?(max_runs = 10_000) ?(max_steps = default_max_steps) ~make
           f
         end
       in
-      let p = frame.f_chosen in
-      let annot = annot_of enabled p in
-      frame.f_annot <- annot;
-      (* Grow the clock matrix on first sight of a fiber id. *)
-      if p >= !n_fibers then begin
-        let n = p + 1 in
-        let grown =
-          Array.init n (fun i ->
-              if i >= !n_fibers then Array.make n 0
-              else begin
-                let c = !vcs.(i) in
-                if Array.length c >= n then c
-                else begin
-                  let c' = Array.make n 0 in
-                  Array.blit c 0 c' 0 (Array.length c);
-                  c'
-                end
-              end)
-        in
-        vcs := grown;
-        n_fibers := n
-      end;
-      let cp = !vcs.(p) in
-      let clock =
-        match annot with
-        | Sched.Start | Sched.Pause ->
-            (* Local-only transition: no dependencies. *)
-            let c = Array.copy cp in
-            c.(p) <- c.(p) + 1;
-            c
-        | Sched.Access { loc; kind } ->
-            let st =
-              match Hashtbl.find_opt locs loc with
-              | Some st -> st
-              | None ->
-                  let st = { l_write = None; l_reads = [] } in
-                  Hashtbl.add locs loc st;
-                  st
-            in
-            (* Transitions racing with this one: the most recent dependent
-               accesses not already ordered before [p]'s current clock
-               (checked before the join below makes them ordered). *)
-            let candidates =
-              let w = match st.l_write with Some c -> [ c ] | None -> [] in
-              if Tm_stm.Trace.is_write kind then w @ st.l_reads else w
-            in
-            let races =
-              List.filter
-                (fun (_, f, c) -> f <> p && not (vc_leq_at c cp f))
-                candidates
-            in
-            let clock =
-              let c = Array.copy cp in
-              let join o =
-                Array.iteri (fun i v -> c.(i) <- max c.(i) v) o
-              in
-              (match st.l_write with
-              | Some (_, _, wc) -> join wc
-              | None -> ());
-              if Tm_stm.Trace.is_write kind then
-                List.iter (fun (_, _, rc) -> join rc) st.l_reads;
-              c.(p) <- c.(p) + 1;
-              c
-            in
-            (* Backtrack (Flanagan–Godefroid): for each race at state [i],
-               request [p] there if enabled, otherwise a fiber whose
-               explored transition happens-before this one (it stands
-               proxy for [p]), otherwise conservatively everything
-               enabled. *)
-            List.iter
-              (fun (i, _, _) ->
-                let fi = !frames.(i) in
-                let en = enabled_ids fi.f_enabled in
-                let considered = Iset.union fi.f_backtrack fi.f_done in
-                let add q =
-                  if not (Iset.mem q considered) then
-                    fi.f_backtrack <- Iset.add q fi.f_backtrack
-                in
-                if List.mem p en then add p
-                else begin
-                  let rec proxy j =
-                    if j >= s then None
-                    else
-                      let fj = !frames.(j) in
-                      if
-                        List.mem fj.f_chosen en
-                        && vc_leq_at fj.f_clock clock fj.f_chosen
-                      then Some fj.f_chosen
-                      else proxy (j + 1)
-                  in
-                  match proxy (i + 1) with
-                  | Some q -> add q
-                  | None -> List.iter add en
-                end)
-              races;
-            if Tm_stm.Trace.is_write kind then begin
-              st.l_write <- Some (s, p, clock);
-              st.l_reads <- []
-            end
-            else st.l_reads <- (s, p, clock) :: st.l_reads;
-            clock
-      in
-      !vcs.(p) <- clock;
-      frame.f_clock <- clock;
-      (* The child state's sleep set: survivors independent of [annot]. *)
-      sleep_now :=
-        List.filter (fun (_, a) -> not (dependent a annot)) frame.f_sleep;
-      p
+      frame.f_annot <- annot_of enabled frame.f_chosen;
+      running := Some (s, frame);
+      frame.f_chosen
     in
-    execute_schedule ~make ~script
+    let result = execute_schedule ~on_note ~make ~script () in
+    settle ();
+    result
   in
   let rec explore () =
     if !runs >= max_runs then cut := true
@@ -450,7 +462,8 @@ let run ?(max_runs = 10_000) ?(max_steps = default_max_steps) ~make
           in
           match pick () with
           | Some q ->
-              f.f_sleep <- (f.f_chosen, f.f_annot) :: f.f_sleep;
+              f.f_sleep <-
+                (f.f_chosen, footprint f.f_annot f.f_notes) :: f.f_sleep;
               f.f_chosen <- q;
               f.f_annot <- annot_of f.f_enabled q;
               true
@@ -481,7 +494,8 @@ let run_algo = function `Dpor -> run | `Naive -> run_naive
 let explore_stm_results ?(algo = `Dpor) ?max_runs ?max_steps ?max_retries
     ?retry ?faults ?trace ~stm ~params ~seed ~on_result () =
   let make () =
-    Runner.setup ?max_retries ?retry ?faults ?trace ~stm ~params ~seed ()
+    Runner.setup ?max_retries ?retry ?faults ?trace ~notes:(algo = `Dpor) ~stm
+      ~params ~seed ()
   in
   let outcome = run_algo algo ?max_runs ?max_steps ~make ~on_result () in
   (* Abandoned executions never reach the extractor, which is what

@@ -11,6 +11,10 @@
       persistent sets with sleep sets and vector clocks): one execution
       per Mazurkiewicz trace, up to orders of magnitude fewer runs on
       workloads whose transactions touch disjoint or read-shared data.
+      A transition's footprint is its memory access plus the
+      pseudo-location notes its slice makes ({!Sched.note}); {!Runner}
+      notes the history event orders du-opacity reads, so two schedules
+      that order such events differently are never merged as one trace.
     - {!run_naive} — branch-everywhere DFS, every schedule exactly once.
       The ground truth DPOR is differentially tested against, and the
       baseline its reduction factor is measured from.

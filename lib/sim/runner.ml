@@ -4,8 +4,11 @@ type result = {
   trace : Tm_stm.Trace.t option;
 }
 
+let deferred_update_loc = -1
+let real_time_loc = -2
+
 let setup ?max_retries ?retry ?(faults = Tm_stm.Faults.none)
-    ?(trace = false) ~stm ~params ~seed () =
+    ?(trace = false) ?(notes = false) ~stm ~params ~seed () =
   let retry =
     match retry, max_retries with
     | Some r, _ -> r
@@ -39,7 +42,31 @@ let setup ?max_retries ?retry ?(faults = Tm_stm.Faults.none)
     done
   in
   let log = ref [] in
-  let emit ev = log := ev :: !log in
+  (* du-opacity reads two event orders that memory need not fix: a read's
+     response against a tryC invocation (Definition 3's deferred-update
+     filter) and a commit/abort response against a first invocation (real
+     time).  Events note their side on a pseudo-location (negative: no
+     memory cell's), so an explorer reorders exactly such pairs. *)
+  let started = Hashtbl.create 16 in
+  let note ev =
+    let open Tm_stm.Trace in
+    match ev with
+    | Event.Inv (k, inv) ->
+        if not (Hashtbl.mem started k) then begin
+          Hashtbl.replace started k ();
+          Sched.note ~loc:real_time_loc Read
+        end;
+        if Event.equal_invocation inv Event.Try_commit then
+          Sched.note ~loc:deferred_update_loc Write
+    | Event.Res (_, Event.Read_ok _) -> Sched.note ~loc:deferred_update_loc Read
+    | Event.Res (_, (Event.Committed | Event.Aborted)) ->
+        Sched.note ~loc:real_time_loc Write
+    | Event.Res (_, Event.Write_ok) -> ()
+  in
+  let emit ev =
+    if notes then note ev;
+    log := ev :: !log
+  in
   (* With a recorder installed, mirror transaction-attempt boundaries into
      the trace so analyzers can attribute each access to the attempt that
      performed it: [Began] at the attempt's first invocation (the accesses

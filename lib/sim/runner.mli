@@ -22,6 +22,7 @@ val setup :
   ?retry:Tm_stm.Faults.retry ->
   ?faults:Tm_stm.Faults.spec ->
   ?trace:bool ->
+  ?notes:bool ->
   stm:string ->
   params:Tm_stm.Workload.params ->
   seed:int ->
@@ -33,8 +34,10 @@ val setup :
     [Faults.retry_fixed], default 50 attempts); [faults] defaults to
     {!Tm_stm.Faults.none}.  [trace] (default false) installs a
     {!Tm_stm.Trace} recorder for the run: every shared-memory access and
-    transaction-attempt boundary lands in [result.trace].  Recording adds
-    no scheduling points, so the schedule is identical either way. *)
+    transaction-attempt boundary lands in [result.trace].  [notes]
+    (default false) makes every recorded event note the history orders
+    du-opacity reads ({!Sched.note}), for the DPOR explorer.  Neither adds
+    a scheduling point, so the schedule is identical either way. *)
 
 val run :
   ?max_retries:int ->

@@ -13,8 +13,15 @@ let yield_annot a =
 let yield () = yield_annot Pause
 let yield_access ~loc kind = yield_annot (Access { loc; kind })
 
+type _ Effect.t += Note : int * Tm_stm.Trace.kind -> unit Effect.t
+
+let note ~loc kind =
+  try Effect.perform (Note (loc, kind)) with Effect.Unhandled _ -> ()
+
 (* The fiber whose slice is currently executing; [-1] outside [run].
    Everything is single-domain, so a plain ref suffices. *)
+(* lint: allow domain-safety — the simulator's scheduler and every fiber it
+   runs share one domain; no other domain reads or writes this cell *)
 let current_id = ref (-1)
 let current_fiber () = if !current_id < 0 then None else Some !current_id
 
@@ -55,7 +62,7 @@ module Dynarray = struct
     q.arr.(q.len) <- None
 end
 
-let run_info ~choose fibers =
+let run_info ?(on_note = fun ~loc:_ _ -> ()) ~choose fibers =
   (* Runnable fibers: id, pending annotation (what the fiber will do when
      resumed), and the thunk advancing it one slice. *)
   let runnable : (fiber_info * (unit -> unit)) Dynarray.t =
@@ -75,6 +82,11 @@ let run_info ~choose fibers =
                   let id = !current_id in
                   enqueue { id; annot } (fun () ->
                       Effect.Deep.continue k ()))
+          | Note (loc, kind) ->
+              Some
+                (fun (k : (a, unit) Effect.Deep.continuation) ->
+                  on_note ~loc kind;
+                  Effect.Deep.continue k ())
           | _ -> None);
     }
   in

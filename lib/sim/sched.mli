@@ -32,6 +32,10 @@ val yield_access : loc:int -> Tm_stm.Trace.kind -> unit
 
 val yield_annot : annot -> unit
 
+val note : loc:int -> Tm_stm.Trace.kind -> unit
+(** The running slice also accesses this pseudo-location (an event order
+    its observers tell apart, see {!Runner}).  Not a scheduling point. *)
+
 val current_fiber : unit -> int option
 (** The fiber whose slice is currently executing (its index in the list
     passed to {!run}), or [None] outside a scheduler. *)
@@ -46,10 +50,15 @@ val run : choose:(int -> int) -> (unit -> unit) list -> unit
     the [n] currently runnable fibers advances.  Runs until every fiber has
     returned. *)
 
-val run_info : choose:(fiber_info array -> int) -> (unit -> unit) list -> unit
+val run_info :
+  ?on_note:(loc:int -> Tm_stm.Trace.kind -> unit) ->
+  choose:(fiber_info array -> int) ->
+  (unit -> unit) list ->
+  unit
 (** Like {!run}, but the chooser sees each runnable fiber's identity and
     pending annotation (in the same queue order {!run} indexes).  The
-    return value is still an {e index} into the array. *)
+    return value is still an {e index} into the array.  [on_note] hears
+    each {!note} of the running slice as it is made (default: ignored). *)
 
 val run_seeded : seed:int -> (unit -> unit) list -> unit
 (** [run] with a uniformly random chooser. *)

@@ -171,6 +171,40 @@ let test_verdict_agreement =
       r.Analysis.Verify.r_match <> Some false
       && r.Analysis.Verify.r_verdicts.unknown = 0)
 
+(* eager at the property's parameters, on the seeds where DPOR once ran 2
+   schedules and called itself exhaustive: its [commit] touches no memory,
+   so only the recorded history tells a tryC invocation and another
+   transaction's read response apart in time.  DPOR must find the same
+   verdict classes as the naive enumeration, violations included. *)
+let test_eager_history_orders () =
+  List.iter
+    (fun seed ->
+      let cfg =
+        {
+          Analysis.Verify.stms = [];
+          params = { sparse_params with txns_per_thread = 1 };
+          seed;
+          max_runs = 50_000;
+          naive_max_runs = 5_000;
+          max_retries = 4;
+          max_nodes = 200_000;
+        }
+      in
+      let r = Analysis.Verify.run_stm cfg "eager" in
+      (match r.r_naive with
+      | Some n ->
+          Alcotest.(check bool)
+            (Fmt.str "seed %d: naive exhaustive" seed) true n.exhaustive
+      | None -> Alcotest.fail "baseline requested");
+      Alcotest.(check bool)
+        (Fmt.str "seed %d: dpor exhaustive" seed) true r.r_dpor.exhaustive;
+      Alcotest.(check (option bool))
+        (Fmt.str "seed %d: verdict sets equal" seed) (Some true) r.r_match;
+      Alcotest.(check bool)
+        (Fmt.str "seed %d: violations found" seed) true
+        (r.r_verdicts.unsat > 0))
+    [ 38; 83; 138; 251; 377; 393 ]
+
 (* --- Race analyzer: positive and negative fixtures ------------------------ *)
 
 let races_of ?(seed = 5) stm =
@@ -492,6 +526,8 @@ let suite =
         slow "global-lock: verdict sets equal, clean" test_verify_global_lock_equal;
         slow "eager contended: violations + races found" test_verify_eager_contended;
         test_verdict_agreement;
+        test "eager: DPOR sees the history orders du-opacity reads"
+          test_eager_history_orders;
       ] );
     ( "analysis: races",
       [

@@ -194,84 +194,39 @@ let test_prefix () =
   Alcotest.(check bool) "full prefix is same" true
     (History.equivalent h (History.prefix h (History.length h)))
 
-let test_extend () =
-  let h0 = History.empty in
-  let h1 =
-    match History.extend h0 (Inv (1, Read 0)) with
-    | Ok h -> h
-    | Error e -> Alcotest.failf "extend: %a" History.pp_error e
+(* A builder is the one appender: its snapshots keep their events as it
+   grows past them, a rejected event leaves it unchanged, and it goes on
+   from there. *)
+let test_builder () =
+  let b = History.Builder.create () in
+  let add ev =
+    match History.Builder.add b ev with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "add: %a" History.pp_error e
   in
-  let h2 =
-    match History.extend h1 (Res (1, Read_ok 0)) with
-    | Ok h -> h
-    | Error e -> Alcotest.failf "extend: %a" History.pp_error e
-  in
-  Alcotest.(check int) "length" 2 (History.length h2);
-  (* Extending the same snapshot twice must not corrupt the first result. *)
-  let h2' =
-    match History.extend h1 (Res (1, Read_ok 42)) with
-    | Ok h -> h
-    | Error e -> Alcotest.failf "extend: %a" History.pp_error e
-  in
-  Alcotest.(check event) "first branch intact" (Res (1, Read_ok 0))
-    (History.get h2 1);
-  Alcotest.(check event) "second branch intact" (Res (1, Read_ok 42))
-    (History.get h2' 1);
-  match History.extend h2 (Inv (1, Read 0)) with
-  | Ok h3 -> Alcotest.(check int) "extended again" 3 (History.length h3)
-  | Error e -> Alcotest.failf "extend: %a" History.pp_error e
-
-(* Histories share their event buffer, and sessions on different domains
-   extend histories that share one — a fresh empty history, or a common
-   prefix.  Two domains, released together by a barrier each trial, extend
-   the same history by 16 events of their own transaction; each result
-   must hold exactly its own events, with no exception.  Half the trials
-   start from a fresh empty history, half from one event with spare
-   capacity behind it, where both domains reach for the same free slot. *)
-let test_extend_across_domains () =
-  let trials = 2_000 in
-  let own k =
-    List.init 16 (fun i ->
-        if i mod 2 = 0 then Inv (k, Write (0, (100 * k) + i))
-        else Res (k, Write_ok))
-  in
-  let base t =
-    let h = History.of_events_exn [] in
-    if t mod 2 = 0 then h
-    else
-      match History.extend h (Inv (3, Read 0)) with
-      | Ok h -> h
-      | Error e -> Alcotest.failf "extend: %a" History.pp_error e
-  in
-  let bases = Array.init trials base in
-  let arrived = Atomic.make 0 in
-  let run k () =
-    let corrupt = ref 0 in
-    for t = 0 to trials - 1 do
-      Atomic.incr arrived;
-      while Atomic.get arrived < 2 * (t + 1) do Domain.cpu_relax () done;
-      let b = bases.(t) in
-      let want = History.to_list b @ own k in
-      match
-        List.fold_left
-          (fun h ev ->
-            match History.extend h ev with Ok h -> h | Error _ -> raise Exit)
-          b (own k)
-      with
-      | h -> if not (List.equal Event.equal want (History.to_list h)) then incr corrupt
-      | exception (Exit | Invalid_argument _) -> incr corrupt
-    done;
-    !corrupt
-  in
-  let other = Domain.spawn (run 2) in
-  let mine = run 1 () in
-  let theirs = Domain.join other in
-  Alcotest.(check (pair int int)) "corrupt histories per domain" (0, 0)
-    (mine, theirs)
-
-let test_extend_rejects () =
-  match History.extend History.empty (Res (1, Read_ok 0)) with
-  | Ok _ -> Alcotest.fail "expected rejection"
+  add (Inv (1, Read 0));
+  add (Res (1, Read_ok 0));
+  let h2 = History.Builder.history b in
+  (match History.Builder.add b (Res (1, Read_ok 42)) with
+  | Ok () -> Alcotest.fail "expected rejection"
+  | Error e ->
+      Alcotest.(check int) "rejected at the end" 2 e.History.index);
+  Alcotest.(check int) "rejection adds nothing" 2 (History.Builder.length b);
+  (* past the first buffer's capacity, so the builder grows into a new one *)
+  List.iter add
+    (List.concat
+       (List.init 8 (fun i -> [ Inv (1, Write (0, i + 1)); Res (1, Write_ok) ])));
+  let h = History.Builder.history b in
+  Alcotest.(check int) "length" 18 (History.length h);
+  Alcotest.(check (list event)) "old snapshot intact"
+    [ Inv (1, Read 0); Res (1, Read_ok 0) ]
+    (History.to_list h2);
+  Alcotest.(check bool) "old snapshot is a prefix" true
+    (History.is_prefix h2 ~of_:h);
+  Alcotest.(check (list event)) "builder and snapshot agree"
+    (History.Builder.to_list b) (History.to_list h);
+  match History.Builder.add (History.Builder.create ()) (Res (1, Read_ok 0)) with
+  | Ok () -> Alcotest.fail "expected rejection"
   | Error _ -> ()
 
 let test_project () =
@@ -359,11 +314,6 @@ let mutate rng events =
       a.(i) <- (match a.(i) with Inv (_, inv) -> Inv (k, inv) | Res (_, r) -> Res (k, r));
       Array.to_list a
 
-let fold_extend events =
-  List.fold_left
-    (fun acc ev -> Result.bind acc (fun h -> History.extend h ev))
-    (Ok History.empty) events
-
 let fold_builder events =
   let b = History.Builder.create () in
   List.fold_left
@@ -371,26 +321,31 @@ let fold_builder events =
     (Ok ()) events
   |> Result.map (fun () -> History.Builder.history b)
 
-(* Batch validation, a builder fold and an extend fold give one verdict on
-   every mutated history, down to the error; on accepted ones the lazily
-   built summaries equal the ones [extend] kept up to date. *)
+(* Batch validation and a builder fold give one verdict on every mutated
+   history, down to the error.  On accepted ones, the builder's snapshot
+   summarises like the batch history, and a search context synced event
+   by event, which builds its own summaries, agrees with both. *)
 let test_validators_agree () =
   let rng = Random.State.make [| 24 |] in
   let accepted = ref 0 in
   for seed = 1 to 2_000 do
     let params = { Gen.default with n_txns = 2 + (seed mod 9); pending_ratio = 0.2 } in
     let events = mutate rng (History.to_list (Gen.run_seed params seed)) in
-    let verdict = Result.map (fun _ -> ()) in
-    let batch = History.of_events events
-    and built = fold_builder events
-    and extended = fold_extend events in
-    if verdict batch <> verdict extended || verdict built <> verdict extended then
-      Alcotest.failf "seed %d: the validators disagree" seed;
-    match batch, built, extended with
-    | Ok h, Ok hb, Ok he ->
+    let batch = History.of_events events and built = fold_builder events in
+    (match batch, built with
+    | Ok _, Ok _ -> ()
+    | Error e, Error e' when e = e' -> ()
+    | _ -> Alcotest.failf "seed %d: the validators disagree" seed);
+    match batch, built with
+    | Ok h, Ok hb ->
         incr accepted;
-        if History.txns h <> History.txns he || History.infos h <> History.infos he
-           || History.infos hb <> History.infos he
+        let ctx = Search.ictx Search.du in
+        List.iteri
+          (fun i _ -> Search.sync ctx (History.prefix hb (i + 1)))
+          events;
+        let synced = List.map (Search.txn ctx) (History.txns h) in
+        if History.txns h <> History.txns hb || History.infos h <> History.infos hb
+           || synced <> History.infos h
         then Alcotest.failf "seed %d: the summaries differ" seed
     | _ -> ()
   done;
@@ -437,15 +392,14 @@ let suite =
         test "real-time order" test_real_time;
         test "live sets" test_live_sets;
         test "prefix" test_prefix;
-        test "extend" test_extend;
-        test "extend from two domains at once" test_extend_across_domains;
-        test "extend rejects ill-formed" test_extend_rejects;
+        test "builder" test_builder;
         test "project" test_project;
         test "equivalence" test_equivalent;
         test "sequential predicates" test_sequential_predicates;
         test "response indices" test_response_indices;
         test "of_events_prefix salvages torn logs" test_of_events_prefix;
-        test "batch, builder and extend validate alike" test_validators_agree;
+        test "batch and builder validate and summarise alike"
+          test_validators_agree;
         test "lazy summary from two domains at once"
           test_lazy_summary_across_domains;
       ] );

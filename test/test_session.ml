@@ -170,7 +170,8 @@ let test_persist_roundtrip () =
 (* --- escalation transparency on ill-formed streams ------------------------ *)
 
 let test_ill_formed_parity () =
-  (* A response with no pending invocation is rejected by History.extend;
+  (* A response with no pending invocation is rejected by the monitor's
+     History.Builder;
      the monitor turns that into a sticky violation and so, via
      escalation, must the session monitor — at the same index. *)
   let events =
@@ -262,6 +263,68 @@ let test_open_short_sessions () =
       done)
     [ 1; 2; 3; 4; 5 ]
 
+(* --- two domains at once ----------------------------------------------- *)
+
+(* Sessions on different domains share no state: each owns its builder,
+   graph and (after escalation) monitor.  Two domains run the same streams
+   at once, in opposite orders, and every stream's outcome, violation index
+   and capsule must equal its run alone.  The streams mix the soak sources
+   with TL2 and eager recordings whose written values repeat within a
+   handful, so that some sessions escalate to a monitor replay and some of
+   those find a violation. *)
+let test_two_domains () =
+  let repeated stm seed =
+    let params =
+      { Stm.Workload.default with n_threads = 3; txns_per_thread = 20;
+        ops_per_txn = 3; n_vars = 3; values = `Range 3 }
+    in
+    (Sim.Runner.run ~stm ~params ~seed ()).Sim.Runner.history
+  in
+  let streams =
+    Array.init 120 (fun i ->
+        let seed = 1 + i in
+        History.to_list
+          (match i mod 4 with
+          | 0 -> repeated "tl2" seed
+          | 1 -> repeated "eager" seed
+          | _ -> Oracle.produce (List.nth soak_sources (i mod 6)) ~seed))
+  in
+  let session events =
+    let s = Session_monitor.create ~max_nodes () in
+    ignore (Session_monitor.push_all s events);
+    let st = Session_monitor.certify s in
+    (st, Session_monitor.violation_index s, Session_monitor.persist s,
+     Session_monitor.escalated s)
+  in
+  let monitor events =
+    let m = Monitor.create ~max_nodes () in
+    let st = Monitor.push_all m events in
+    (st, Monitor.violation_index m, Monitor.persist m)
+  in
+  let alone_s = Array.map session streams and alone_m = Array.map monitor streams in
+  let count p = Array.fold_left (fun n r -> if p r then n + 1 else n) 0 alone_s in
+  Alcotest.(check bool) "some sessions escalate" true
+    (count (fun (_, _, _, escalated) -> escalated) > 0);
+  Alcotest.(check bool) "some escalated sessions find a violation" true
+    (count (function `Violation _, _, _, true -> true | _ -> false) > 0);
+  let n = Array.length streams in
+  let run order () =
+    let wrong = ref [] in
+    for j = 0 to n - 1 do
+      let i = order j in
+      if session streams.(i) <> alone_s.(i) then wrong := (i, "session") :: !wrong;
+      if monitor streams.(i) <> alone_m.(i) then wrong := (i, "monitor") :: !wrong
+    done;
+    !wrong
+  in
+  let other = Domain.spawn (run (fun j -> n - 1 - j)) in
+  let mine = run Fun.id () in
+  let theirs = Domain.join other in
+  match mine @ theirs with
+  | [] -> ()
+  | (i, what) :: _ ->
+      Alcotest.failf "stream %d: the %s differs from its run alone" i what
+
 let suite =
   [
     ( "session monitor",
@@ -280,5 +343,7 @@ let suite =
           test_per_frame_certify;
         test "80 open-short sessions certify at every frame"
           test_open_short_sessions;
+        test "sessions and monitors on two domains match their runs alone"
+          test_two_domains;
       ] );
   ]
