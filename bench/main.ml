@@ -288,27 +288,46 @@ type monitor_row = {
   row_full_s : float;
 }
 
+(* A row's time is the median of [monitor_runs] runs in process CPU time.
+   The counters come from a deterministic replay, so runs that disagree on
+   them are a bug, not noise: the section fails. *)
+let monitor_runs = 5
+
 let run_monitor ~stm h =
   let events = History.to_list h in
-  let t0 = Stm.Clock.now () in
-  let m = Monitor.create () in
-  ignore (Monitor.push_all m events);
-  let inc_s = Stm.Clock.now () -. t0 in
-  {
-    row_stm = stm;
-    row_events = List.length events;
-    row_responses = Monitor.responses_seen m;
-    row_hits = Monitor.fastpath_hits m;
-    row_searches = Monitor.searches_run m;
-    row_nodes = Monitor.nodes_total m;
-    row_inc_s = inc_s;
-    row_full_s = 0.;
-  }
+  let once () =
+    let t0 = Sys.time () in
+    let m = Monitor.create () in
+    ignore (Monitor.push_all m events);
+    let seconds = Sys.time () -. t0 in
+    {
+      row_stm = stm;
+      row_events = List.length events;
+      row_responses = Monitor.responses_seen m;
+      row_hits = Monitor.fastpath_hits m;
+      row_searches = Monitor.searches_run m;
+      row_nodes = Monitor.nodes_total m;
+      row_inc_s = seconds;
+      row_full_s = 0.;
+    }
+  in
+  let runs = List.init monitor_runs (fun _ -> once ()) in
+  let first = List.hd runs in
+  let counters r = (r.row_hits, r.row_searches, r.row_nodes) in
+  if List.exists (fun r -> counters r <> counters first) runs then begin
+    Fmt.epr
+      "bench monitor: %s stream of %d events: fastpath_hits/searches/nodes \
+       differ between runs@."
+      stm first.row_events;
+    exit 1
+  end;
+  let times = List.sort compare (List.map (fun r -> r.row_inc_s) runs) in
+  { first with row_inc_s = List.nth times (monitor_runs / 2) }
 
 let measure_monitor_stream ~stm ~txns ~seed =
   let h = stm_history ~stm ~txns ~seed in
   let row = run_monitor ~stm h in
-  let t0 = Stm.Clock.now () in
+  let t0 = Sys.time () in
   let hint = ref None in
   List.iter
     (fun i ->
@@ -316,7 +335,7 @@ let measure_monitor_stream ~stm ~txns ~seed =
       | Verdict.Sat s -> hint := Some s.Serialization.order
       | Verdict.Unsat _ | Verdict.Unknown _ -> ())
     (History.response_indices h);
-  { row with row_full_s = Stm.Clock.now () -. t0 }
+  { row with row_full_s = Sys.time () -. t0 }
 
 let monitor_rows () =
   (* >= 2000 events per stream (3 threads x 84 txns x 4 boundaries x 2). *)
@@ -370,8 +389,10 @@ let monitor_json rows repeated =
       r.row_searches r.row_nodes
   in
   Fmt.pr
-    {|{"benchmark": "monitor", "unit": "events_per_s", "streams": [@.%s@.],
+    {|{"benchmark": "monitor", "unit": "events_per_s",
+ "timing": "median of %d runs, process CPU time", "streams": [@.%s@.],
  "repeated_values": [@.%s@.]}@.|}
+    monitor_runs
     (String.concat ",\n" (List.map row_json rows))
     (String.concat ",\n" (List.map repeated_json repeated))
 
@@ -450,8 +471,6 @@ let opt_service_duration = ref 3.0
 let opt_service_sessions = ref 4
 let opt_service_domains = ref 4
 let opt_service_socket : string option ref = ref None
-let opt_service_open_sessions = ref 2_000
-let opt_service_burst = ref 64
 
 type service_stream = {
   ss_name : string;
@@ -616,127 +635,16 @@ let bench_service_overload () =
     ov_latencies = List.sort compare !latencies |> Array.of_list;
   }
 
-(* --- open-loop phase: Zipfian session bursts on a fixed schedule ----------- *)
-
-(* The closed-loop workers above send as fast as the server answers, so an
-   overloaded server just slows its own load down and the measured
-   latencies hide queueing.  The open-loop generator decouples arrivals
-   from completions: sessions arrive in bursts on a fixed schedule whether
-   or not the server has kept up, and each session's latency is measured
-   from its *scheduled* arrival to its final verdict — so queueing delay
-   (including coordinated omission) lands in the p50/p99 columns, exactly
-   what a saturated front-end would observe.  Concurrency is bounded by a
-   fixed connection pool (a wrk2-style compromise; unbounded in-flight
-   sessions would need a thread per session), but late sessions still
-   charge their wait against the schedule.  Streams are recorded from a
-   Zipfian workload (zipf_theta 0.9: a hot location set). *)
-
-type openloop_result = {
-  ol_sessions : int;
-  ol_events : int;
-  ol_wall : float;
-  ol_burst : int;
-  ol_mismatches : int;
-  ol_errors : int;
-  ol_lat : float array;  (* scheduled arrival -> final verdict, sorted, s *)
-}
-
-let zipf_stream ~txns ~seed =
-  let params =
-    {
-      Stm.Workload.default with
-      n_threads = 4;
-      txns_per_thread = (txns + 3) / 4;
-      ops_per_txn = 3;
-      n_vars = 16;
-      zipf_theta = 0.9;
-      (* unique written values: duplicate (var, value) writes poison the
-         session's graph into benign escalation (Corollary 2), which would
-         turn this into a benchmark of the sequential monitor *)
-      values = `Unique;
-    }
-  in
-  (Sim.Runner.run ~stm:"tl2" ~params ~seed ()).Sim.Runner.history
-
-let bench_service_openloop ~sessions ~burst =
-  let srv =
-    Service.Server.start
-      (Service.Server.config ~domains:4 ~queue_capacity:256
-         (`Tcp ("127.0.0.1", 0)))
-  in
-  let addr = Service.Server.bound_addr srv in
-  (* a pool of distinct recorded streams, dealt round-robin to arrivals *)
-  let pool =
-    Array.init 8 (fun i ->
-        service_stream
-          (Fmt.str "zipf/seed%d" (41 + i))
-          (History.to_list (zipf_stream ~txns:48 ~seed:(41 + i))))
-  in
-  let n = max 1 sessions in
-  let burst = max 1 burst in
-  (* bursts spaced so the whole campaign's arrivals span ~2 s of schedule,
-     independent of the session count — more sessions = denser bursts *)
-  let nbursts = (n + burst - 1) / burst in
-  let gap = 2.0 /. float_of_int (max 1 nbursts) in
-  let t0 = Stm.Clock.now () in
-  let arrival i = t0 +. (gap *. float_of_int (i / burst)) in
-  let next = Atomic.make 0 in
-  let mismatches = Atomic.make 0 in
-  let errors = Atomic.make 0 in
-  let events = Atomic.make 0 in
-  let lat_mutex = Mutex.create () in
-  let latencies = ref [] in
-  let worker _ =
-    let c = Service.Client.connect addr in
-    let rec go () =
-      let i = Atomic.fetch_and_add next 1 in
-      if i < n then begin
-        let due = arrival i in
-        let now = Stm.Clock.now () in
-        if now < due then Thread.delay (due -. now);
-        let s = pool.(i mod Array.length pool) in
-        (try
-           Service.Client.open_session c (i + 1);
-           Service.Client.send_events c (i + 1) s.ss_events;
-           let v = Service.Client.close_session c (i + 1) in
-           if v.Service.Protocol.status <> s.ss_expected then
-             Atomic.incr mismatches;
-           ignore (Atomic.fetch_and_add events s.ss_len);
-           let lat = Stm.Clock.now () -. due in
-           Mutex.lock lat_mutex;
-           latencies := lat :: !latencies;
-           Mutex.unlock lat_mutex
-         with _ -> Atomic.incr errors);
-        go ()
-      end
-    in
-    go ();
-    try Service.Client.close c with _ -> ()
-  in
-  let threads = List.init 16 (fun i -> Thread.create worker i) in
-  List.iter Thread.join threads;
-  let wall = Stm.Clock.now () -. t0 in
-  Service.Server.stop srv;
-  {
-    ol_sessions = n;
-    ol_events = Atomic.get events;
-    ol_wall = wall;
-    ol_burst = burst;
-    ol_mismatches = Atomic.get mismatches;
-    ol_errors = Atomic.get errors;
-    ol_lat = List.sort compare !latencies |> Array.of_list;
-  }
-
 (* --- recovery phase: crash, restart, resume -------------------------------- *)
 
 (* How long a client is actually locked out when the server process dies:
    from the moment the replacement starts until Resume answers with the
-   durably-applied index — i.e. session registry lookup + snapshot-load +
-   journal-tail replay for the sizes below. *)
+   durably-applied index — i.e. session registry lookup + journal replay
+   for the sizes below. *)
 
 type recovery_result = {
   rc_events : int;
-  rc_tail : int;  (* journalled events past the last snapshot *)
+  rc_replayed : int;  (* journalled events replayed on resume *)
   rc_recovery_ms : float;
   rc_parity : bool;  (* resumed session finished with the offline verdict *)
 }
@@ -757,12 +665,11 @@ let bench_service_recovery () =
     | _ -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
     | exception Unix.Unix_error _ -> ()
   in
-  (* [snapshot = true]: checkpoint before the crash, so recovery is a
-     snapshot-load.  [snapshot = false]: never checkpoint, so recovery
-     replays the whole journalled prefix event by event — the worst
-     case.  Either way the resumed client re-sends from the acked index
-     and the final verdict is checked against the offline monitor. *)
-  let one ~txns ~seed ~snapshot =
+  (* Checkpoint before the crash, so the whole stream is journalled and
+     recovery replays all of it; the resumed client re-sends from the
+     acked index and the final verdict is checked against the offline
+     monitor. *)
+  let one ~txns ~seed =
     rm_rf scratch;
     Unix.mkdir scratch 0o755;
     let events = History.to_list (tl2_history ~txns ~seed) in
@@ -785,11 +692,7 @@ let bench_service_recovery () =
     let c = Service.Client.connect addr in
     Service.Client.open_session c 1;
     Service.Client.send_events_at c 1 ~from:0 events;
-    if snapshot then ignore (Service.Client.checkpoint c 1)
-    else
-      (* no checkpoint: give the worker a moment to drain (and journal)
-         the stream; whatever is still queued is legitimately lost *)
-      Thread.delay 0.3;
+    ignore (Service.Client.checkpoint c 1);
     Service.Server.crash srv;
     (try Unix.close (Service.Client.fd c) with Unix.Unix_error _ -> ());
     let t0 = Stm.Clock.now () in
@@ -815,21 +718,18 @@ let bench_service_recovery () =
     rm_rf scratch;
     {
       rc_events = n;
-      rc_tail = (if snapshot then 0 else applied);
+      rc_replayed = applied;
       rc_recovery_ms = recovery_ms;
       rc_parity = parity;
     }
   in
   (* Evaluate in this order deliberately: OCaml list literals evaluate
      right-to-left, so bind each round explicitly. *)
-  let r1 = one ~txns:120 ~seed:31 ~snapshot:true in
-  let r2 = one ~txns:120 ~seed:31 ~snapshot:false in
-  let r3 = one ~txns:480 ~seed:32 ~snapshot:true in
-  let r4 = one ~txns:480 ~seed:32 ~snapshot:false in
-  [ r1; r2; r3; r4 ]
+  let r1 = one ~txns:120 ~seed:31 in
+  let r2 = one ~txns:480 ~seed:32 in
+  [ r1; r2 ]
 
-let service_json ~endpoint ~wall ~sessions workers stats ~overload ~openloop
-    ~recovery =
+let service_json ~endpoint ~wall ~sessions workers stats ~overload ~recovery =
   let events = List.fold_left (fun a w -> a + w.sw_events) 0 workers in
   let replays = List.fold_left (fun a w -> a + w.sw_replays) 0 workers in
   let mismatches =
@@ -862,19 +762,7 @@ let service_json ~endpoint ~wall ~sessions workers stats ~overload ~openloop
   let recovery_json r =
     Fmt.str
       {|   {"events": %d, "journal_replay_events": %d, "recovery_ms": %.3f, "verdict_parity": %b}|}
-      r.rc_events r.rc_tail r.rc_recovery_ms r.rc_parity
-  in
-  let openloop_json o =
-    Fmt.str
-      {|{"sessions": %d, "burst": %d, "events": %d,
-   "duration_s": %.3f, "events_per_s": %.1f,
-   "session_latency_ms": {"p50": %.3f, "p99": %.3f, "samples": %d},
-   "verdict_mismatches": %d, "errors": %d}|}
-      o.ol_sessions o.ol_burst o.ol_events o.ol_wall
-      (if o.ol_wall <= 0. then 0. else float_of_int o.ol_events /. o.ol_wall)
-      (percentile o.ol_lat 50. *. 1e3)
-      (percentile o.ol_lat 99. *. 1e3)
-      (Array.length o.ol_lat) o.ol_mismatches o.ol_errors
+      r.rc_events r.rc_replayed r.rc_recovery_ms r.rc_parity
   in
   Fmt.pr
     {|{"benchmark": "service", "unit": "events_per_s",
@@ -886,7 +774,6 @@ let service_json ~endpoint ~wall ~sessions workers stats ~overload ~openloop
 %s
  ],
  "overload": %s,
- "open_loop": %s,
  "recovery": [
 %s
  ]}@.|}
@@ -897,7 +784,6 @@ let service_json ~endpoint ~wall ~sessions workers stats ~overload ~openloop
     (Array.length lat) mismatches
     (String.concat ",\n" (List.map domain_json stats))
     (overload_json overload)
-    (openloop_json openloop)
     (String.concat ",\n" (List.map recovery_json recovery))
 
 let bench_service () =
@@ -951,14 +837,9 @@ let bench_service () =
       | None -> ())
     workers;
   let overload = bench_service_overload () in
-  let openloop =
-    bench_service_openloop ~sessions:!opt_service_open_sessions
-      ~burst:!opt_service_burst
-  in
   let recovery = bench_service_recovery () in
   if !json_mode then
-    service_json ~endpoint ~wall ~sessions workers stats ~overload ~openloop
-      ~recovery
+    service_json ~endpoint ~wall ~sessions workers stats ~overload ~recovery
   else begin
     section_header
       (Fmt.str
@@ -1015,23 +896,12 @@ let bench_service () =
       overload.ov_sheds overload.ov_mismatches
       (percentile overload.ov_latencies 50. *. 1e3)
       (percentile overload.ov_latencies 99. *. 1e3);
-    Fmt.pr
-      "  open-loop (%d zipfian sessions, bursts of %d): %d \
-       events in %.2fs = %.0f events/s; session latency p50 %.3fms p99 \
-       %.3fms; %d mismatches, %d errors@."
-      openloop.ol_sessions openloop.ol_burst
-      openloop.ol_events openloop.ol_wall
-      (if openloop.ol_wall <= 0. then 0.
-       else float_of_int openloop.ol_events /. openloop.ol_wall)
-      (percentile openloop.ol_lat 50. *. 1e3)
-      (percentile openloop.ol_lat 99. *. 1e3)
-      openloop.ol_mismatches openloop.ol_errors;
     Fmt.pr "  crash recovery (restart + resume round-trip):@.";
     List.iter
       (fun r ->
         Fmt.pr
           "    %6d events (%6d replayed from journal): %7.3fms  %s@."
-          r.rc_events r.rc_tail r.rc_recovery_ms
+          r.rc_events r.rc_replayed r.rc_recovery_ms
           (if r.rc_parity then "verdict parity" else "PARITY LOST"))
       recovery
   end
@@ -1078,14 +948,30 @@ let bench_verify () =
     (label, cfg, wall, results)
   in
   let campaigns = [ campaign "sparse" sparse; campaign "contended" contended ] in
+  (* A DPOR run cut at its budget explored only part of the schedule
+     space: its [ok] holds for the schedules it saw, not for the STM. *)
+  let cut =
+    List.concat_map
+      (fun (label, _, _, results) ->
+        List.filter_map
+          (fun (r : V.stm_result) ->
+            if r.V.r_dpor.Sim.Explore.exhaustive then None
+            else Some (label ^ "/" ^ r.V.r_stm))
+          results)
+      campaigns
+  in
   if !json_mode then
-    Fmt.pr {|{"bench": "verify", "campaigns": [%s]}@.|}
+    Fmt.pr {|{"bench": "verify", "dpor_cut": [%s], "campaigns": [%s]}@.|}
+      (String.concat ", " (List.map (Fmt.str "%S") cut))
       (String.concat ", "
          (List.map
             (fun (label, cfg, wall, results) ->
               Fmt.str {|{"label": %S, "report": %s}|} label
                 (V.to_json cfg ~wall results))
-            campaigns));
+            campaigns))
+  else
+    Fmt.pr "@.DPOR cut at its run budget (not exhaustive): %s@."
+      (if cut = [] then "none" else String.concat ", " cut);
   (* Any result that is not ok — a backend disagreement, a DPOR/naive
      mismatch, a safe STM's violation or race — fails the section. *)
   let failed =
@@ -1339,12 +1225,6 @@ let () =
     | "--domains" :: rest ->
         parse (opt_value "--domains" int_of_string
                  (fun v -> opt_service_domains := v) rest)
-    | "--open-sessions" :: rest ->
-        parse (opt_value "--open-sessions" int_of_string
-                 (fun v -> opt_service_open_sessions := v) rest)
-    | "--burst" :: rest ->
-        parse (opt_value "--burst" int_of_string
-                 (fun v -> opt_service_burst := v) rest)
     | "--socket" :: rest ->
         parse (opt_value "--socket" (fun s -> s)
                  (fun v -> opt_service_socket := Some v) rest)

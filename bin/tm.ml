@@ -801,9 +801,9 @@ let serve_cmd =
   in
   let journal_arg =
     let doc =
-      "Make sessions durable: journal every applied event (and checkpoint \
-       monitor snapshots) under $(docv), so sessions survive disconnects \
-       and server restarts and can be resumed."
+      "Make sessions durable: journal every applied event under $(docv), \
+       one file per session, so sessions survive disconnects and server \
+       restarts and can be resumed by replaying their journal."
     in
     Arg.(
       value & opt (some string) None

@@ -123,9 +123,10 @@ val status : t -> outcome
     deterministic, so the certificate, the incremental search context, and
     every future verdict come out exactly as if the stream had never been
     interrupted — and then adopts the recorded counters, so fast-path hit
-    rates are checkpoint-transparent too.  The streaming service's durable
-    sessions serialize these capsules to disk (see [Tm_service.Journal])
-    and recover crashed sessions by snapshot-load + journal-replay. *)
+    rates are checkpoint-transparent too.  Capsules live in memory only:
+    the streaming service's durable sessions keep just their event journal
+    (see [Tm_service.Journal]) and recover a crashed session by replaying
+    it. *)
 
 type persisted = {
   p_max_nodes : int option;

@@ -89,8 +89,8 @@ val snapshot : t -> Monitor.snapshot
 
 val persist : t -> Monitor.persisted
 (** Certifies, then captures a {!Monitor.persisted} capsule: the two
-    monitors share the checkpoint format, so journals and snapshots do
-    not depend on which one wrote them. *)
+    monitors share the in-memory checkpoint format, so a capsule restores
+    into either whichever one wrote it. *)
 
 val of_persisted : Monitor.persisted -> (t, string) result
 (** Rebuild from a capsule: replay the recorded events and certify.  A

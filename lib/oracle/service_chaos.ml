@@ -178,7 +178,7 @@ let run_round cfg ~seed =
   (* The killer waits until the server has durably applied some real work,
      then crashes it (dropping everything queued but not journalled) and
      starts a fresh server on the same journal directory and address —
-     the client must resume through snapshot-load + journal-replay. *)
+     the client must resume through a journal replay. *)
   let killer =
     if not kill_round then None
     else

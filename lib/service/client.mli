@@ -83,7 +83,7 @@ val checkpoint : t -> int -> Protocol.verdict
 
 val close_session : t -> int -> Protocol.verdict
 (** Final verdict; the server forgets the session (a durable session's
-    files are deleted — closing means done). *)
+    journal is deleted — closing means done). *)
 
 val ping : t -> unit
 (** [Heartbeat] round-trip — keeps an idle connection inside the server's

@@ -85,16 +85,17 @@ str     := len:uv byte*
 
     A server started with a journal directory makes sessions {e durable}:
     every applied event is appended to a per-session journal before it
-    reaches the monitor, and checkpoints additionally persist a
-    serialized monitor snapshot, so a session survives both its
-    connection and the server process.  On a durable server the session
-    identifier namespace is {e global} (shared by every connection), not
-    per-connection.
+    reaches the monitor, and a checkpoint [fsync]s that journal, so a
+    session survives both its connection and the server process.  The
+    journal is the session's only durable state.  On a durable server the
+    session identifier namespace is {e global} (shared by every
+    connection), not per-connection.
 
     [Resume session from] attaches the connection to durable session
     [session]: to a live orphaned session (its previous connection died)
-    in memory, or — after a server crash — to one rebuilt from
-    snapshot-load + journal-replay.  The server answers [Resumed] with
+    in memory, or — after a server crash — to one rebuilt by replaying its
+    journal (a session journalled in the earlier snapshotting format is
+    refused with an [Error] frame).  The server answers [Resumed] with
     [applied], the number of events it has {e durably applied}; the
     client re-sends everything from that index.  Re-sending is idempotent
     through [Events_at]: a frame whose [from] lies at or before [applied]

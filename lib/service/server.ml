@@ -17,11 +17,8 @@ type config = {
   log : string -> unit;
 }
 
-(* The backoff hint carried in [Throttle] frames, and how many journalled
-   events a durable session takes between automatic checkpoints (this
-   bounds crash-recovery replay). *)
+(* The backoff hint carried in [Throttle] frames. *)
 let retry_after_ms = 50
-let snapshot_every = 50_000
 
 let config ?(domains = 4) ?max_nodes ?(queue_capacity = 64)
     ?journal_dir
@@ -217,11 +214,11 @@ let retire ?(delete = false) srv d s =
     Atomic.incr d.closed
   end
 
-let snapshot_quiet srv s j =
-  try Journal.snapshot j (Session.persist s.monitor)
+let fsync_quiet srv s j =
+  try Journal.fsync j
   with Unix.Unix_error (e, _, _) ->
     srv.cfg.log
-      (Fmt.str "session %d: snapshot failed (%s)" s.client_sid
+      (Fmt.str "session %d: journal fsync failed (%s)" s.client_sid
          (Unix.error_message e))
 
 (* The batch that flips a session's sticky verdict journals the verdict
@@ -339,13 +336,7 @@ let worker srv i () =
                     (fun ev -> ignore (Session.push s.monitor ev))
                     events;
                   certify_record srv s ~was_ok;
-                  account d s;
-                  match s.journal with
-                  | Some j
-                    when Journal.since_snapshot j >= snapshot_every
-                    ->
-                      snapshot_quiet srv s j
-                  | _ -> ()
+                  account d s
                 end
               end
           | _, Ok _ -> assert false (* [events_header] admitted it *));
@@ -353,8 +344,11 @@ let worker srv i () =
       | W_checkpoint (s, token) ->
           account d s;
           ignore (Session.certify s.monitor);
+          (* a durable session's sticky verdict is already journalled (it
+             certifies every batch), so a checkpoint only makes the
+             journal durable *)
           (match s.journal with
-          | Some j -> snapshot_quiet srv s j
+          | Some j -> fsync_quiet srv s j
           | None -> ());
           send_frame s.sconn (verdict_frame s ~token);
           loop ()

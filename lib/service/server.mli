@@ -17,12 +17,12 @@
       the regular work queues — a dead client never wedges a domain.
 
     {2 Durable sessions} ([journal_dir]): every applied event is journalled
-    ({!Journal}) before it reaches the monitor, checkpoints persist monitor
-    snapshots, and the session-id namespace becomes global.  A session then
+    ({!Journal}) before it reaches the monitor, checkpoints [fsync] the
+    journal, and the session-id namespace becomes global.  A session then
     survives its connection (orphaned, resumable via [Resume] until
     [session_timeout] expires it) and the server process itself: a new
-    server on the same directory rebuilds the session from snapshot-load +
-    journal-replay, verdict-identical to an uninterrupted run.  [Resume]
+    server on the same directory rebuilds the session by replaying its
+    journal, verdict-identical to an uninterrupted run.  [Resume]
     answers with the durably-applied index; [Events_at] re-sends are
     deduplicated in the session's worker domain — the only writer of its
     applied counter — so duplicated or re-sent frames never double-apply,
@@ -80,8 +80,7 @@ val config :
     fsync, {!Protocol.default_session_timeout}, 1024 connections, 8192
     sessions, [hwm = queue_capacity / 2], sampling after 4 and shedding
     after 16 consecutive throttles, silent log.  [Throttle] frames always
-    carry a 50 ms retry hint, and a durable session checkpoints itself
-    every 50,000 journalled events. *)
+    carry a 50 ms retry hint. *)
 
 type t
 

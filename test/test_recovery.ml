@@ -1,5 +1,5 @@
 (* Fault tolerance of the [tm serve] service: durable session journals,
-   crash recovery by snapshot-load + journal-replay, client resume with
+   crash recovery by journal replay, client resume with
    idempotent re-send, the overload degradation ladder, heartbeats and
    session expiry — and, at the end, a small network-chaos campaign
    through the fault-injecting proxy.
@@ -87,20 +87,19 @@ let test_journal_roundtrip () =
       let j = Journal.create ~dir ~session:7 () in
       ignore (Session_monitor.push_all m a);
       ignore (Journal.append j a);
-      (* checkpoint mid-stream, then keep appending past the snapshot *)
+      (* checkpoint mid-stream, then keep appending past it *)
       Journal.snapshot j (Session_monitor.persist m);
       ignore (Session_monitor.push_all m b);
       ignore (Journal.append j b);
       (* recovery certifies the rebuilt stream; so does the original *)
       ignore (Session_monitor.certify m);
       Alcotest.(check int) "applied counts everything" n (Journal.applied j);
-      Alcotest.(check int) "post-snapshot tail" (List.length b)
-        (Journal.since_snapshot j);
       Journal.close j;
       Alcotest.(check bool) "exists on disk" true
         (Journal.exists ~dir ~session:7);
-      Alcotest.(check (list int)) "listed on disk" [ 7 ]
-        (Journal.sessions_on_disk ~dir);
+      Alcotest.(check (list string)) "the journal is the only file"
+        [ "s7.journal" ]
+        (Array.to_list (Sys.readdir dir));
       match Journal.recover ~dir ~session:7 () with
       | Error why -> Alcotest.failf "recover: %s" why
       | Ok (m', applied, j') ->
@@ -109,9 +108,9 @@ let test_journal_roundtrip () =
             (Session_monitor.events_seen m');
           let s = Session_monitor.snapshot m
           and s' = Session_monitor.snapshot m' in
-          Alcotest.(check int) "responses survive the capsule"
+          Alcotest.(check int) "replay reproduces responses"
             s.Monitor.responses s'.Monitor.responses;
-          Alcotest.(check int) "fast-path hits survive the capsule"
+          Alcotest.(check int) "replay reproduces fast-path hits"
             s.Monitor.fastpath_hits s'.Monitor.fastpath_hits;
           Journal.close j')
 
@@ -195,12 +194,12 @@ let test_kill_and_recover_verdict_parity () =
     Figures.catalog
 
 let test_concurrent_resume_keeps_capsules_apart () =
-  (* Two sessions resumed at once on a two-domain server restore, replay
-     and extend their histories in parallel.  Each session's capsule must
-     hold its own stream and nothing of the other's: a history buffer
-     shared across sessions without a synchronized claim once let one
-     session write the other's events into its capsule, which a later
-     recovery then rejected or misjudged. *)
+  (* Two sessions resumed at once on a two-domain server replay and extend
+     their histories in parallel.  Each session's journal must hold its own
+     stream and nothing of the other's: a history buffer shared across
+     sessions without a synchronized claim once let one session write the
+     other's events into its checkpoint, which a later recovery then
+     rejected or misjudged. *)
   with_durable_server (fun srv cfg addr ->
       let streams = [ (1, recording 1); (2, recording 2) ] in
       let first =
@@ -248,7 +247,7 @@ let test_concurrent_resume_keeps_capsules_apart () =
           | Ok (m, _applied, j) ->
               Journal.close j;
               Alcotest.(check (list event))
-                (Fmt.str "session %d: capsule holds its own stream" id)
+                (Fmt.str "session %d: journal holds its own stream" id)
                 (History.to_list h)
                 (History.to_list (Session_monitor.history m));
               Alcotest.check status
@@ -259,9 +258,10 @@ let test_concurrent_resume_keeps_capsules_apart () =
 
 let test_capsules_interchange () =
   (* The session monitor and the sequential monitor share the capsule
-     format, so a journal checkpointed by either recovers every figure
-     with the uninterrupted verdict: snapshot half the stream, journal
-     the rest, recover. *)
+     format, so a journal checkpointed with either one's capsule recovers
+     every figure with the uninterrupted verdict: journal half the stream,
+     checkpoint (which journals the capsule's sticky verdict), journal the
+     rest, recover by replaying the whole journal. *)
   List.iter
     (fun (writer, persist) ->
       List.iter
@@ -274,6 +274,11 @@ let test_capsules_interchange () =
               Journal.snapshot j (persist half);
               ignore (Journal.append j rest);
               Journal.close j;
+              Alcotest.(check (list string))
+                (Fmt.str "%s: %s capsule, the journal is the only file" h.name
+                   writer)
+                [ "s1.journal" ]
+                (Array.to_list (Sys.readdir dir));
               match Journal.recover ~dir ~session:1 () with
               | Error why -> Alcotest.failf "%s: recover: %s" h.name why
               | Ok (m, applied, j) ->
@@ -299,6 +304,58 @@ let test_capsules_interchange () =
           ignore (Session_monitor.push_all m evs);
           Session_monitor.persist m );
     ]
+
+let test_snapshotting_format_refused () =
+  (* The earlier format reset its journal at every checkpoint (header
+     [TMJ1], then the applied index [base] the journal began at) and kept
+     the prefix in an [s<id>.snap] capsule file.  Replaying such a journal
+     alone would judge a suffix as if it were the whole stream, so both
+     leftovers must refuse recovery outright. *)
+  let events = History.to_list Figures.fig1 in
+  let write_tmj1 dir session =
+    let b = Buffer.create 64 in
+    Buffer.add_string b "TMJ1";
+    Service.Codec.put_uvarint b 5;
+    Buffer.add_char b '\001';
+    Service.Codec.put_events b events;
+    Out_channel.with_open_bin
+      (Filename.concat dir (Fmt.str "s%d.journal" session))
+      (fun oc -> Out_channel.output_string oc (Buffer.contents b))
+  in
+  let refused what dir session =
+    match Journal.recover ~dir ~session () with
+    | Ok (_, applied, j) ->
+        Journal.close j;
+        Alcotest.failf "%s: recovered %d events instead of refusing" what
+          applied
+    | Error _ -> ()
+  in
+  with_dir (fun dir ->
+      write_tmj1 dir 1;
+      refused "TMJ1 journal with base 5" dir 1;
+      let j = Journal.create ~dir ~session:2 () in
+      ignore (Journal.append j events);
+      Journal.close j;
+      Out_channel.with_open_bin (Filename.concat dir "s2.snap") (fun oc ->
+          Out_channel.output_string oc "TMS1");
+      refused "current journal beside a stray capsule file" dir 2);
+  with_durable_server (fun _srv cfg addr ->
+      let dir = Option.get cfg.Server.journal_dir in
+      (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+      write_tmj1 dir 3;
+      let c = connect addr in
+      (match Client.resume c 3 ~from:0 with
+      | Ok (applied, _, _) ->
+          Alcotest.failf "resumed a TMJ1 session at %d events" applied
+      | Error (Protocol.Server_error, _) -> ()
+      | Error (code, msg) ->
+          Alcotest.failf "expected a server-error frame, got %a: %s"
+            Protocol.pp_error_code code msg);
+      (* the refusal costs nothing else: the connection keeps serving *)
+      let v = Client.submit ~session:4 c Figures.fig1 in
+      Alcotest.check status "served after the refusal"
+        (offline_status Figures.fig1) v.Protocol.status;
+      Client.close c)
 
 let test_verdict_survives_budget_change () =
   (* The sticky-verdict record, end to end: Finding 3's counterexample
@@ -328,10 +385,10 @@ let test_verdict_survives_budget_change () =
           Client.open_session c 1;
           Client.send_events_at c 1 ~from:0 events;
           (* Wait for the worker to journal and push the batch — via stats,
-             NOT a checkpoint: a checkpoint snapshots the monitor capsule
-             (sticky status included), which would mask the bug.  The
-             monitor stops counting at the violating prefix, so wait on
-             that index rather than the stream length. *)
+             not a checkpoint, so the only verdict on disk is the record the
+             flipping batch journalled itself.  The monitor stops counting
+             at the violating prefix, so wait on that index rather than the
+             stream length. *)
           let seen () =
             List.fold_left
               (fun acc d -> acc + d.Protocol.events)
@@ -600,6 +657,8 @@ let suite =
           test_concurrent_resume_keeps_capsules_apart;
         test "capsules from either monitor recover every figure"
           test_capsules_interchange;
+        test "a journal in the snapshotting format is refused"
+          test_snapshotting_format_refused;
         test "kill at violation: verdict survives a budget change"
           test_verdict_survives_budget_change;
         test "orphaned session reattaches" test_orphan_reattach;
