@@ -74,6 +74,12 @@ val recover :
     certified before returning, the caller's [Resumed] status is never a
     provisional [`Ok] over an uncertified suffix.
 
+    The replay runs under the restarting server's [max_nodes], not the
+    pre-crash budget (no budget is journalled).  Only a verdict that
+    flipped away from [`Ok] is journalled, so a session certified [`Ok]
+    before the crash comes back [`Budget] if the new budget is too small
+    for its searches.
+
     [Error _] on an unreadable or headerless journal, and on the previous
     format: a [TMJ1] journal or a leftover [s<id>.snap] capsule file, whose
     prefix may live only in the capsule, is refused rather than replayed

@@ -94,8 +94,9 @@ str     := len:uv byte*
     [Resume session from] attaches the connection to durable session
     [session]: to a live orphaned session (its previous connection died)
     in memory, or — after a server crash — to one rebuilt by replaying its
-    journal (a session journalled in the earlier snapshotting format is
-    refused with an [Error] frame).  The server answers [Resumed] with
+    journal under the restarted server's node budget (a session journalled
+    in the earlier snapshotting format is refused with an [Error] frame,
+    and its files are kept).  The server answers [Resumed] with
     [applied], the number of events it has {e durably applied}; the
     client re-sends everything from that index.  Re-sending is idempotent
     through [Events_at]: a frame whose [from] lies at or before [applied]

@@ -250,6 +250,13 @@ let certify_record srv s ~was_ok =
         record_verdict_quiet srv s j
   | None -> ()
 
+let refused_frame s msg =
+  Protocol.Err
+    {
+      code = Protocol.Server_error;
+      message = Fmt.str "session %d recovery failed: %s" s.client_sid msg;
+    }
+
 let worker srv i () =
   let mailbox = srv.mailboxes.(i) in
   let d = srv.dstats.(i) in
@@ -281,6 +288,13 @@ let worker srv i () =
                              s.client_sid;
                        }))
           | None -> ());
+          loop ()
+      | ( W_events (s, _, _) | W_checkpoint (s, _) | W_close s | W_attach s )
+        when s.retired ->
+          (* Only a refused recovery leaves a retired session reachable
+             from its connection: keep refusing it rather than apply to, or
+             answer for, an empty monitor. *)
+          send_frame s.sconn (refused_frame s "refused at recovery");
           loop ()
       | W_events (s, from, body) ->
           (match (from, Protocol.decode body) with
@@ -395,15 +409,12 @@ let worker srv i () =
                   srv.cfg.log
                     (Fmt.str "session %d: recovery failed: %s" s.client_sid
                        msg);
+                  (* Refused, not deleted: retiring without [~delete]
+                     unregisters the session, so no expiry or close can
+                     remove the files it was refused to protect. *)
                   s.dmode <- Protocol.M_shed;
-                  send_frame s.sconn
-                    (Protocol.Err
-                       {
-                         code = Protocol.Server_error;
-                         message =
-                           Fmt.str "session %d recovery failed: %s"
-                             s.client_sid msg;
-                       })));
+                  retire srv d s;
+                  send_frame s.sconn (refused_frame s msg)));
           loop ()
   in
   loop ()

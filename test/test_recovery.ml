@@ -339,23 +339,45 @@ let test_snapshotting_format_refused () =
       Out_channel.with_open_bin (Filename.concat dir "s2.snap") (fun oc ->
           Out_channel.output_string oc "TMS1");
       refused "current journal beside a stray capsule file" dir 2);
-  with_durable_server (fun _srv cfg addr ->
+  with_durable_server ~session_timeout:0.2 (fun _srv cfg addr ->
       let dir = Option.get cfg.Server.journal_dir in
       (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
       write_tmj1 dir 3;
+      let journal = Filename.concat dir "s3.journal" in
+      let resume_refused what c =
+        match Client.resume c 3 ~from:0 with
+        | Ok (applied, _, _) ->
+            Alcotest.failf "%s: resumed a TMJ1 session at %d events" what
+              applied
+        | Error (Protocol.Server_error, _) -> ()
+        | Error (code, msg) ->
+            Alcotest.failf "%s: expected a server-error frame, got %a: %s"
+              what Protocol.pp_error_code code msg
+      in
       let c = connect addr in
-      (match Client.resume c 3 ~from:0 with
-      | Ok (applied, _, _) ->
-          Alcotest.failf "resumed a TMJ1 session at %d events" applied
-      | Error (Protocol.Server_error, _) -> ()
-      | Error (code, msg) ->
-          Alcotest.failf "expected a server-error frame, got %a: %s"
-            Protocol.pp_error_code code msg);
+      resume_refused "first resume" c;
+      resume_refused "second resume on the same connection" c;
       (* the refusal costs nothing else: the connection keeps serving *)
       let v = Client.submit ~session:4 c Figures.fig1 in
       Alcotest.check status "served after the refusal"
         (offline_status Figures.fig1) v.Protocol.status;
-      Client.close c)
+      Client.close c;
+      (* an orphaned refusal never expires into a deletion (sweeper tick is
+         session_timeout / 4; give it several timeouts) *)
+      Thread.delay 1.0;
+      Alcotest.(check bool) "journal kept past the session timeout" true
+        (Sys.file_exists journal);
+      let c2 = connect addr in
+      resume_refused "resume on a new connection" c2;
+      (match Client.close_session c2 3 with
+      | v ->
+          Alcotest.failf "closing a refused session gave a %a verdict"
+            Protocol.pp_status v.Protocol.status
+      | exception Client.Server_error _ -> ());
+      Alcotest.(check bool) "journal kept after a close" true
+        (Sys.file_exists journal);
+      resume_refused "resume after the close" c2;
+      Client.close c2)
 
 let test_verdict_survives_budget_change () =
   (* The sticky-verdict record, end to end: Finding 3's counterexample
