@@ -1062,10 +1062,11 @@ let bench_check () =
          | "du" -> "du-opacity"
          | "last-use" -> "last-use-opacity"
          | _ -> "du- and last-use-opacity"));
-  (* Each size is recorded twice from one seed: with unique written values,
-     which the graph decides, and with values drawn from 0-99, whose
-     repeats leave reads-from open (Corollary 2), so the graph answers
-     [Ambiguous] and the search decides. *)
+  (* Each size is recorded twice from one seed: with unique written values
+     and with values drawn from 0-99.  The graph decides both: a repeated
+     value's reads are bound to their deferred-update source, and only a
+     contradiction after a heuristic choice would leave a history to the
+     search. *)
   (* The searches keep a cap, to bound the step's time; the graph backend
      runs at every size. *)
   let search_cap = 120_000 in
@@ -1131,8 +1132,7 @@ let bench_check () =
        !opt_check_sizes);
   let rows = List.rev !rows in
   (* Speedups at every recording where the graph and a capped checker both
-     ran (decoding is not one); on repeated values the graph only answers
-     Ambiguous. *)
+     ran (decoding is not one). *)
   let speedups =
     List.filter_map
       (fun (n, b, s, _) ->
@@ -1177,9 +1177,8 @@ let bench_check () =
       speedups;
     Fmt.pr
       "  => expected shape: graph linear (repair pass and replay) through 1M \
-       events on unique values, Ambiguous on repeated ones, where the \
-       search decides; the searches are capped at %d events to bound the \
-       run.@."
+       events and Sat on both unique and repeated values, faster than the \
+       search; the searches are capped at %d events to bound the run.@."
       search_cap
   end
 

@@ -9,23 +9,40 @@
      gets edges only from the current *frontier* of maximal t-complete
      transactions (a t-complete transaction covered by a later one is
      dropped from the frontier, its ordering implied transitively);
-   - reads-from edges (writer before reader), determined because written
-     (variable, value) pairs are unique across transactions — any
-     duplicate, and any later write that would retract an existing
-     attribution, *poisons* the state into Ambiguous instead;
-   - anti-dependency edges: for a read attributed to writer [w], every
-     other committed writer of the variable must sit outside the open
-     interval (w, reader) of the serialization.  These are not materialised
+   - reads-from edges (local source before reader).  Definition 3(3)
+     judges a read in its local serialization, which keeps only the
+     transactions that invoked tryC before the read's response, so the
+     read's source is one of the writers of its (variable, value) pair
+     that had invoked tryC by then — or T0 for the initial value.  That
+     candidate set is fixed at the response.  With one writer per pair
+     the single writer is bound directly; otherwise a candidate W is
+     pruned when a committed writer of the variable follows W and
+     precedes the reader in real time (it sits between them in every
+     serialization and is retained).  One survivor is a forced binding;
+     several are bound by [tie_key], a heuristic recorded in [taint];
+   - anti-dependency edges: for a read bound to [w], every committed
+     writer of a *different* value must sit outside the open interval
+     (w, reader) of the serialization.  These are not materialised
      pairwise (that is quadratic in hot variables); instead the maintained
      topological order is scanned at verdict time — a per-variable sorted
      array of committed-writer positions makes the "is anything inside the
      interval" test a binary search — and only actual offenders get an
      edge, forced when one direction would close a cycle, by tryC order
-     otherwise (a heuristic, recorded in [tainted]: contradictions reached
-     after a heuristic choice answer Ambiguous, never Unsat).  The
-     repaired order is then replayed against Definition 3's value
-     clauses and, if the replay passes, is the certificate: the verdict
-     has no other way to a [Sat].
+     otherwise (a heuristic, recorded in [taint]: contradictions reached
+     after a heuristic choice answer Ambiguous, never Unsat).  An offender
+     the read's local serialization does not retain may stay inside when
+     a committed same-value writer follows it there (Finding 3): the
+     global source and the local one differ.  While such a stand-in can
+     still commit, that constraint is never forced.  The repaired order
+     is then replayed against Definition 3's value clauses and, if the
+     replay passes, is the certificate: the verdict has no other way to a
+     [Sat].
+
+   A forced constraint stays forced under extension, with one exception
+   the state watches for: a non-retained offender was forced out because
+   no other writer of the read's pair could commit.  Such a slot is
+   marked [relied]; a writer of it that later invokes tryC could be a
+   stand-in, and taints the state.
 
    Acyclicity under edge insertion is maintained with the Pearce–Kelly
    dynamic topological order, which lives in {!Topo}: an edge already
@@ -35,13 +52,18 @@
    amortised array growth.  {!Topo} does not deduplicate: only a
    reads-from edge can repeat one already present (a reader reads several
    variables from one writer, or from its real-time predecessor), so
-   [do_read] alone asks [Topo.mem_edge] first.
+   [bind] asks [Topo.mem_edge] first; stand-in edges are added only
+   where no path exists yet.
 
    No per-event step hashes a tuple.  Transactions and variables are
    interned through [Int]-keyed tables; each written or read (variable,
    value) pair has one mutable [slot] found through its variable's
    value table; a node's deferred writes are a short (variable, value)
-   list; per-variable state is a vector indexed by the dense variable id. *)
+   list; per-variable state is a vector indexed by the dense variable id.
+   The real-time prune needs, per variable, the committed writers in
+   completion order; that log is folded lazily out of the frontier vector
+   whenever a read has two candidates, so a history with one writer per
+   pair never builds it. *)
 
 type result =
   | Sat of Serialization.t
@@ -60,29 +82,35 @@ module Pvec = Topo.Pvec
 module Itbl = Hashtbl.Make (Int)
 
 module Inc = struct
+  (* Everything known about one written or read (variable, value) pair,
+     so a write or a read costs one lookup. *)
+  type slot = {
+    mutable final : int;  (* latest node whose final write it is; -1 *)
+    mutable others : int list;
+        (* the pair's other writers, not aborted when displaced; empty
+           while the pair has one writer *)
+    mutable relied : bool;
+        (* a forced repair assumed no other writer of the pair can commit *)
+  }
+
   (* A value-returning external read, as recorded at its response.
-     [rd_writer] is the attributed writer node, or -1 for a read of the
-     initial value.  Attributions are never rebound — a write that would
-     change one poisons the whole state. *)
+     [rd_writer] is the bound local source, or -1 for T0 (the initial
+     value).  Bindings are never revised: the candidates are fixed at the
+     response. *)
   type reader = {
     rd_node : int;
     rd_var : int;
     rd_value : int;
     rd_res : int;  (* stream index of the read's response *)
     rd_writer : int;
+    rd_slot : slot;  (* the pair's writers: stand-ins for the source *)
   }
 
   let dummy_reader =
-    { rd_node = -1; rd_var = -1; rd_value = 0; rd_res = -1; rd_writer = -1 }
-
-  (* Everything known about one written or read (variable, value) pair,
-     so a write or a read costs one lookup. *)
-  type slot = {
-    mutable seen : int;  (* node owning the value among all writes; -1 *)
-    mutable final : int;  (* node whose current final write it is; -1 *)
-    mutable readers : (int * int) list;
-        (* (reader node, attributed writer | -1 init | -2 none) *)
-  }
+    {
+      rd_node = -1; rd_var = -1; rd_value = 0; rd_res = -1; rd_writer = -1;
+      rd_slot = { final = -1; others = []; relied = false };
+    }
 
   type t = {
     (* interning *)
@@ -98,7 +126,8 @@ module Inc = struct
     completion : int Pvec.t;  (* index of C_k/A_k; -1 while not t-complete *)
     tryc_inv : int Pvec.t;  (* index of the tryC invocation; -1 *)
     aborted : int Pvec.t;  (* 0/1 *)
-    must_commit : int Pvec.t;  (* 0/1: forced commit decision *)
+    must_commit : int Pvec.t;
+        (* 0 free / 1 forced to commit / 2 committed by a heuristic choice *)
     pend_kind : int Pvec.t;  (* 0 none / 1 read / 2 write / 3 tryC / 4 tryA *)
     pend_var : int Pvec.t;
     pend_val : int Pvec.t;
@@ -110,17 +139,30 @@ module Inc = struct
     var_cache : ((int * int) array * int) Pvec.t;
         (* sorted (ord, node) committed-writer positions, epoch at build;
            rebuilt lazily *)
-    reads : reader Pvec.t;  (* attributed + initial-value reads, in order *)
-    (* frontier of maximal t-complete transactions (queue over a vector) *)
+    clog_end : int Pvec.t Pvec.t;
+        (* committed writers' completion indices, ascending *)
+    clog_start : int Pvec.t Pvec.t;  (* running max of their first events *)
+    mutable clog_upto : int;  (* frontier entries folded into the logs *)
+    reads : reader Pvec.t;  (* bound external reads, in order *)
+    (* frontier of maximal t-complete transactions (queue over a vector;
+       the vector keeps every t-complete node in completion order) *)
     frontier : int Pvec.t;
     mutable f_lo : int;
     mutable epoch : int;  (* bumped at each resolution pass *)
+    watch : unit Itbl.t;
+        (* writers of [relied] slots that had not invoked tryC *)
     (* stream state *)
     mutable idx : int;
     mutable poison : (int * string) option;  (* stream index it fired at *)
     mutable violation : (int * string) option;
     mutable cycle : int list option;  (* first counterexample cycle (nodes) *)
     mutable taint : bool;
+    mutable same_value_choice : bool;
+        (* some heuristic choice was among writers of one repeated value *)
+    mutable repeated : bool;  (* some pair has had two live writers *)
+    mutable closed : bool;
+        (* in the last replayed order, every committed writer between a
+           read's local source and the read writes the read's value *)
     mutable repairs : int;
   }
 
@@ -145,15 +187,22 @@ module Inc = struct
       slots = Pvec.create (Itbl.create 1);
       writers_of_var = Pvec.create [];
       var_cache = Pvec.create stale;
+      clog_end = Pvec.create (Pvec.create 0);
+      clog_start = Pvec.create (Pvec.create 0);
+      clog_upto = 0;
       reads = Pvec.create dummy_reader;
       frontier = Pvec.create 0;
       f_lo = 0;
       epoch = 0;
+      watch = Itbl.create 1;
       idx = 0;
       poison = None;
       violation = None;
       cycle = None;
       taint = false;
+      same_value_choice = false;
+      repeated = false;
+      closed = true;
       repairs = 0;
     }
 
@@ -162,6 +211,12 @@ module Inc = struct
 
   let poison g why = if g.poison = None then g.poison <- Some (g.idx, why)
   let violate g why = if g.violation = None then g.violation <- Some (g.idx, why)
+
+  (* A heuristic choice among the writers of one (variable, value) pair:
+     later contradictions may be its fault, not the history's. *)
+  let choose_among_same_value g =
+    g.taint <- true;
+    g.same_value_choice <- true
 
   let vid g x =
     match Itbl.find_opt g.var_of_tvar x with
@@ -173,6 +228,8 @@ module Inc = struct
         Pvec.push g.slots (Itbl.create 16);
         Pvec.push g.writers_of_var [];
         Pvec.push g.var_cache stale;
+        Pvec.push g.clog_end (Pvec.create 0);
+        Pvec.push g.clog_start (Pvec.create 0);
         i
 
   let pp_var g ppf v = Event.pp_tvar ppf (Pvec.get g.tvar_of_var v)
@@ -182,7 +239,7 @@ module Inc = struct
     match Itbl.find_opt tbl v with
     | Some s -> s
     | None ->
-        let s = { seen = -1; final = -1; readers = [] } in
+        let s = { final = -1; others = []; relied = false } in
         Itbl.add tbl v s;
         s
 
@@ -199,6 +256,15 @@ module Inc = struct
 
   let cycle_msg g u v =
     Fmt.str "ordering T%d before T%d closes a cycle" (tx g u) (tx g v)
+
+  (* Why a contradiction after a heuristic choice proves nothing.  A
+     choice among same-value writers says so in the words perfbench's
+     escalation classes match on. *)
+  let heuristic_note g =
+    if g.same_value_choice then
+      "a heuristic choice among same-value writers (repeated values forfeit \
+       prefix closure, Corollary 2)"
+    else "a heuristic write-order choice"
 
   (* The edge u -> v was refused because a path v ~> u already exists (the
      insertion was rolled back, so the path still does).  Recover one such
@@ -220,8 +286,7 @@ module Inc = struct
   let on_cycle g u v =
     record_cycle g u v;
     if g.taint then
-      poison g
-        (Fmt.str "%s (after a heuristic write-order choice)" (cycle_msg g u v))
+      poison g (Fmt.str "%s (after %s)" (cycle_msg g u v) (heuristic_note g))
     else violate g (cycle_msg g u v)
 
   let node g k =
@@ -273,61 +338,168 @@ module Inc = struct
     Pvec.set g.writers_of_var x (w :: Pvec.get g.writers_of_var x);
     Pvec.set g.var_cache x stale
 
-  let force_commit g w =
-    if Pvec.get g.must_commit w = 0 then begin
-      Pvec.set g.must_commit w 1;
-      List.iter (fun (x, _) -> register_writer g x w) (Pvec.get g.writes w)
-    end
+  (* Commit [w] in the certificate: [~forced] when every du-opaque
+     serialization must, otherwise as a heuristic choice. *)
+  let decide_commit g ~forced w =
+    match Pvec.get g.must_commit w with
+    | 0 ->
+        Pvec.set g.must_commit w (if forced then 1 else 2);
+        List.iter (fun (x, _) -> register_writer g x w) (Pvec.get g.writes w)
+    | 2 when forced -> Pvec.set g.must_commit w 1
+    | _ -> ()
+
+  (* [n] joins the writers of the pair.  A displaced writer that already
+     aborted is dropped: no read can be legally bound to it, which is the
+     common case under STM retry, where an aborted attempt's program
+     re-executes and writes the same value again. *)
+  let add_writer g s n =
+    if s.relied then Itbl.replace g.watch n ();
+    if s.final >= 0 && Pvec.get g.aborted s.final = 0 then begin
+      g.repeated <- true;
+      s.others <- s.final :: s.others
+    end;
+    s.final <- n
+
+  (* [n]'s final write no longer has the pair's value *)
+  let drop_writer s n =
+    if s.final = n then
+      match s.others with
+      | [] -> s.final <- -1
+      | w :: rest ->
+          s.final <- w;
+          s.others <- rest
+    else s.others <- List.filter (fun w -> w <> n) s.others
 
   let do_write g n x v =
-    let s = slot g x v in
-    if s.seen < 0 then s.seen <- n
-    else if s.seen <> n then begin
-      (* A duplicate from an already-aborted writer — the common case
-         under STM retry, where an aborted attempt's program re-executes —
-         is harmless: no read can ever be legally attributed to the
-         aborted transaction (any that was is already a violation), so
-         the value's ownership simply transfers.  A duplicate between two
-         transactions that could both commit leaves reads-from genuinely
-         undetermined: poison. *)
-      if Pvec.get g.aborted s.seen = 1 then s.seen <- n
-      else
-        poison g
-          (Fmt.str
-             "T%d and T%d both write %d to %a, which forfeits prefix \
-              closure (Corollary 2)"
-             (tx g s.seen) (tx g n) v (pp_var g) x)
-    end;
-    (* a write whose (var, value) an earlier read already returned — not
-       attributed to this writer — could retract that read's verdict.
-       Reads bound to a since-aborted writer, and reads no write could
-       explain, are already recorded violations that precede this write,
-       so they need no poison. *)
-    if
-      List.exists
-        (fun (_, w) -> w = -1 || (w >= 0 && w <> n && Pvec.get g.aborted w = 0))
-        s.readers
-    then
-      poison g
-        (Fmt.str
-           "T%d writes %d to %a, a value an earlier read returned from \
-            elsewhere"
-           (tx g n) v (pp_var g) x);
     let ws = Pvec.get g.writes n in
-    (match List.assoc_opt x ws with
-    | Some v_old when v_old <> v ->
-        let so = slot g x v_old in
-        if List.exists (fun (_, w) -> w = n) so.readers then
-          poison g
-            (Fmt.str
-               "T%d overwrites %a after a read was attributed to its \
-                previous write"
-               (tx g n) (pp_var g) x);
-        so.final <- -1;
-        Pvec.set g.writes n ((x, v) :: List.remove_assoc x ws)
-    | Some _ -> ()
-    | None -> Pvec.set g.writes n ((x, v) :: ws));
-    s.final <- n
+    match List.assoc_opt x ws with
+    | Some v_old when v_old = v -> ()
+    | Some v_old ->
+        drop_writer (slot g x v_old) n;
+        Pvec.set g.writes n ((x, v) :: List.remove_assoc x ws);
+        add_writer g (slot g x v) n
+    | None ->
+        Pvec.set g.writes n ((x, v) :: ws);
+        add_writer g (slot g x v) n
+
+  (* Fold the frontier's new entries into the per-variable logs of
+     committed writers.  The frontier vector holds every t-complete node
+     in completion order, so each log stays sorted by completion. *)
+  let sync_clog g =
+    for fi = g.clog_upto to g.frontier.Pvec.n - 1 do
+      let nd = Pvec.get g.frontier fi in
+      if Pvec.get g.aborted nd = 0 then
+        List.iter
+          (fun (x, _) ->
+            let ends = Pvec.get g.clog_end x
+            and starts = Pvec.get g.clog_start x in
+            let f = Pvec.get g.first_ev nd in
+            let n = starts.Pvec.n in
+            Pvec.push ends (Pvec.get g.completion nd);
+            Pvec.push starts
+              (if n = 0 then f else max f (Pvec.get starts (n - 1))))
+          (Pvec.get g.writes nd)
+    done;
+    g.clog_upto <- g.frontier.Pvec.n
+
+  (* The latest first event among committed writers of [x] that completed
+     before stream index [before]; -1 if there are none. *)
+  let latest_rt_start g x before =
+    let ends = Pvec.get g.clog_end x in
+    let l = ref 0 and r = ref ends.Pvec.n in
+    while !l < !r do
+      let m = (!l + !r) / 2 in
+      if Pvec.get ends m < before then l := m + 1 else r := m
+    done;
+    if !l = 0 then -1 else Pvec.get (Pvec.get g.clog_start x) (!l - 1)
+
+  (* Position of a committed writer in commit order: its [Committed]
+     response index, or past-end-of-stream (by tryC invocation) for
+     read-forced writers still live.  For every deferred-update STM the
+     commit responses happen inside the commit critical section, so this
+     is the version order the implementation actually induced — the right
+     default ordering for write pairs no read constrains. *)
+  let commit_key g n =
+    let c = Pvec.get g.completion n in
+    if c >= 0 then c
+    else
+      g.idx
+      +
+      let t = Pvec.get g.tryc_inv n in
+      if t >= 0 then t else Pvec.get g.first_ev n
+
+  let bind g n x v s ~forced w =
+    if w >= 0 then begin
+      decide_commit g ~forced w;
+      (* the one edge kind that can repeat: [n] may already have read
+         another variable from [w], or have [w] as a real-time
+         predecessor *)
+      if not (Topo.mem_edge g.topo w n) then begin
+        match add_edge g w n with
+        | `Ok -> ()
+        | `Cycle -> on_cycle g w n
+      end
+    end;
+    Pvec.push g.reads
+      { rd_node = n; rd_var = x; rd_value = v; rd_res = g.idx;
+        rd_writer = w; rd_slot = s }
+
+  (* A read of a pair with several writers (T0 counting as the initial
+     value's writer, -1): the candidates are those that had invoked tryC
+     by now and can still commit, pruned by real time when more than one
+     is left.  A tie taints the state and is bound by [tie_key]: the
+     latest candidate that already committed — no commit to assume, and
+     the narrowest interval to keep clear — else the commit-pending one
+     that invoked tryC first; T0 last. *)
+  let tie_key g w =
+    if w < 0 then min_int
+    else
+      let c = Pvec.get g.completion w in
+      if c >= 0 then c else -1 - Pvec.get g.tryc_inv w
+
+  let read_among g n x v s =
+    g.repeated <- true;
+    let live w =
+      w >= 0 && w <> n
+      && Pvec.get g.aborted w = 0
+      &&
+      let tc = Pvec.get g.tryc_inv w in
+      tc >= 0 && tc < g.idx
+    in
+    let cands = List.filter live (s.final :: s.others) in
+    let cands = if v = Event.init_value then cands @ [ -1 ] else cands in
+    let cands =
+      match cands with
+      | [] | [ _ ] -> cands
+      | _ ->
+          (* a committed writer of [x] that starts after W completed and
+             completes before [n] started sits between them, retained *)
+          sync_clog g;
+          let m = latest_rt_start g x (Pvec.get g.first_ev n) in
+          List.filter
+            (fun w ->
+              if w < 0 then m < 0
+              else
+                let c = Pvec.get g.completion w in
+                c < 0 || c >= m)
+            cands
+    in
+    match cands with
+    | [] ->
+        violate g
+          (Fmt.str
+             "T%d reads %d from %a, but no writer of that value can be its \
+              local source (deferred update or real-time order violated)"
+             (tx g n) v (pp_var g) x)
+    | [ w ] -> bind g n x v s ~forced:true w
+    | w :: rest ->
+        choose_among_same_value g;
+        let best =
+          List.fold_left
+            (fun a b -> if tie_key g b > tie_key g a then b else a)
+            w rest
+        in
+        bind g n x v s ~forced:false best
 
   let do_read g n x v =
     match List.assoc_opt x (Pvec.get g.writes n) with
@@ -339,28 +511,17 @@ module Inc = struct
     | None ->
         let s = slot g x v in
         let w = s.final in
-        if v = Event.init_value then begin
-          if w >= 0 && w <> n && Pvec.get g.aborted w = 0 then
-            poison g
-              (Fmt.str
-                 "T%d writes the initial value %d to %a: ambiguous \
-                  reads-from"
-                 (tx g w) v (pp_var g) x);
-          s.readers <- (n, -1) :: s.readers;
-          Pvec.push g.reads
-            { rd_node = n; rd_var = x; rd_value = v; rd_res = g.idx;
-              rd_writer = -1 }
-        end
-        else if w < 0 then begin
+        if
+          s.others <> []
+          || (v = Event.init_value && w >= 0 && Pvec.get g.aborted w = 0)
+        then read_among g n x v s
+        else if v = Event.init_value then bind g n x v s ~forced:true (-1)
+        else if w < 0 then
           violate g
             (Fmt.str
                "T%d reads %d from %a but no transaction's final write has \
                 that value"
-               (tx g n) v (pp_var g) x);
-          s.readers <- (n, -2) :: s.readers
-        end
-        else if w = n then
-          poison g (Fmt.str "T%d externally reads its own write" (tx g n))
+               (tx g n) v (pp_var g) x)
         else if Pvec.get g.aborted w = 1 then
           violate g
             (Fmt.str "T%d reads from T%d, which cannot commit" (tx g n)
@@ -373,21 +534,7 @@ module Inc = struct
                  "T%d reads from T%d before it invoked tryC (deferred \
                   update violated)"
                  (tx g n) (tx g w))
-          else begin
-            force_commit g w;
-            (* the one edge kind that can repeat: [n] may already have read
-               another variable from [w], or have [w] as a real-time
-               predecessor *)
-            if not (Topo.mem_edge g.topo w n) then begin
-              match add_edge g w n with
-              | `Ok -> ()
-              | `Cycle -> on_cycle g w n
-            end;
-            s.readers <- (n, w) :: s.readers;
-            Pvec.push g.reads
-              { rd_node = n; rd_var = x; rd_value = v; rd_res = g.idx;
-                rd_writer = w }
-          end
+          else bind g n x v s ~forced:true w
         end
 
   let push g ev =
@@ -404,7 +551,10 @@ module Inc = struct
             Pvec.set g.pend_val n v
         | Event.Try_commit ->
             Pvec.set g.pend_kind n 3;
-            Pvec.set g.tryc_inv n g.idx
+            Pvec.set g.tryc_inv n g.idx;
+            (* a writer a forced repair assumed could not commit now can *)
+            if Itbl.length g.watch > 0 && Itbl.mem g.watch n then
+              choose_among_same_value g
         | Event.Try_abort -> Pvec.set g.pend_kind n 4)
     | Event.Res (k, res) -> (
         let n = node g k in
@@ -419,14 +569,20 @@ module Inc = struct
             if pk = 1 then do_read g n (Pvec.get g.pend_var n) v
             else poison g "read response without a pending read"
         | Event.Committed ->
-            force_commit g n;
+            decide_commit g ~forced:true n;
             t_complete g n
         | Event.Aborted ->
-            if Pvec.get g.must_commit n = 1 then
-              violate g
-                (Fmt.str
-                   "T%d aborted, but an earlier read forces it to commit"
-                   (tx g n));
+            (match Pvec.get g.must_commit n with
+            | 1 ->
+                violate g
+                  (Fmt.str
+                     "T%d aborted, but an earlier read forces it to commit"
+                     (tx g n))
+            | 2 ->
+                poison g
+                  (Fmt.str "T%d aborted after %s committed it" (tx g n)
+                     (heuristic_note g))
+            | _ -> ());
             Pvec.set g.aborted n 1;
             t_complete g n));
     g.idx <- g.idx + 1
@@ -439,7 +595,9 @@ module Inc = struct
     raise
       (Decided
          (if g.taint then
-            Ambiguous ("ordering contradiction after heuristic choice: " ^ why)
+            Ambiguous
+              (Fmt.str "ordering contradiction after %s: %s"
+                 (heuristic_note g) why)
           else Unsat why))
 
   (* Sorted (ord, node) array of the committed writers of [x].  The cache
@@ -461,17 +619,18 @@ module Inc = struct
         Pvec.set g.var_cache x (arr, g.epoch);
         arr
 
-  (* Committed writers of [r.rd_var] strictly inside the serialization
-     interval the read forbids: (writer, reader) for attributed reads,
-     (-inf, reader) for initial-value reads. *)
+  (* Committed writers of another value than the read's, strictly inside
+     the serialization interval the read forbids: (writer, reader) for
+     reads bound to a writer, (-inf, reader) for T0.  Writers of the same
+     value may sit anywhere; a pair with one writer has none to skip. *)
   let offenders g (r : reader) =
     let arr = writer_array g r.rd_var in
     if Array.length arr = 0 then []
     else begin
-      let lo =
-        if r.rd_writer < 0 then min_int else ord g r.rd_writer
-      in
+      let lo = if r.rd_writer < 0 then min_int else ord g r.rd_writer in
       let hi = ord g r.rd_node in
+      let s = r.rd_slot in
+      let one_writer = s.others = [] && (s.final < 0 || s.final = r.rd_writer) in
       (* first index with ord > lo *)
       let l = ref 0 and rgt = ref (Array.length arr) in
       while !l < !rgt do
@@ -482,91 +641,177 @@ module Inc = struct
       let i = ref !l in
       while !i < Array.length arr && fst arr.(!i) < hi do
         let w'' = snd arr.(!i) in
-        if w'' <> r.rd_node && w'' <> r.rd_writer then acc := w'' :: !acc;
+        if
+          w'' <> r.rd_node && w'' <> r.rd_writer
+          && (one_writer
+             (* lint: allow quadratic-hot-path — a write buffer is as short
+                as its transaction's write set *)
+             || List.assoc_opt r.rd_var (Pvec.get g.writes w'')
+                <> Some r.rd_value)
+        then acc := w'' :: !acc;
         incr i
       done;
       !acc
     end
 
-  (* Position of a committed writer in commit order: its [Committed]
-     response index, or past-end-of-stream (by tryC invocation) for
-     read-forced writers still live.  For every deferred-update STM the
-     commit responses happen inside the commit critical section, so this
-     is the version order the implementation actually induced — the right
-     default ordering for write pairs no read constrains. *)
-  let commit_key g n =
-    let c = Pvec.get g.completion n in
-    if c >= 0 then c
-    else
-      g.idx
-      +
-      let t = Pvec.get g.tryc_inv n in
-      if t >= 0 then t else Pvec.get g.first_ev n
+  (* Does the read's local serialization retain [w]? *)
+  let retains g (r : reader) w =
+    let tc = Pvec.get g.tryc_inv w in
+    tc >= 0 && tc < r.rd_res
 
-  (* Order [w''] out of the read's forbidden interval.  With
-     [~heuristic:false] only acts when exactly one direction is possible
-     (unit propagation); with [~heuristic:true] an unconstrained pair is
+  (* Writers of the read's pair that could stand in as its global source
+     after an offender the local serialization does not retain: any that
+     invoked tryC and did not abort, other than the bound writer and the
+     reader itself. *)
+  let stand_ins g (r : reader) =
+    let s = r.rd_slot in
+    List.filter
+      (fun w ->
+        w >= 0 && w <> r.rd_writer && w <> r.rd_node
+        && Pvec.get g.aborted w = 0
+        && Pvec.get g.tryc_inv w >= 0)
+      (s.final :: s.others)
+
+  (* A forced repair of a non-retained offender assumed no other writer of
+     the pair can commit: watch the ones that have not invoked tryC yet
+     (and, through [relied], the pair's later writers). *)
+  let rely g (r : reader) =
+    let s = r.rd_slot in
+    s.relied <- true;
+    List.iter
+      (fun w ->
+        if w >= 0 && w <> r.rd_writer && w <> r.rd_node
+           && Pvec.get g.aborted w = 0
+        then Itbl.replace g.watch w ())
+      (s.final :: s.others)
+
+  let added g u v =
+    match add_edge g u v with
+    | `Ok ->
+        g.repairs <- g.repairs + 1;
+        true
+    | `Cycle ->
+        record_cycle g u v;
+        contradiction g (cycle_msg g u v)
+
+  (* Settle offender [w''] of read [r].  A hard constraint — the offender
+     is retained by the read's local serialization, or no other writer of
+     the pair can commit — orders [w''] out of the interval: with
+     [~heuristic:false] only when exactly one direction is possible (unit
+     propagation); with [~heuristic:true] an unconstrained pair is
      decided by commit order — see [commit_key] — and the state is
      tainted, because a later contradiction may be that choice's fault
-     rather than the history's.  Returns true iff an edge was added (the
-     pair is then resolved for good: reachability only grows).  Raises
-     [Decided] when both directions are impossible. *)
-  let repair g ~heuristic (r : reader) w'' =
-    let i = r.rd_node in
-    let added u v =
-      match add_edge g u v with
-      | `Ok ->
-          g.repairs <- g.repairs + 1;
-          true
-      | `Cycle ->
-          record_cycle g u v;
-          contradiction g (cycle_msg g u v)
-    in
-    if r.rd_writer < 0 then begin
-      if ord g w'' >= ord g i then false
-      else if reach g w'' i then begin
-        (* the read forces i -> w'', but w'' already reaches i: that path
-           plus the forced edge is the counterexample cycle *)
-        record_cycle g i w'';
-        contradiction g
-          (Fmt.str
-             "T%d reads the initial value of %a but committed writer T%d \
-              must precede it"
-             (tx g i) (pp_var g) r.rd_var (tx g w''))
-      end
-      else added i w''
-    end
+     rather than the history's.  A soft constraint — a committable
+     same-value writer could follow [w''] inside the interval and serve
+     the read globally — is never forced: the heuristic pass orders
+     [w''] out where it can and otherwise places such a stand-in between
+     [w''] and the reader.  Before any heuristic choice, [around] (when
+     given) settles what is forced near the interval.  Returns true iff
+     the graph changed (the pair is then resolved for good: reachability
+     only grows).  Raises [Decided] when no resolution is possible. *)
+  let rec repair g ~heuristic ~around (r : reader) w'' =
+    let i = r.rd_node and w = r.rd_writer in
+    if not ((w < 0 || ord g w < ord g w'') && ord g w'' < ord g i) then false
     else begin
-      let w = r.rd_writer in
+      let retained = retains g r w'' in
+      let subs = if retained then [] else stand_ins g r in
+      (* w'' -> w would close a cycle (nothing precedes T0) *)
+      let fst_blocked = w < 0 || reach g w w'' in
+      (* i -> w'' would close a cycle *)
+      let snd_blocked = reach g w'' i in
+      let hard = subs = [] in
+      if hard && (not retained) && (fst_blocked || snd_blocked || heuristic)
+      then rely g r;
       if
-        not
-          (ord g w < ord g w'' && ord g w'' < ord g i)
-      then false
-      else begin
-        let fst_blocked = reach g w w'' in
-        (* w'' -> w would close a cycle *)
-        let snd_blocked = reach g w'' i in
-        (* i -> w'' would close a cycle *)
+        (not hard)
+        && List.exists
+             (fun s ->
+               Pvec.get g.must_commit s <> 0
+               && ord g w'' < ord g s && ord g s < ord g i)
+             subs
+      then false (* served by a same-value writer after it *)
+      else
         match (fst_blocked, snd_blocked) with
-        | true, true ->
+        | true, true when hard ->
             (* evicting w'' after the reader closes i -> w'' -> ... -> i;
                record that direction's cycle as the counterexample *)
             record_cycle g i w'';
             contradiction g
-              (Fmt.str
-                 "committed writer T%d cannot leave the interval between \
-                  T%d and its reader T%d"
-                 (tx g w'') (tx g w) (tx g i))
-        | true, false -> added i w''
-        | false, true -> added w'' w
-        | false, false ->
-            if not heuristic then false
-            else begin
-              g.taint <- true;
-              if commit_key g w'' < commit_key g w then added w'' w
-              else added i w''
-            end
+              (if w < 0 then
+                 Fmt.str
+                   "T%d reads the initial value of %a but committed writer \
+                    T%d must precede it"
+                   (tx g i) (pp_var g) r.rd_var (tx g w'')
+               else
+                 Fmt.str
+                   "committed writer T%d cannot leave the interval between \
+                    T%d and its reader T%d"
+                   (tx g w'') (tx g w) (tx g i))
+        | true, false when hard -> added g i w''
+        | false, true when hard -> added g w'' w
+        | _ when not heuristic -> false
+        | _ -> (
+            match around with
+            | Some settle ->
+                settle r w'';
+                repair g ~heuristic ~around:None r w''
+            | None -> (
+                if hard then g.taint <- true else choose_among_same_value g;
+                (* a hard constraint reaches here unconstrained only *)
+                match (fst_blocked, snd_blocked) with
+                | false, false ->
+                    if commit_key g w'' < commit_key g w then added g w'' w
+                    else added g i w''
+                | true, false -> added g i w''
+                | false, true -> added g w'' w
+                | true, true -> (
+                    (* prefer a stand-in already committed: it commits
+                       nothing new *)
+                    let committed, free =
+                      List.partition
+                        (fun s -> Pvec.get g.must_commit s <> 0)
+                        subs
+                    in
+                    match
+                      List.find_opt
+                        (fun s -> not (reach g s w'' || reach g i s))
+                        (committed @ free)
+                    with
+                    | None ->
+                        record_cycle g i w'';
+                        contradiction g
+                          (Fmt.str
+                             "no writer of %d to %a can follow committed \
+                              writer T%d and precede its reader T%d"
+                             r.rd_value (pp_var g) r.rd_var (tx g w'')
+                             (tx g i))
+                    | Some s ->
+                        decide_commit g ~forced:false s;
+                        if not (reach g w'' s) then ignore (added g w'' s);
+                        if not (reach g s i) then ignore (added g s i);
+                        true)))
+    end
+
+  (* Forced orderings of committed writer [w''] against read [r] when it
+     sits outside the read's interval: one side of the interval may
+     already be closed to it by a path.  Soft constraints force nothing. *)
+  let pin g (r : reader) w'' =
+    let i = r.rd_node and w = r.rd_writer in
+    let o = ord g w'' in
+    let hard () = retains g r w'' || stand_ins g r = [] in
+    if (w < 0 || ord g w < o) && o < ord g i then
+      ignore (repair g ~heuristic:false ~around:None r w'')
+    else if w >= 0 && o < ord g w then begin
+      (* before the source: forced there iff i -> w'' closes a cycle *)
+      if (not (reach g w'' w)) && reach g w'' i && hard () then begin
+        rely g r;
+        ignore (added g w'' w)
       end
+    end
+    else if (not (reach g i w'')) && (w < 0 || reach g w w'') && hard ()
+    then begin
+      rely g r;
+      ignore (added g i w'')
     end
 
   (* Repair every read's interval to a clean fixpoint.  The first pass
@@ -576,15 +821,54 @@ module Inc = struct
      consistent and can be applied eagerly — no per-decision re-pass is
      needed, so the work is O(passes × reads × log writers + repairs),
      and on histories the STM really produced the commit order is the
-     version order, so no choice ever backfires into a contradiction. *)
+     version order, so no choice ever backfires into a contradiction.
+
+     With repeated values a choice can also be forced by a read whose
+     interval the offender sits outside, which the interval scan never
+     sees (Finding 3: [T4] is pinned between [T2] and [T5] by the reads of
+     [X] alone).  So before each heuristic choice the offender is pinned
+     against every other read of the variables it writes whose source or
+     reader lies within the interval at stake — the only reads whose
+     constraint the choice can move it across. *)
   let resolve g =
+    let around =
+      if not g.repeated then None
+      else begin
+        let by_var = Array.make (max 1 g.tvar_of_var.Pvec.n) [] in
+        for ri = g.reads.Pvec.n - 1 downto 0 do
+          let r = Pvec.get g.reads ri in
+          by_var.(r.rd_var) <- r :: by_var.(r.rd_var)
+        done;
+        Some
+          (fun (r : reader) w'' ->
+            let lo = if r.rd_writer < 0 then min_int else ord g r.rd_writer in
+            let hi = ord g r.rd_node in
+            let near n =
+              n >= 0
+              &&
+              let o = ord g n in
+              lo <= o && o <= hi
+            in
+            List.iter
+              (fun (x, v'') ->
+                List.iter
+                  (fun (r' : reader) ->
+                    if
+                      r' != r && r'.rd_writer <> w'' && r'.rd_node <> w''
+                      && r'.rd_value <> v''
+                      && (near r'.rd_writer || near r'.rd_node)
+                    then pin g r' w'')
+                  by_var.(x))
+              (Pvec.get g.writes w''))
+      end
+    in
     let pass ~heuristic =
       g.epoch <- g.epoch + 1;
       let acted = ref false in
       for ri = 0 to g.reads.Pvec.n - 1 do
         let r = Pvec.get g.reads ri in
         List.iter
-          (fun w'' -> if repair g ~heuristic r w'' then acted := true)
+          (fun w'' -> if repair g ~heuristic ~around r w'' then acted := true)
           (offenders g r)
       done;
       !acted
@@ -610,15 +894,24 @@ module Inc = struct
     let stacks = Array.make nvars [] in
     (* (tryC invocation index, value), newest first *)
     let bad = ref None in
+    g.closed <- true;
     Array.iter
       (fun nd ->
         if !bad = None then begin
           List.iter
             (fun (r : reader) ->
               if !bad = None then begin
+                (* the writers newer than the local source are exactly
+                   those a prefix may abort: any of another value would
+                   then serve the read globally *)
                 let rec du = function
                   | [] -> Event.init_value
-                  | (tc, v) :: rest -> if tc < r.rd_res then v else du rest
+                  | (tc, v) :: rest ->
+                      if tc < r.rd_res then v
+                      else begin
+                        if v <> r.rd_value then g.closed <- false;
+                        du rest
+                      end
                 in
                 let glob = state.(r.rd_var) in
                 let duv = du stacks.(r.rd_var) in
@@ -631,7 +924,7 @@ module Inc = struct
                          (tx g nd) (pp_var g) r.rd_var r.rd_value glob duv)
               end)
             reads_of.(nd);
-          if !bad = None && Pvec.get g.must_commit nd = 1 then
+          if !bad = None && Pvec.get g.must_commit nd <> 0 then
             List.iter
               (fun (x, v) ->
                 state.(x) <- v;
@@ -646,7 +939,7 @@ module Inc = struct
     let committed =
       List.filter_map
         (fun nd ->
-          if Pvec.get g.must_commit nd = 1 then Some (tx g nd) else None)
+          if Pvec.get g.must_commit nd <> 0 then Some (tx g nd) else None)
         (Array.to_list order)
     in
     Sat (Serialization.make ~order:ids ~committed)
@@ -656,9 +949,9 @@ module Inc = struct
      order is replayed, and the replayed order is the certificate.
      Between a poison and a violation, whichever fired first in stream
      order wins: a violation detected before any poison rests only on
-     trustworthy attributions (and non-du-opacity is monotone under
-     extension), while a violation detected after a poison may rest on
-     state the poison made unreliable. *)
+     trustworthy bindings (and non-du-opacity of a prefix is never
+     retracted by the monitors that read it), while a violation detected
+     after a poison may rest on state the poison made unreliable. *)
   let verdict g =
     match (g.poison, g.violation) with
     | Some (pi, pw), Some (vi, _) when pi < vi -> Ambiguous pw
@@ -686,6 +979,7 @@ module Inc = struct
             r)
 
   let certifiable g = g.poison = None && g.violation = None
+  let prefix_closed g = g.closed
   let events g = g.idx
   let cycle g = Option.map (List.map (tx g)) g.cycle
 

@@ -17,34 +17,50 @@
     edge pools, so no event hashes a tuple and checking a million-event
     history allocates little beyond a handful of flat arrays.
 
+    Reads-from is bound by deferred update.  Definition 3(3) judges a
+    read in its local serialization, which keeps only the transactions
+    that invoked [tryC] before the read's response; so a read of [(X, v)]
+    has as candidate sources the writers of [(X, v)] that had invoked
+    [tryC] by then (plus the initial transaction when [v] is the initial
+    value).  A candidate is pruned when a committed writer of [X] follows
+    it and precedes the reader in real time.  One survivor is a forced
+    reads-from edge; two or more are a tie, bound by a fixed rule as a
+    heuristic.  Anti-dependencies apply against writers of a different
+    value only, and one the read's local serialization does not retain
+    may stay inside the interval when a committable same-value writer
+    follows it there ({!Tm_figures.Findings.corollary2_gap}: the global
+    and local sources differ), so such a constraint is resolved as a
+    heuristic repair, never forced.
+
     The backend is {e sound but deliberately partial}: on states it cannot
     decide cheaply it answers {!Ambiguous} and the caller falls back to the
     exact search.  Fallback triggers exactly when:
 
-    - two distinct transactions write the same value to the same variable
-      (the paper's unique-writes assumption fails, so reads-from is not
-      determined — e.g. {!Tm_figures.Findings.corollary2_gap});
-    - a transaction overwrites a variable after another transaction's read
-      was already attributed to the overwritten value, or writes a value
-      that an earlier read returned without being attributable to this
-      writer (the incremental reads-from binding would have to be
-      retracted);
-    - a transaction writes the initial value that another transaction
-      read (the read could be of the initial state or of that writer);
-    - an ordering contradiction is reached {e after} some anti-dependency
-      was resolved heuristically rather than forced (the contradiction may
-      be an artifact of the heuristic choice, so only the search may call
-      the history non-du-opaque);
+    - an ordering contradiction is reached {e after} a heuristic choice —
+      a tie bound among same-value writers, a stand-in placed or an
+      anti-dependency resolved without being forced, or a write pair
+      ordered by commit order — since the contradiction may be an
+      artifact of the choice, only the search may call the history
+      non-du-opaque (a reason naming a choice among same-value writers
+      says that repeated values forfeit prefix closure);
+    - a transaction a heuristic choice committed (a tie's source or a
+      stand-in) aborts;
     - defensively, when the internal linear-replay validation of a
-      candidate certificate fails.
+      candidate certificate fails, or an event is ill-formed.
 
     On every other state the verdict is definitive: [Sat] carries a
     certificate that passed an independent linear replay of Definition 3's
     clauses (and is additionally re-checked by {!Serialization.validate}
-    wherever the {!Monitor} or the oracle adopts it), and [Unsat] is only
-    ever derived from forced edges, so it is sound for the checked prefix
-    and — because every verdict-affecting future rebinding is poisoned into
-    {!Ambiguous} — stays sound under extension. *)
+    wherever the oracle adopts it), and [Unsat] is only ever derived from
+    forced edges, so it is sound for the checked prefix.  A streaming
+    consumer reads it as "some prefix so far is not du-opaque", which no
+    extension retracts.  Edges forced at one verdict stay sound for later
+    ones: a candidate set only shrinks as writers abort, and a forced
+    repair that assumed no other writer of the read's value could commit
+    taints the state once one invokes [tryC].  With repeated values a
+    later prefix can be du-opaque again (Finding 3);
+    {!Inc.prefix_closed} tells whether a [Sat] certificate also covers
+    every earlier prefix. *)
 
 type result =
   | Sat of Serialization.t
@@ -82,7 +98,8 @@ val counterexample_cycle : History.t -> Event.tx list option
 (** Incremental (online) interface: feed events as they arrive, ask for a
     verdict of the stream seen so far only when needed.  {!Monitor} pushes
     every accepted event here and consults {!Inc.verdict} before running a
-    backtracking search. *)
+    backtracking search; {!Session_monitor} runs on it alone until it
+    escalates. *)
 module Inc : sig
   type t
 
@@ -98,14 +115,27 @@ module Inc : sig
   val verdict : t -> result
   (** Verdict for the pushed prefix.  One path: a recorded poison or
       violation answers at once; otherwise anti-dependency repair edges
-      are added (monotone: they remain valid for every later verdict), and
-      the repaired topological order is the certificate once it passes the
-      linear replay validation. *)
+      are added (they stay for every later verdict, and a contradiction
+      through a heuristic one answers [Ambiguous]), and the repaired
+      topological order is the certificate once it passes the linear
+      replay validation. *)
 
   val certifiable : t -> bool
   (** [false] once a poison or a forced violation is recorded: from then
       on {!verdict} answers [Unsat] or [Ambiguous], without work, for the
       pushed prefix and every extension of it. *)
+
+  val prefix_closed : t -> bool
+  (** Whether the last [Sat] from {!verdict} also certifies every prefix
+      of the stream it judged: in its certificate every committed writer
+      between a read's local source and the read writes the value read.
+      Restrict the certificate to a prefix, committing what committed and
+      can still commit there: the writers a read's local serialization
+      retains all stay committed, so its local source is unchanged, and
+      its global source is that source or a writer after it — of the
+      value read.  So the prefix is du-opaque too.  A [Sat] without it,
+      possible only with repeated written values, may cover a prefix
+      that is not du-opaque ({!Tm_figures.Findings.corollary2_gap}). *)
 
   val events : t -> int
 

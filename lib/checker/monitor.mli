@@ -23,8 +23,8 @@
     reads are valid at the end of the order; an abort is accepted when the
     certificate already aborts the transaction.  Otherwise the
     incremental conflict graph, fed every event, is consulted, and its
-    [Sat] certificate is adopted only after the independent
-    {!Serialization} validator accepts it.  Only when the graph cannot
+    [Sat] certificate — already replayed against Definition 3's clauses
+    by the graph — is adopted.  Only when the graph cannot
     decide does the monitor run the backtracking search, seeded with the
     previous order as a hint and run over a persistent {!Search.ictx} so
     the per-transaction tables are never rebuilt.  The stream grows through
@@ -90,8 +90,8 @@ val nodes_total : t -> int
 
 val graph_hits : t -> int
 (** Responses the local checks could not absorb and the incremental
-    conflict graph decided — a [Sat] certificate the validator accepted,
-    or a sound [Unsat] — so no backtracking search ran.  Every response is
+    conflict graph decided — a replay-checked [Sat] certificate, or a
+    sound [Unsat] — so no backtracking search ran.  Every response is
     accounted to exactly one of the local checks ({!fastpath_hits}), the
     graph, or the search ({!searches_run}). *)
 

@@ -90,14 +90,22 @@ let escalate t why =
       t.mode <- Escalated m;
       m
 
-(* The graph's verdict on everything pushed so far: a [Sat] certifies the
-   stream, anything else hands it to a monitor. *)
+(* The graph's verdict on everything pushed so far: a [Sat] that also
+   covers every prefix certifies the stream, anything else hands it to a
+   monitor. *)
 let settle t g =
   match Inc.verdict g with
-  | Conflict_graph.Sat s ->
+  | Conflict_graph.Sat s when Inc.prefix_closed g ->
       t.certificate <- Some s;
       t.certified_at <- Inc.events g;
       `Ok
+  | Conflict_graph.Sat _ ->
+      Monitor.status
+        (escalate t
+           "the certificate serves a read from a writer that invoked tryC \
+            after the read's response, past one of another value, so it \
+            need not cover earlier prefixes (repeated values forfeit prefix \
+            closure, Corollary 2)")
   | Conflict_graph.Unsat why | Conflict_graph.Ambiguous why ->
       Monitor.status (escalate t why)
 

@@ -6,10 +6,12 @@
     (appending to a {!History.Builder}) and feeds the graph; verdicts are computed at
     {!certify}, from the graph's verdict on everything pushed so far:
 
-    - [Sat], tainted or not, certifies the stream: [`Ok];
-    - [Unsat] or [Ambiguous] {e escalates}: the accepted history is
-      replayed through a fresh {!Monitor} with the same [max_nodes]
-      budget, and that monitor owns the stream for good.
+    - [Sat], tainted or not, certifies the stream: [`Ok] — provided the
+      certificate also covers every prefix
+      ({!Conflict_graph.Inc.prefix_closed});
+    - anything else {e escalates}: the accepted history is replayed
+      through a fresh {!Monitor} with the same [max_nodes] budget, and
+      that monitor owns the stream for good.
 
     {!push} escalates at once when the event is ill-formed, or when the
     graph records a poison or a violation
@@ -19,15 +21,18 @@
     {b Soundness.}  The session monitor never declares a violation itself,
     and it declares [`Ok] only on a [Sat] certificate, which the graph has
     replay-validated against Definition 3 for the current prefix.  That
-    covers every earlier prefix too.  Du-opacity can lose prefix closure
-    only when two transactions write the same value to the same variable
-    (Corollary 2; {!Tm_figures.Findings.corollary2_gap}), and the graph
-    poisons exactly that case into [Ambiguous], which escalates.  On the
-    unique-writes fragment that remains, du-opacity is prefix-closed, so a
-    du-opaque current prefix makes every prefix since the last certify
-    du-opaque.  After escalation every observable — outcome, violation
-    index, counters — is the monitor's own, so the session monitor agrees
-    with {!Monitor} on every stream by construction.
+    covers every earlier prefix too when no writer of another value sits
+    between a read's local source and the read: the certificate then
+    restricts to any prefix ({!Conflict_graph.Inc.prefix_closed}).
+    Du-opacity can lose prefix closure only when two transactions write
+    the same value to the same variable (Corollary 2;
+    {!Tm_figures.Findings.corollary2_gap}), where a later writer of the
+    value read can serve it globally past such a writer; that
+    certificate escalates.  With unique writes no writer of another value
+    is ever left there, so the condition always holds.  After escalation every
+    observable — outcome, violation index, counters — is the monitor's
+    own, so the session monitor agrees with {!Monitor} on every stream by
+    construction.
 
     Between certifies {!status} is the {e provisional} [`Ok].  The
     streaming service certifies after every durable batch and at
@@ -71,8 +76,9 @@ val pending_txns : t -> int
 
 val escalated : t -> bool
 (** Has the stream been handed to a {!Monitor}?  Escalation is permanent
-    but not a verdict: streams with duplicate written values escalate,
-    and the monitor may well still answer [`Ok] on them. *)
+    but not a verdict: a stream whose graph verdict follows a heuristic
+    choice into a contradiction escalates, and the monitor may well
+    still answer [`Ok] on it. *)
 
 val escalation : t -> string option
 (** The graph's reason for escalating ("ill-formed event" for a stream

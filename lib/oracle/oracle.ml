@@ -113,8 +113,9 @@ let lockstep ?(max_nodes = 2_000_000) ?submit h =
         v3_of_verdict v)
   in
   (* Conflict-graph backend on the full history.  [Ambiguous] maps to
-     [Unk3]: on duplicate-value histories the graph soundly declines rather
-     than guessing, and [Unk3] never counts as a discrepancy. *)
+     [Unk3]: after a heuristic choice led into a contradiction the graph
+     soundly declines rather than guessing, and [Unk3] never counts as a
+     discrepancy. *)
   let graph =
     timed "graph" (fun () ->
         match Conflict_graph.check h with

@@ -16,6 +16,7 @@ let () =
     @ Test_shrink.suite
     @ Test_satellites.suite
     @ Test_conflict_graph.suite
+    @ Test_small_scope.suite
     @ Test_last_use.suite
     @ Test_analysis.suite
     @ Test_soak_corpus.suite

@@ -1,7 +1,8 @@
 (* The conflict-graph du-opacity backend against the search: agreement on
    every soak source (including fault-injected streams), figure-catalog
-   parity, the Finding-3 duplicate-writes fallback, incremental prefix
-   verdicts, and the monitor's graph fast path. *)
+   parity, repeated written values (Finding 3 decided, ties, the
+   real-time prune), incremental prefix verdicts, and the monitor's graph
+   fast path. *)
 
 open Tm_safety
 open Helpers
@@ -135,6 +136,27 @@ let hand_built_cases =
         check_unsat (name ^ " is not opaque either") (Opacity.check h) );
     ( "initial-value writer",
       history [ w 1 x 0; c 1; r 2 x 0; c 2 ],
+      graph_sat ~commits:[ 1 ] );
+    (* T1 and T2 overlap and both write X=1: a tie, bound heuristically *)
+    ( "tied sources",
+      history [ w 1 x 1; w 2 x 1; c 1; c 2; r 3 x 1; c 3 ],
+      graph_sat ~commits:[ 1; 2; 3 ] );
+    (* T2's X=2 sits between T1 and the reader in real time: T3 is the
+       only source left *)
+    ( "real-time prune",
+      history [ w 1 x 1; c 1; w 2 x 2; c 2; w 3 x 1; c 3; r 4 x 1; c 4 ],
+      graph_sat ~commits:[ 3 ] );
+    ( "every source pruned",
+      history [ w 1 x 1; c 1; w 2 x 1; c 2; w 3 x 2; c 3; r 4 x 1; c 4 ],
+      fun name h r ->
+        graph_unsat name h r;
+        check_unsat (name ^ " (search)") (Du_opacity.check h) );
+    (* the tie is bound to T1, which then aborts: only the search may say
+       that T2 serves the read *)
+    ( "tie bound to a writer that aborts",
+      history
+        [ w 1 x 1; c_inv 1; w 2 x 1; c_inv 2; r 3 x 1; aborted 1;
+          committed 2 ],
       graph_ambiguous );
   ]
 
@@ -175,19 +197,56 @@ let undecided_unique_writes_tests =
             (Conflict_graph.check_or_fallback ~max_nodes h)))
     undecided_unique_writes
 
-(* --- Finding 3: duplicate written values route to the fallback ------------ *)
+(* --- Finding 3: repeated written values decided by the graph ------------ *)
 
-let test_corollary2_gap_fallback () =
+(* T5's read of Y=1 has one candidate source, T2: T7 writes Y=1 only after
+   the read's response.  In the full history T7's pending tryC lets it
+   commit between T4 and T5 and serve the read globally, so the graph
+   answers Sat; in the prefix T7 has not invoked tryC, nothing can follow
+   T4 inside (T2, T5), and the graph answers Unsat from forced edges alone
+   — as the search does on both. *)
+let test_corollary2_gap_decided () =
   let h, prefix_len = Tm_figures.Findings.corollary2_gap in
-  (match Conflict_graph.check h with
-  | Conflict_graph.Ambiguous _ -> ()
-  | Conflict_graph.Sat _ | Conflict_graph.Unsat _ ->
-      Alcotest.fail
-        "duplicate-writes history must be Ambiguous for the raw backend");
-  check_sat "full corollary2_gap history (fallback)"
-    (Conflict_graph.check_or_fallback ~max_nodes h);
-  check_unsat "corollary2_gap prefix (fallback)"
-    (Conflict_graph.check_or_fallback ~max_nodes (History.prefix h prefix_len))
+  let hp = History.prefix h prefix_len in
+  graph_sat ~commits:[ 2; 4; 7; 5 ] "full corollary2_gap history" h
+    (Conflict_graph.check h);
+  check_sat "full corollary2_gap history (search)" (Du_opacity.check h);
+  graph_unsat "corollary2_gap prefix" hp (Conflict_graph.check hp);
+  check_unsat "corollary2_gap prefix (search)" (Du_opacity.check hp)
+
+(* Streamed, the same shape shows why a forced repair can stop being
+   forced.  When T4 commits, T5's read of Y=1 has T2 as its only source
+   and no other writer of Y=1 exists, so T4 (Y=2) is forced out of
+   (T2, T5) behind T5.  T7 then writes Y=1 and invokes tryC: it could
+   follow T4 there and serve the read globally, so that edge no longer
+   binds.  T9's read of X=3 then needs T4 before T5 — every prefix is
+   du-opaque, and the graph, which took the edge when it was forced,
+   must not answer Unsat. *)
+let test_unforced_by_a_stand_in () =
+  let h =
+    Dsl.(
+      history
+        [ r 2 x 0; w 2 y 1; c 2; w 4 y 2; w 5 x 3; r 5 y 1; w 4 x 1; c 4;
+          c_inv 5; w 7 y 1; c_inv 7; r 9 x 3 ])
+  in
+  let g = Conflict_graph.Inc.create () in
+  List.iteri
+    (fun i ev ->
+      Conflict_graph.Inc.push g ev;
+      if Event.is_res ev then begin
+        let hp = History.prefix h (i + 1) in
+        check_sat (Fmt.str "prefix %d (search)" (i + 1)) (Du_opacity.check hp);
+        match Conflict_graph.Inc.verdict g with
+        | Conflict_graph.Unsat why ->
+            Alcotest.failf "prefix %d: graph Unsat (%s)" (i + 1) why
+        | Conflict_graph.Sat c ->
+            check_certified ~claim:Serialization.Du_opaque
+              (Fmt.str "prefix %d" (i + 1))
+              hp (Verdict.Sat c)
+        | Conflict_graph.Ambiguous _ -> ()
+      end)
+    (History.to_list h);
+  graph_sat ~commits:[ 7 ] "offline" h (Conflict_graph.check h)
 
 (* --- incremental prefix verdicts ------------------------------------------ *)
 
@@ -442,7 +501,9 @@ let suite =
     ( "conflict graph",
       [
         test "figure catalog parity" test_catalog;
-        test "Finding 3 routes to fallback" test_corollary2_gap_fallback;
+        test "Finding 3 decided by the graph" test_corollary2_gap_decided;
+        test "a same-value writer's tryC unforces a repair"
+          test_unforced_by_a_stand_in;
         test "incremental prefix verdicts" test_inc_prefix_verdicts;
         test "monitor graph fast path" test_monitor_graph_hits;
         test "monitor graph Unsat path" test_monitor_graph_unsat;

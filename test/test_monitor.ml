@@ -71,12 +71,16 @@ let test_matches_offline () =
 
 let test_budget () =
   (* The revalidation fast path absorbs everything it can and the graph
-     backend decides anything with forced edges only, so the budget needs
-     a response that reaches the backtracking search: a duplicate written
-     value (two live writers of [X=1]) makes the graph decline as
-     Ambiguous, and the read from a commit-pending writer defeats
-     revalidation — the 1-node search budget then trips. *)
-  let h = Dsl.(history [ w 1 x 1; c_inv 1; w 2 x 1; r 3 x 1 ]) in
+     backend decides everything but a contradiction after a heuristic
+     choice, so the budget needs a response that reaches the backtracking
+     search: T3's read of [X=1] ties between the commit-pending T1 and
+     T2, the graph binds it to T1, and T1's abort then makes the graph
+     decline as Ambiguous — the 1-node search budget trips. *)
+  let h =
+    Dsl.(
+      history
+        [ w 1 x 1; c_inv 1; w 2 x 1; c_inv 2; r 3 x 1; aborted 1 ])
+  in
   let m = Monitor.create ~max_nodes:1 () in
   match Monitor.push_all m (History.to_list h) with
   | `Budget _ -> ()
