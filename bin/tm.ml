@@ -537,8 +537,8 @@ let chaos_cmd =
         !violations !budgets;
       if !responses > 0 then
         Fmt.pr
-          "# monitor fast path: %d/%d responses revalidated in place \
-           (%.1f%%), %d searches, %d nodes@."
+          "# monitor fast path: %d/%d responses certified by the graph as \
+           it stands (%.1f%%), %d searches, %d nodes@."
           !hits !responses
           (100. *. float_of_int !hits /. float_of_int !responses)
           !searches !nodes
@@ -723,8 +723,8 @@ let monitor_cmd =
           let hits = Monitor.fastpath_hits m in
           if responses > 0 then
             Fmt.pr
-              "fast path: %d/%d responses revalidated in place (%.1f%%), %d \
-               searches, %d nodes@."
+              "fast path: %d/%d responses certified by the graph as it \
+               stands (%.1f%%), %d searches, %d nodes@."
               hits responses
               (100. *. float_of_int hits /. float_of_int responses)
               (Monitor.searches_run m) (Monitor.nodes_total m)

@@ -55,6 +55,20 @@
    [bind] asks [Topo.mem_edge] first; stand-in edges are added only
    where no path exists yet.
 
+   The verdict costs what changed since the previous one.  Every change a
+   push or a repair makes to the order, to a transaction's decision or to
+   its reads lowers [low], the lowest order index it touched (a reorder
+   reports the lowest index it reassigned, {!Topo.reorder_low}).  Below
+   [low] nothing moved, so every read whose reader sits there keeps the
+   clean interval the previous verdict left it, and the replay state
+   there still holds: a verdict rescans the reads of the transactions at
+   [low] and above, and rewinds the replay to [low] through an undo log
+   before replaying the rest.  The committed writers of each variable are
+   kept sorted by order index the same way: entries below the lowest
+   index a reorder or a new writer touched since the last look keep their
+   place, and only the rest is re-sorted.  The batch [check] keeps no undo
+   log: its one verdict replays from index 0.
+
    No per-event step hashes a tuple.  Transactions and variables are
    interned through [Int]-keyed tables; each written or read (variable,
    value) pair has one mutable [slot] found through its variable's
@@ -113,6 +127,7 @@ module Inc = struct
     }
 
   type t = {
+    online : bool;  (* more verdicts will follow: keep the replay undo log *)
     (* interning *)
     node_of_tx : int Itbl.t;
     tx_of_node : int Pvec.t;
@@ -135,20 +150,45 @@ module Inc = struct
         (* the node's deferred buffer: (var, current final value) *)
     (* per-variable state (parallel vectors, indexed by variable) *)
     slots : slot Itbl.t Pvec.t;  (* value -> slot *)
-    writers_of_var : int list Pvec.t;  (* committed writers *)
-    var_cache : ((int * int) array * int) Pvec.t;
-        (* sorted (ord, node) committed-writer positions, epoch at build;
-           rebuilt lazily *)
+    wsorted : (int * int) Pvec.t Pvec.t;
+        (* committed writers as (ord, node), sorted by the ord cached at
+           the last look ([writer_array]) *)
+    wpending : int list Pvec.t;  (* committed writers not sorted in yet *)
+    wseen : int Pvec.t;  (* reorders folded into [wsorted] *)
+    wepoch : int Pvec.t;  (* pass of the last look *)
+    var_reads : reader Pvec.t Pvec.t;
+        (* external reads, in stream order, folded in from [reads] only
+           once values repeat ([resolve]) *)
+    mutable var_reads_upto : int;
     clog_end : int Pvec.t Pvec.t;
         (* committed writers' completion indices, ascending *)
     clog_start : int Pvec.t Pvec.t;  (* running max of their first events *)
     mutable clog_upto : int;  (* frontier entries folded into the logs *)
     reads : reader Pvec.t;  (* bound external reads, in order *)
+    last_read : int Pvec.t;  (* per node: index of its latest read; -1 *)
+    prev_read : int Pvec.t;
+        (* per read: index of its reader's previous read; -1 *)
     (* frontier of maximal t-complete transactions (queue over a vector;
        the vector keeps every t-complete node in completion order) *)
     frontier : int Pvec.t;
     mutable f_lo : int;
     mutable epoch : int;  (* bumped at each resolution pass *)
+    mutable low : int;  (* lowest order index touched since the last Sat *)
+    mutable lows_seen : int;  (* reorders folded into [low] *)
+    (* the replay of the order against Definition 3, kept between
+       verdicts: per-variable state after positions [0, rupto), with an
+       undo record per replayed position *)
+    rvalue : int Pvec.t;  (* latest committed value *)
+    rstack : (int * int) list Pvec.t;
+        (* committed writes as (tryC invocation index, value), newest
+           first *)
+    rlog : (int * int * (int * int) list) list Pvec.t;
+    mutable rupto : int;
+    opens : (int * int) Pvec.t;
+        (* replayed positions with a read that has a committed writer of
+           another value between its local source and it, ascending, each
+           with the latest tryC index of such a read's newer writers so far
+           ({!closed_after}) *)
     watch : unit Itbl.t;
         (* writers of [relied] slots that had not invoked tryC *)
     (* stream state *)
@@ -160,16 +200,12 @@ module Inc = struct
     mutable same_value_choice : bool;
         (* some heuristic choice was among writers of one repeated value *)
     mutable repeated : bool;  (* some pair has had two live writers *)
-    mutable closed : bool;
-        (* in the last replayed order, every committed writer between a
-           read's local source and the read writes the read's value *)
     mutable repairs : int;
   }
 
-  let stale = ([||], -1)
-
-  let create () =
+  let make ~online =
     {
+      online;
       node_of_tx = Itbl.create 64;
       tx_of_node = Pvec.create 0;
       var_of_tvar = Itbl.create 16;
@@ -185,15 +221,28 @@ module Inc = struct
       pend_val = Pvec.create 0;
       writes = Pvec.create [];
       slots = Pvec.create (Itbl.create 1);
-      writers_of_var = Pvec.create [];
-      var_cache = Pvec.create stale;
+      wsorted = Pvec.create (Pvec.create (0, 0));
+      wpending = Pvec.create [];
+      wseen = Pvec.create 0;
+      wepoch = Pvec.create 0;
+      var_reads = Pvec.create (Pvec.create dummy_reader);
+      var_reads_upto = 0;
       clog_end = Pvec.create (Pvec.create 0);
       clog_start = Pvec.create (Pvec.create 0);
       clog_upto = 0;
       reads = Pvec.create dummy_reader;
+      last_read = Pvec.create (-1);
+      prev_read = Pvec.create (-1);
       frontier = Pvec.create 0;
       f_lo = 0;
       epoch = 0;
+      low = (if online then max_int else 0);
+      lows_seen = 0;
+      rvalue = Pvec.create Event.init_value;
+      rstack = Pvec.create [];
+      rlog = Pvec.create [];
+      rupto = 0;
+      opens = Pvec.create (0, -1);
       watch = Itbl.create 1;
       idx = 0;
       poison = None;
@@ -202,9 +251,10 @@ module Inc = struct
       taint = false;
       same_value_choice = false;
       repeated = false;
-      closed = true;
       repairs = 0;
     }
+
+  let create () = make ~online:true
 
   let nnodes g = g.tx_of_node.Pvec.n
   let tx g n = Pvec.get g.tx_of_node n
@@ -226,8 +276,13 @@ module Inc = struct
         Itbl.replace g.var_of_tvar x i;
         Pvec.push g.tvar_of_var x;
         Pvec.push g.slots (Itbl.create 16);
-        Pvec.push g.writers_of_var [];
-        Pvec.push g.var_cache stale;
+        Pvec.push g.wsorted (Pvec.create (0, 0));
+        Pvec.push g.wpending [];
+        Pvec.push g.wseen (Topo.reorders g.topo);
+        Pvec.push g.wepoch (-1);
+        Pvec.push g.var_reads (Pvec.create dummy_reader);
+        Pvec.push g.rvalue Event.init_value;
+        Pvec.push g.rstack [];
         Pvec.push g.clog_end (Pvec.create 0);
         Pvec.push g.clog_start (Pvec.create 0);
         i
@@ -249,8 +304,36 @@ module Inc = struct
      these are thin views with the node-id conventions baked in. *)
 
   let ord g n = Topo.ord g.topo n
+
+  (* Int minimum: [Stdlib.min] compares polymorphically. *)
+  let imin (a : int) b = if a < b then a else b
+
+  (* [n]'s order index, its decision or its reads changed.  The batch
+     [check] rescans from index 0 anyway ([make]). *)
+  let touch g n =
+    if g.online then begin
+      let o = ord g n in
+      if o < g.low then g.low <- o
+    end
+
+  (* fold the reorders since the last call into [low] *)
+  let fold_lows g =
+    for i = g.lows_seen to Topo.reorders g.topo - 1 do
+      g.low <- imin g.low (Topo.reorder_low g.topo i)
+    done;
+    g.lows_seen <- Topo.reorders g.topo
+
   let add_edge g u v = Topo.add_edge g.topo u v
-  let reach g a b = Topo.reach g.topo a b
+
+  (* A path a ~> b.  Real-time order implies one (the frontier's edges
+     reach every transaction that completed before [b] started), and
+     answers without the search, which is bounded only by [b]'s index:
+     from a source far back in a long stream it would walk the whole
+     interval. *)
+  let reach g a b =
+    (let c = Pvec.get g.completion a in
+     c >= 0 && c < Pvec.get g.first_ev b)
+    || Topo.reach g.topo a b
 
   (* --- transactions ----------------------------------------------------- *)
 
@@ -259,7 +342,7 @@ module Inc = struct
 
   (* Why a contradiction after a heuristic choice proves nothing.  A
      choice among same-value writers says so in the words perfbench's
-     escalation classes match on. *)
+     fallback classes match on ("prefix closure"). *)
   let heuristic_note g =
     if g.same_value_choice then
       "a heuristic choice among same-value writers (repeated values forfeit \
@@ -309,6 +392,8 @@ module Inc = struct
         Pvec.push g.pend_var (-1);
         Pvec.push g.pend_val 0;
         Pvec.push g.writes [];
+        Pvec.push g.last_read (-1);
+        touch g n;
         (* real-time edges: the frontier holds exactly the maximal
            t-complete transactions, each of which really-time-precedes the
            newcomer; everything below them is implied transitively.  The
@@ -334,9 +419,7 @@ module Inc = struct
     done;
     Pvec.push g.frontier n
 
-  let register_writer g x w =
-    Pvec.set g.writers_of_var x (w :: Pvec.get g.writers_of_var x);
-    Pvec.set g.var_cache x stale
+  let register_writer g x w = Pvec.set g.wpending x (w :: Pvec.get g.wpending x)
 
   (* Commit [w] in the certificate: [~forced] when every du-opaque
      serialization must, otherwise as a heuristic choice. *)
@@ -344,6 +427,7 @@ module Inc = struct
     match Pvec.get g.must_commit w with
     | 0 ->
         Pvec.set g.must_commit w (if forced then 1 else 2);
+        touch g w;
         List.iter (fun (x, _) -> register_writer g x w) (Pvec.get g.writes w)
     | 2 when forced -> Pvec.set g.must_commit w 1
     | _ -> ()
@@ -440,9 +524,22 @@ module Inc = struct
         | `Cycle -> on_cycle g w n
       end
     end;
-    Pvec.push g.reads
+    let r =
       { rd_node = n; rd_var = x; rd_value = v; rd_res = g.idx;
         rd_writer = w; rd_slot = s }
+    in
+    Pvec.push g.prev_read (Pvec.get g.last_read n);
+    Pvec.set g.last_read n g.reads.Pvec.n;
+    Pvec.push g.reads r;
+    touch g n
+
+  (* [f] on each of [n]'s reads, newest first *)
+  let iter_reads g n f =
+    let ri = ref (Pvec.get g.last_read n) in
+    while !ri >= 0 do
+      f (Pvec.get g.reads !ri);
+      ri := Pvec.get g.prev_read !ri
+    done
 
   (* A read of a pair with several writers (T0 counting as the initial
      value's writer, -1): the candidates are those that had invoked tryC
@@ -589,35 +686,55 @@ module Inc = struct
 
   (* --- verdict ---------------------------------------------------------- *)
 
-  exception Decided of result
+  exception Decided of [ `Unsat of string | `Ambiguous of string ]
 
   let contradiction g why =
     raise
       (Decided
          (if g.taint then
-            Ambiguous
+            `Ambiguous
               (Fmt.str "ordering contradiction after %s: %s"
                  (heuristic_note g) why)
-          else Unsat why))
+          else `Unsat why))
 
-  (* Sorted (ord, node) array of the committed writers of [x].  The cache
-     entry is dropped by [register_writer] when a writer is added, and
-     keyed on the pass epoch.  Within a pass the positions may go stale as
-     repairs reorder the region — [repair] re-checks current positions
-     before acting, and the fixpoint loop only stops after a clean pass
-     against freshly built arrays, so staleness costs at most an extra
-     pass, never a wrong verdict. *)
+  (* Sorted (ord, node) array of the committed writers of [x], brought up
+     to date at most once per resolution pass (and whenever a writer was
+     registered since).  Entries whose cached ord lies below every index a
+     reorder or a new writer touched since the last look kept their index
+     ({!Topo.reorder_low}) and stay; the rest are re-sorted by their
+     current ord.  Within a pass the positions may go stale as repairs
+     reorder the region — [repair] re-checks current positions before
+     acting, and the fixpoint loop only stops after a clean pass against
+     freshly sorted arrays, so staleness costs at most an extra pass,
+     never a wrong verdict. *)
   let writer_array g x =
-    match Pvec.get g.var_cache x with
-    | arr, ep when ep = g.epoch -> arr
-    | _ ->
-        let arr =
-          Array.of_list
-            (List.map (fun n -> (ord g n, n)) (Pvec.get g.writers_of_var x))
-        in
-        Array.sort (fun (a, _) (b, _) -> Int.compare a b) arr;
-        Pvec.set g.var_cache x (arr, g.epoch);
-        arr
+    let arr = Pvec.get g.wsorted x and pend = Pvec.get g.wpending x in
+    if Pvec.get g.wepoch x <> g.epoch || pend <> [] then begin
+      Pvec.set g.wepoch x g.epoch;
+      let t = ref max_int and nr = Topo.reorders g.topo in
+      for i = Pvec.get g.wseen x to nr - 1 do
+        t := imin !t (Topo.reorder_low g.topo i)
+      done;
+      Pvec.set g.wseen x nr;
+      List.iter (fun n -> t := imin !t (ord g n)) pend;
+      if !t < max_int then begin
+        let l = ref 0 and r = ref arr.Pvec.n in
+        while !l < !r do
+          let m = (!l + !r) / 2 in
+          if fst (Pvec.get arr m) < !t then l := m + 1 else r := m
+        done;
+        let rest = ref pend in
+        for i = !l to arr.Pvec.n - 1 do
+          rest := snd (Pvec.get arr i) :: !rest
+        done;
+        let moved = Array.of_list (List.map (fun n -> (ord g n, n)) !rest) in
+        Array.sort (fun (a, _) (b, _) -> Int.compare a b) moved;
+        arr.Pvec.n <- !l;
+        Array.iter (Pvec.push arr) moved;
+        Pvec.set g.wpending x []
+      end
+    end;
+    arr
 
   (* Committed writers of another value than the read's, strictly inside
      the serialization interval the read forbids: (writer, reader) for
@@ -625,22 +742,23 @@ module Inc = struct
      value may sit anywhere; a pair with one writer has none to skip. *)
   let offenders g (r : reader) =
     let arr = writer_array g r.rd_var in
-    if Array.length arr = 0 then []
+    let len = arr.Pvec.n in
+    if len = 0 then []
     else begin
       let lo = if r.rd_writer < 0 then min_int else ord g r.rd_writer in
       let hi = ord g r.rd_node in
       let s = r.rd_slot in
       let one_writer = s.others = [] && (s.final < 0 || s.final = r.rd_writer) in
       (* first index with ord > lo *)
-      let l = ref 0 and rgt = ref (Array.length arr) in
+      let l = ref 0 and rgt = ref len in
       while !l < !rgt do
         let m = (!l + !rgt) / 2 in
-        if fst arr.(m) <= lo then l := m + 1 else rgt := m
+        if fst (Pvec.get arr m) <= lo then l := m + 1 else rgt := m
       done;
       let acc = ref [] in
       let i = ref !l in
-      while !i < Array.length arr && fst arr.(!i) < hi do
-        let w'' = snd arr.(!i) in
+      while !i < len && fst (Pvec.get arr !i) < hi do
+        let w'' = snd (Pvec.get arr !i) in
         if
           w'' <> r.rd_node && w'' <> r.rd_writer
           && (one_writer
@@ -834,11 +952,11 @@ module Inc = struct
     let around =
       if not g.repeated then None
       else begin
-        let by_var = Array.make (max 1 g.tvar_of_var.Pvec.n) [] in
-        for ri = g.reads.Pvec.n - 1 downto 0 do
+        for ri = g.var_reads_upto to g.reads.Pvec.n - 1 do
           let r = Pvec.get g.reads ri in
-          by_var.(r.rd_var) <- r :: by_var.(r.rd_var)
+          Pvec.push (Pvec.get g.var_reads r.rd_var) r
         done;
+        g.var_reads_upto <- g.reads.Pvec.n;
         Some
           (fun (r : reader) w'' ->
             let lo = if r.rd_writer < 0 then min_int else ord g r.rd_writer in
@@ -851,136 +969,186 @@ module Inc = struct
             in
             List.iter
               (fun (x, v'') ->
-                List.iter
-                  (fun (r' : reader) ->
-                    if
-                      r' != r && r'.rd_writer <> w'' && r'.rd_node <> w''
-                      && r'.rd_value <> v''
-                      && (near r'.rd_writer || near r'.rd_node)
-                    then pin g r' w'')
-                  by_var.(x))
+                let rs = Pvec.get g.var_reads x in
+                for ri = 0 to rs.Pvec.n - 1 do
+                  let r' = Pvec.get rs ri in
+                  if
+                    r' != r && r'.rd_writer <> w'' && r'.rd_node <> w''
+                    && r'.rd_value <> v''
+                    && (near r'.rd_writer || near r'.rd_node)
+                  then pin g r' w''
+                done)
               (Pvec.get g.writes w''))
       end
     in
+    (* The reads to rescan are those of the transactions at [low] and
+       above; from index 0 that is every read, taken in stream order. *)
     let pass ~heuristic =
       g.epoch <- g.epoch + 1;
+      fold_lows g;
+      let edges = Topo.edge_count g.topo in
       let acted = ref false in
-      for ri = 0 to g.reads.Pvec.n - 1 do
-        let r = Pvec.get g.reads ri in
+      let visit r =
         List.iter
           (fun w'' -> if repair g ~heuristic ~around r w'' then acted := true)
           (offenders g r)
-      done;
-      !acted
+      in
+      if g.low = 0 then
+        for ri = 0 to g.reads.Pvec.n - 1 do
+          visit (Pvec.get g.reads ri)
+        done
+      else
+        for p = g.low to nnodes g - 1 do
+          iter_reads g (Topo.at g.topo p) visit
+        done;
+      !acted || Topo.edge_count g.topo <> edges
     in
     ignore (pass ~heuristic:false);
-    let continue_ = ref true in
-    while !continue_ do
-      continue_ := false;
-        if pass ~heuristic:true then continue_ := true
-    done
-
-  (* Linear replay of the candidate serialization against Definition 3's
-     value clauses: global legality (latest committed writer) and the
-     local-serialization (deferred-update filter) expectation per read. *)
-  let replay g order =
-    let reads_of = Array.make (max 1 (nnodes g)) [] in
-    for ri = g.reads.Pvec.n - 1 downto 0 do
-      let r = Pvec.get g.reads ri in
-      reads_of.(r.rd_node) <- r :: reads_of.(r.rd_node)
+    while pass ~heuristic:true do
+      ()
     done;
-    let nvars = max 1 g.tvar_of_var.Pvec.n in
-    let state = Array.make nvars Event.init_value in
-    let stacks = Array.make nvars [] in
-    (* (tryC invocation index, value), newest first *)
+    fold_lows g
+
+  (* Rewind the replay to position [p]: undo the writes of the positions
+     at and above it.  Without an undo log, start over. *)
+  let rewind g p =
+    if g.online then
+      for q = g.rupto - 1 downto p do
+        List.iter
+          (fun (x, v, st) ->
+            Pvec.set g.rvalue x v;
+            Pvec.set g.rstack x st)
+          (Pvec.get g.rlog q);
+        Pvec.pop g.rlog
+      done
+    else
+      for x = 0 to g.rvalue.Pvec.n - 1 do
+        Pvec.set g.rvalue x Event.init_value;
+        Pvec.set g.rstack x []
+      done;
+    g.rupto <- (if g.online then p else 0)
+
+  (* the last entry of [opens], or (-1, -1) *)
+  let last_open g =
+    let o = g.opens in
+    if o.Pvec.n = 0 then (-1, -1) else Pvec.get o (o.Pvec.n - 1)
+
+  (* A read at position [p] has a newer writer of another value before it;
+     [tc] is the latest tryC index among its newer writers. *)
+  let open_read g p tc =
+    let q, last = last_open g in
+    let tc = if tc > last then tc else last in
+    if q = p then Pvec.set g.opens (g.opens.Pvec.n - 1) (p, tc)
+    else Pvec.push g.opens (p, tc)
+
+  (* Linear replay of the maintained order against Definition 3's value
+     clauses: global legality (latest committed writer) and the
+     local-serialization (deferred-update filter) expectation per read.
+     Resumes from the lowest touched position; stops at the first read
+     the order does not serve. *)
+  let replay g =
+    if g.low < g.rupto then rewind g g.low;
+    (* positions from [rupto] up are replayed again *)
+    while fst (last_open g) >= g.rupto do
+      Pvec.pop g.opens
+    done;
+    let n = nnodes g in
     let bad = ref None in
-    g.closed <- true;
-    Array.iter
-      (fun nd ->
-        if !bad = None then begin
+    while !bad = None && g.rupto < n do
+      let p = g.rupto in
+      let nd = Topo.at g.topo p in
+      iter_reads g nd (fun r ->
+          if !bad = None then begin
+            (* the writers newer than the local source are exactly
+               those a prefix may abort: any of another value would
+               then serve the read globally *)
+            let rec du ~other ~latest = function
+              | [] ->
+                  if other then open_read g p latest;
+                  Event.init_value
+              | (tc, v) :: rest ->
+                  if tc < r.rd_res then begin
+                    if other then open_read g p latest;
+                    v
+                  end
+                  else
+                    du ~other:(other || v <> r.rd_value)
+                      ~latest:(if tc > latest then tc else latest) rest
+            in
+            let glob = Pvec.get g.rvalue r.rd_var in
+            let duv =
+              du ~other:false ~latest:(-1) (Pvec.get g.rstack r.rd_var)
+            in
+            if glob <> r.rd_value || duv <> r.rd_value then
+              bad :=
+                Some
+                  (Fmt.str
+                     "T%d's read of %a returns %d where the order yields %d \
+                      (du view %d)"
+                     (tx g nd) (pp_var g) r.rd_var r.rd_value glob duv)
+          end);
+      if !bad = None then begin
+        let undo = ref [] in
+        if Pvec.get g.must_commit nd <> 0 then
           List.iter
-            (fun (r : reader) ->
-              if !bad = None then begin
-                (* the writers newer than the local source are exactly
-                   those a prefix may abort: any of another value would
-                   then serve the read globally *)
-                let rec du = function
-                  | [] -> Event.init_value
-                  | (tc, v) :: rest ->
-                      if tc < r.rd_res then v
-                      else begin
-                        if v <> r.rd_value then g.closed <- false;
-                        du rest
-                      end
-                in
-                let glob = state.(r.rd_var) in
-                let duv = du stacks.(r.rd_var) in
-                if glob <> r.rd_value || duv <> r.rd_value then
-                  bad :=
-                    Some
-                      (Fmt.str
-                         "T%d's read of %a returns %d where the order yields \
-                          %d (du view %d)"
-                         (tx g nd) (pp_var g) r.rd_var r.rd_value glob duv)
-              end)
-            reads_of.(nd);
-          if !bad = None && Pvec.get g.must_commit nd <> 0 then
-            List.iter
-              (fun (x, v) ->
-                state.(x) <- v;
-                stacks.(x) <- (Pvec.get g.tryc_inv nd, v) :: stacks.(x))
-              (Pvec.get g.writes nd)
-        end)
-      order;
+            (fun (x, v) ->
+              let st = Pvec.get g.rstack x in
+              if g.online then undo := (x, Pvec.get g.rvalue x, st) :: !undo;
+              Pvec.set g.rvalue x v;
+              Pvec.set g.rstack x ((Pvec.get g.tryc_inv nd, v) :: st))
+            (Pvec.get g.writes nd);
+        if g.online then Pvec.push g.rlog !undo;
+        g.rupto <- p + 1
+      end
+    done;
     !bad
 
-  let certificate g order =
-    let ids = Array.to_list (Array.map (tx g) order) in
-    let committed =
-      List.filter_map
-        (fun nd ->
-          if Pvec.get g.must_commit nd <> 0 then Some (tx g nd) else None)
-        (Array.to_list order)
-    in
-    Sat (Serialization.make ~order:ids ~committed)
+  (* The maintained order as a serialization, with the decisions. *)
+  let certificate g =
+    let order = ref [] and committed = ref [] in
+    for p = nnodes g - 1 downto 0 do
+      let nd = Topo.at g.topo p in
+      order := tx g nd :: !order;
+      if Pvec.get g.must_commit nd <> 0 then committed := tx g nd :: !committed
+    done;
+    Serialization.make ~order:!order ~committed:!committed
 
   (* One path: a recorded poison or violation answers at once; otherwise
-     [resolve] repairs every read's interval, the maintained topological
-     order is replayed, and the replayed order is the certificate.
-     Between a poison and a violation, whichever fired first in stream
-     order wins: a violation detected before any poison rests only on
-     trustworthy bindings (and non-du-opacity of a prefix is never
-     retracted by the monitors that read it), while a violation detected
-     after a poison may rest on state the poison made unreliable. *)
-  let verdict g =
+     [resolve] repairs the interval of every read at or above [low], and
+     the order is replayed from there.  Between a poison and a violation,
+     whichever fired first in stream order wins: a violation detected
+     before any poison rests only on trustworthy bindings (and
+     non-du-opacity of a prefix is never retracted by the monitor that
+     reads it), while a violation detected after a poison may rest on
+     state the poison made unreliable.  What the resolution decides is
+     not recorded: a contradiction leaves [low] where it was, so the next
+     verdict meets it again unless the stream changed it. *)
+  let decide g =
     match (g.poison, g.violation) with
-    | Some (pi, pw), Some (vi, _) when pi < vi -> Ambiguous pw
-    | _, Some (_, vw) -> Unsat vw
-    | Some (_, pw), None -> Ambiguous pw
+    | Some (pi, pw), Some (vi, _) when pi < vi -> `Ambiguous pw
+    | _, Some (_, vw) -> `Unsat vw
+    | Some (_, pw), None -> `Ambiguous pw
     | None, None -> (
         match resolve g with
         | () -> (
-            (* [ord] is a permutation of the node ids: invert it *)
-            let order = Array.make (nnodes g) 0 in
-            for nd = 0 to nnodes g - 1 do
-              order.(ord g nd) <- nd
-            done;
-            match replay g order with
+            match replay g with
             | Some why ->
                 (* defensive: the resolution missed a clause; the exact
                    search arbitrates *)
-                Ambiguous ("internal: graph certificate rejected: " ^ why)
-            | None -> certificate g order)
-        | exception Decided r ->
-            (match r with
-            | Unsat why -> violate g why
-            | Ambiguous why -> poison g why
-            | Sat _ -> ());
-            r)
+                `Ambiguous ("internal: graph certificate rejected: " ^ why)
+            | None ->
+                g.low <- max_int;
+                `Sat)
+        | exception Decided (`Unsat why) -> `Unsat why
+        | exception Decided (`Ambiguous why) -> `Ambiguous why)
 
-  let certifiable g = g.poison = None && g.violation = None
-  let prefix_closed g = g.closed
-  let events g = g.idx
+  let verdict g =
+    match decide g with
+    | `Sat -> Sat (certificate g)
+    | `Unsat why -> Unsat why
+    | `Ambiguous why -> Ambiguous why
+
+  let closed_after g = snd (last_open g)
   let cycle g = Option.map (List.map (tx g)) g.cycle
 
   let stats g =
@@ -994,7 +1162,7 @@ module Inc = struct
 end
 
 let check_stats h =
-  let g = Inc.create () in
+  let g = Inc.make ~online:false in
   List.iter (Inc.push g) (History.to_list h);
   (* the verdict's resolution adds edges and repairs: count them *)
   let r = Inc.verdict g in
@@ -1003,7 +1171,7 @@ let check_stats h =
 let check h = fst (check_stats h)
 
 let counterexample_cycle h =
-  let g = Inc.create () in
+  let g = Inc.make ~online:false in
   List.iter (Inc.push g) (History.to_list h);
   (* verdict-time resolution can be what closes the cycle *)
   ignore (Inc.verdict g);

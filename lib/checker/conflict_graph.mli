@@ -52,15 +52,15 @@
     certificate that passed an independent linear replay of Definition 3's
     clauses (and is additionally re-checked by {!Serialization.validate}
     wherever the oracle adopts it), and [Unsat] is only ever derived from
-    forced edges, so it is sound for the checked prefix.  A streaming
-    consumer reads it as "some prefix so far is not du-opaque", which no
-    extension retracts.  Edges forced at one verdict stay sound for later
-    ones: a candidate set only shrinks as writers abort, and a forced
-    repair that assumed no other writer of the read's value could commit
-    taints the state once one invokes [tryC].  With repeated values a
-    later prefix can be du-opaque again (Finding 3);
-    {!Inc.prefix_closed} tells whether a [Sat] certificate also covers
-    every earlier prefix. *)
+    forced edges, so it is sound for the checked prefix.  Edges forced at
+    one verdict of a stream stay sound for later ones: a candidate set
+    only shrinks as writers abort, and a forced repair that assumed no
+    other writer of the read's value could commit taints the state once
+    one invokes [tryC].  With repeated values a later prefix can be
+    du-opaque again (Finding 3), so a streaming consumer that reads
+    [Unsat] as "some prefix so far is not du-opaque" keeps that answer
+    itself ({!Monitor} is sticky); {!Inc.closed_after} tells which earlier
+    prefixes a [Sat] certificate also covers. *)
 
 type result =
   | Sat of Serialization.t
@@ -96,10 +96,33 @@ val counterexample_cycle : History.t -> Event.tx list option
     [tm check --dot]. *)
 
 (** Incremental (online) interface: feed events as they arrive, ask for a
-    verdict of the stream seen so far only when needed.  {!Monitor} pushes
-    every accepted event here and consults {!Inc.verdict} before running a
-    backtracking search; {!Session_monitor} runs on it alone until it
-    escalates. *)
+    verdict of the stream seen so far when needed.  {!Monitor}, the one
+    online engine, pushes every accepted event here and certifies from
+    {!Inc.decide}.
+
+    A verdict costs what changed since the previous one.  Pushes and
+    repairs record the lowest position of the maintained order they
+    touched: a new transaction, a commit or abort, a new read, a
+    Pearce–Kelly reorder (which only permutes the positions of its own
+    region).  Below that position nothing moved, so the reads whose
+    reader sits there keep the clean intervals the previous verdict left
+    them, and the linear replay's state there still holds.  A verdict
+    rescans only the reads at or above it — the reads new since the last
+    verdict and those whose interval a new committed writer, a reorder or
+    a status change can have reached — rewinds the replay to it through an
+    undo log and replays the rest.  The certificate is built only when
+    asked for.
+
+    Heuristic choices (a tie bound among same-value writers, an
+    unconstrained write pair ordered by commit order, a stand-in placed)
+    stay in the graph while they hold; a contradiction they may have
+    caused answers [Ambiguous], and the caller may rebuild the graph
+    from the stream, so no heuristic choice made on a shorter prefix
+    outlives the verdict it breaks.  A verdict's own
+    conclusions are not recorded: only what a push proves (a read no
+    writer can serve, a cycle of edges that are forced at that prefix, an
+    abort of a transaction a read forced to commit) answers every later
+    verdict without work. *)
 module Inc : sig
   type t
 
@@ -108,36 +131,45 @@ module Inc : sig
   val push : t -> Event.t -> unit
   (** Ingest one event.  O(1) amortised for responses that do not change
       the edge set; edge insertions cost a Pearce–Kelly update.  Events
-      must be pushed in stream order and be well-formed (the session
-      monitor's and the monitor's {!History.Builder}s have already
-      validated them). *)
+      must be pushed in stream order and be well-formed (the monitor's
+      {!History.Builder} has already validated them). *)
+
+  val decide : t -> [ `Sat | `Unsat of string | `Ambiguous of string ]
+  (** The verdict for the pushed prefix, without building the certificate:
+      a recorded poison or violation answers at once; otherwise the
+      anti-dependency intervals of the reads at or above the lowest
+      touched position are repaired to a fixpoint (forced repairs first,
+      then heuristic ones; a contradiction after a heuristic choice
+      answers [Ambiguous]) and the order is replayed from there.  [`Sat]
+      means the maintained order, with the transactions' decisions, passed
+      the replay; {!certificate} renders it. *)
 
   val verdict : t -> result
-  (** Verdict for the pushed prefix.  One path: a recorded poison or
-      violation answers at once; otherwise anti-dependency repair edges
-      are added (they stay for every later verdict, and a contradiction
-      through a heuristic one answers [Ambiguous]), and the repaired
-      topological order is the certificate once it passes the linear
-      replay validation. *)
+  (** {!decide}, with a [Sat]'s certificate built. *)
 
-  val certifiable : t -> bool
-  (** [false] once a poison or a forced violation is recorded: from then
-      on {!verdict} answers [Unsat] or [Ambiguous], without work, for the
-      pushed prefix and every extension of it. *)
+  val certificate : t -> Serialization.t
+  (** The maintained order and commit decisions.  After a [`Sat]
+      {!decide} with nothing pushed since, a du-opaque serialization of the
+      pushed prefix; after further invocations only, still one (a new
+      transaction sits last and aborts).  Otherwise a topological order of
+      the graph, good as a search hint. *)
 
-  val prefix_closed : t -> bool
-  (** Whether the last [Sat] from {!verdict} also certifies every prefix
-      of the stream it judged: in its certificate every committed writer
-      between a read's local source and the read writes the value read.
-      Restrict the certificate to a prefix, committing what committed and
-      can still commit there: the writers a read's local serialization
-      retains all stay committed, so its local source is unchanged, and
-      its global source is that source or a writer after it — of the
-      value read.  So the prefix is du-opaque too.  A [Sat] without it,
-      possible only with repeated written values, may cover a prefix
-      that is not du-opaque ({!Tm_figures.Findings.corollary2_gap}). *)
-
-  val events : t -> int
+  val closed_after : t -> int
+  (** A stream index [l] such that the last [Sat]'s certificate also
+      certifies every prefix of the judged stream longer than [l]; [-1]
+      when it certifies every prefix.  Restrict the certificate to a
+      prefix, committing what committed and can still commit there: the
+      writers a read's local serialization retains all stay committed, so
+      its local source is unchanged.  Its global source changes only if a
+      committed writer between the local source and the read — one that
+      invoked [tryC] after the read's response — drops out, because the
+      prefix ends before that [tryC].  That matters only where one of
+      those newer writers writes another value than the one read; [l] is
+      the latest [tryC] index among the newer writers of such reads, so a
+      prefix longer than it keeps them all, and every read its source.  A
+      certificate with such a read, possible only with repeated written
+      values, may cover a shorter prefix that is not du-opaque
+      ({!Tm_figures.Findings.corollary2_gap}). *)
 
   val stats : t -> stats
 

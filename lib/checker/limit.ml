@@ -51,10 +51,10 @@ let analyze ?max_nodes ~family ~depths () =
   in
   (* Serialization chain: one online monitor consumes the family member by
      member — each member's events beyond the previous one are pushed and
-     the running certificate read off at the boundary.  This is the König
-     path construction run through the monitor's local-check fast path:
-     searches only happen where a response actually perturbs the running
-     certificate, and each is hinted by it. *)
+     its certificate read off at the boundary.  This is the König path
+     construction run through the monitor's incremental graph: searches
+     only happen where the graph cannot decide, and each is hinted by the
+     last certificate. *)
   let all_du = ref true in
   let monitor = Monitor.create ?max_nodes () in
   let consumed = ref 0 in

@@ -1,75 +1,69 @@
 type outcome = [ `Ok | `Violation of string | `Budget of string ]
 
-(* The running certificate is held unmaterialised: [rev_order] accumulates
-   transactions by an O(1) cons (newest first) and [committed] is the
-   decision set; the forward {!Serialization.t} view is (re)built only when
-   something needs it — a validator run, a search hint, the [certificate]
-   accessor — and cached until the order or the decisions change.
+module Inc = Conflict_graph.Inc
 
-   Invariant (while no failure has been recorded): the certificate is a
-   valid du-opaque serialization of [history], i.e.
-   [Serialization.validate ~claim:Du_opaque history (certificate)] holds.
-   Every fast-path acceptance below preserves it by construction; the
-   search fallback re-establishes it with a fresh witness. *)
+(* One stream on one incremental conflict graph.  See the .mli for the
+   contract.  The search context is created and synced only when a search
+   runs ([Du_opacity.check_inc] syncs it), so a stream the graph decides
+   never builds its tables. *)
 type t = {
   max_nodes : int option;
-  events : History.Builder.t;  (* the accepted stream, validated *)
-  inc : Du_opacity.inc;
-      (* persistent search context for the fallback, synced every accepted
-         event: its transaction summaries serve the local checks, and its
-         index answers which transactions the certificate order holds *)
-  graph : Conflict_graph.Inc.t;
-      (* incremental conflict-graph backend, fed every accepted event;
-         consulted before each backtracking search and trusted whenever it
-         decides — see [run_search] *)
-  mutable failed : outcome option;  (* [None] while the prefix is du-opaque *)
-  mutable rev_order : Event.tx list;
-  mutable committed : Serialization.Tx_set.t;
-  mutable forward : Serialization.t option;  (* cache of the forward view *)
+  mutable events : History.Builder.t;  (* the accepted stream, validated *)
+  mutable graph : Inc.t;  (* fed every accepted event *)
+  mutable inc : Du_opacity.inc option;  (* the search's context *)
+  mutable rebuilt : int;  (* stream length the graph was last rebuilt at *)
+  mutable stuck : string option;
+      (* the graph answered [`Ambiguous] for this reason; its edges keep
+         the contradiction, so it is not asked again until a rebuild *)
+  mutable cert : Serialization.t option;
+      (* the search's certificate, until the graph decides again *)
+  mutable failed : outcome option;  (* [None] while every prefix is du-opaque *)
   mutable violation_index : int option;
+  mutable certified : int;  (* responses covered by the last [`Ok] *)
+  mutable certified_at : int;  (* and the stream length then *)
+  mutable last_response : int;  (* stream length after the last response *)
+  mutable fallback : string option;
   mutable events_seen : int;
   mutable responses_seen : int;
+  mutable completed : int;  (* C_k / A_k responses *)
+  mutable certifies : int;
+  mutable rebuilds : int;
+  mutable replays : int;
   mutable fastpath_hits : int;
   mutable graph_hits : int;
   mutable searches_run : int;
   mutable nodes_total : int;
-  mutable pending : int;
-      (* transactions in [history] that are not yet t-complete, maintained
-         incrementally: +1 on a transaction's first invocation, -1 on its
-         C_k/A_k.  [snapshot] is taken per batch by the streaming service,
-         so recomputing this from [History.infos] (O(T log T)) would make
-         per-session accounting quadratic over a stream. *)
 }
 
 let create ?max_nodes () =
   {
     max_nodes;
     events = History.Builder.create ();
-    inc = Du_opacity.incremental ();
-    graph = Conflict_graph.Inc.create ();
+    graph = Inc.create ();
+    inc = None;
+    rebuilt = 0;
+    stuck = None;
+    cert = None;
     failed = None;
-    rev_order = [];
-    committed = Serialization.Tx_set.empty;
-    forward = None;
     violation_index = None;
+    certified = 0;
+    certified_at = 0;
+    last_response = 0;
+    fallback = None;
     events_seen = 0;
     responses_seen = 0;
+    completed = 0;
+    certifies = 0;
+    rebuilds = 0;
+    replays = 0;
     fastpath_hits = 0;
     graph_hits = 0;
     searches_run = 0;
     nodes_total = 0;
-    pending = 0;
   }
 
-let force_forward m =
-  match m.forward with
-  | Some s -> s
-  | None ->
-      let s =
-        { Serialization.order = List.rev m.rev_order; committed = m.committed }
-      in
-      m.forward <- Some s;
-      s
+let history m = History.Builder.history m.events
+let status (m : t) = match m.failed with Some o -> o | None -> `Ok
 
 let fail m o =
   m.failed <- Some o;
@@ -77,261 +71,219 @@ let fail m o =
     m.violation_index <- Some (History.Builder.length m.events);
   o
 
-let run_search m h' =
-  (* The graph backend has already ingested every accepted event; when it
-     decides the prefix, no backtracking search is needed.  A [Sat]
-     certificate has passed the graph's linear replay of Definition 3's
-     clauses, and is adopted as it stands: the quadratic validator would
-     cost about a second per fallback on a 33k-event stream.  An [Unsat] is
-     sound by construction (forced edges only, no heuristic taint).  Only
-     [Ambiguous] — a contradiction after a heuristic choice, or a
-     heuristically committed writer that aborted — reaches the search. *)
-  let graph_decision =
-    match Conflict_graph.Inc.verdict m.graph with
-    | Conflict_graph.Sat cert -> Some (Verdict.Sat cert)
-    | Conflict_graph.Unsat why -> Some (Verdict.Unsat why)
-    | Conflict_graph.Ambiguous _ -> None
+let violation m why =
+  fail m
+    (`Violation
+      (Fmt.str "prefix of length %d is not du-opaque: %s"
+         (History.Builder.length m.events) why))
+
+let fell_back m why = if m.fallback = None then m.fallback <- Some why
+
+let accept m =
+  m.certified <- m.responses_seen;
+  m.certified_at <- History.Builder.length m.events;
+  `Ok
+
+(* The last certificate: the search's, or else the graph's order. *)
+let last_certificate m =
+  match m.cert with Some c -> c | None -> Inc.certificate m.graph
+
+(* The graph's verdict.  An [`Ambiguous] may be the fault of a heuristic
+   choice made on a shorter prefix, so the graph is rebuilt from the
+   stream — only once the stream is more than twice as long as at the
+   last rebuild, which keeps rebuilds at O(1) amortised per event.  An
+   [`Ambiguous] graph is stuck until then: the search decides.  [true]
+   when a graph rebuilt now decided. *)
+let graph_verdict m =
+  let len = History.Builder.length m.events in
+  let d =
+    match m.stuck with
+    | Some why -> `Ambiguous why
+    | None -> Inc.decide m.graph
   in
-  match graph_decision with
-  | Some (Verdict.Sat cert) ->
-      m.graph_hits <- m.graph_hits + 1;
-      m.rev_order <- List.rev cert.Serialization.order;
-      m.committed <- cert.Serialization.committed;
-      m.forward <- Some cert;
-      `Ok
-  | Some (Verdict.Unsat why) ->
-      m.graph_hits <- m.graph_hits + 1;
-      fail m
-        (`Violation
-          (Fmt.str "prefix of length %d is not du-opaque: %s"
-             (History.length h') why))
-  | Some (Verdict.Unknown _) | None ->
-  let hint = (force_forward m).Serialization.order in
-  let verdict, stats =
-    Du_opacity.check_inc ?max_nodes:m.max_nodes ~hint m.inc h'
+  let d, rebuilt =
+    match d with
+    | `Ambiguous _ when len > 2 * m.rebuilt ->
+        let g = Inc.create () in
+        let h = history m in
+        for i = 0 to len - 1 do
+          Inc.push g (History.get h i)
+        done;
+        m.graph <- g;
+        m.rebuilt <- len;
+        m.rebuilds <- m.rebuilds + 1;
+        (Inc.decide g, true)
+    | d -> (d, false)
+  in
+  (match d with
+  | `Ambiguous why -> m.stuck <- Some why
+  | `Sat | `Unsat _ -> m.stuck <- None);
+  (d, rebuilt)
+
+let rec certify m =
+  match m.failed with
+  | Some o -> o
+  | None ->
+      m.certifies <- m.certifies + 1;
+      let pending = m.responses_seen - m.certified in
+      (* the graph's verdict on the stream is the verdict on every prefix
+         since the last [`Ok] when one response arrived since, as the last
+         event: an invocation keeps a du-opaque prefix du-opaque, but may
+         make a prefix that is not du-opaque again (Finding 3) *)
+      let len = History.Builder.length m.events in
+      let single = pending = 1 && m.last_response = len in
+      if pending = 0 then `Ok
+      else begin
+        let decided, rebuilt = graph_verdict m in
+        let by_graph () =
+          if rebuilt then m.graph_hits <- m.graph_hits + pending
+          else m.fastpath_hits <- m.fastpath_hits + pending
+        in
+        match decided with
+        | `Sat when single || Inc.closed_after m.graph <= m.certified_at ->
+            by_graph ();
+            m.cert <- None;
+            accept m
+        | `Unsat why when single ->
+            by_graph ();
+            violation m why
+        | `Ambiguous why when single -> search m why
+        | `Sat ->
+            replay_window m
+              "the certificate serves a read from a writer that invoked \
+               tryC after the read's response, past one of another value, \
+               so it need not cover earlier prefixes (repeated values \
+               forfeit prefix closure, Corollary 2)"
+        | `Unsat why | `Ambiguous why -> replay_window m why
+      end
+
+(* One response since the last [`Ok], as the last event, and the graph
+   cannot decide: the search, hinted by the last certificate, decides the
+   prefix. *)
+and search m why =
+  fell_back m why;
+  let hint = (last_certificate m).Serialization.order in
+  let inc =
+    match m.inc with
+    | Some c -> c
+    | None ->
+        let c = Du_opacity.incremental () in
+        m.inc <- Some c;
+        c
+  in
+  let v, stats =
+    Du_opacity.check_inc ?max_nodes:m.max_nodes ~hint inc (history m)
   in
   m.searches_run <- m.searches_run + 1;
   m.nodes_total <- m.nodes_total + stats.Search.nodes;
-  match verdict with
-  | Verdict.Sat cert ->
-      m.rev_order <- List.rev cert.Serialization.order;
-      m.committed <- cert.Serialization.committed;
-      m.forward <- Some cert;
-      `Ok
-  | Verdict.Unsat why ->
-      fail m
-        (`Violation
-          (Fmt.str "prefix of length %d is not du-opaque: %s"
-             (History.length h') why))
+  match v with
+  | Verdict.Sat c ->
+      m.cert <- Some c;
+      accept m
+  | Verdict.Unsat why -> violation m why
   | Verdict.Unknown why -> fail m (`Budget why)
 
-(* Expected values for an external read of [var] whose response sits at
-   [res_index], scanning certificate predecessors latest-first ([before_rev])
-   and skipping transaction [skip] (0 = none; ids are positive).  Returns the
-   final-state expectation (latest committed writer, Definition 4 legality)
-   and the local-serialization expectation (latest committed writer retained
-   by the deferred-update filter, Definition 3(3)); a valid certificate needs
-   the read to return both. *)
-let expected m ~skip ~res_index var before_rev =
-  let final_write w =
-    (* the latest successful write to [var], read off the ops in place *)
-    let ops = (Search.txn m.inc w).Txn.ops in
-    let rec latest i =
-      if i < 0 then None
-      else
-        match ops.(i) with
-        | { Op.inv = Event.Write (x, v); res = Some Event.Write_ok; _ }
-          when x = var ->
-            Some v
-        | _ -> latest (i - 1)
-    in
-    latest (Array.length ops - 1)
-  in
-  let retained w =
-    match Txn.tryc_inv_index (Search.txn m.inc w) with
-    | Some j -> j < res_index
-    | None -> false
-  in
-  let rec go sem du = function
-    | [] ->
-        ( Option.value sem ~default:Event.init_value,
-          Option.value du ~default:Event.init_value )
-    | w :: rest -> (
-        match sem, du with
-        | Some s, Some d -> (s, d)
-        | _ when w = skip -> go sem du rest
-        | _ ->
-            if Serialization.Tx_set.mem w m.committed then
-              match final_write w with
-              | Some v ->
-                  let sem = match sem with Some _ -> sem | None -> Some v in
-                  let du =
-                    match du with
-                    | Some _ -> du
-                    | None -> if retained w then Some v else None
-                  in
-                  go sem du rest
-              | None -> go sem du rest
-            else go sem du rest)
-  in
-  go None None before_rev
+(* Several responses since the last [`Ok] (or invocations after the one)
+   and the graph's verdict does not cover every prefix among them: replay
+   the stream through a fresh monitor, certifying after each of those
+   responses, so the first violating prefix is found as the per-response
+   pattern finds it, and adopt that monitor's state. *)
+and replay_window m why =
+  fell_back m why;
+  m.replays <- m.replays + 1;
+  let e = create ?max_nodes:m.max_nodes () in
+  let h = history m in
+  for i = 0 to m.certified_at - 1 do
+    ignore (ingest e (History.get h i))
+  done;
+  ignore (accept e);
+  for i = m.certified_at to History.length h - 1 do
+    ignore (push e (History.get h i))
+  done;
+  m.events <- e.events;
+  m.graph <- e.graph;
+  m.inc <- e.inc;
+  m.rebuilt <- e.rebuilt;
+  m.stuck <- e.stuck;
+  m.cert <- e.cert;
+  m.failed <- e.failed;
+  m.violation_index <- e.violation_index;
+  m.certified <- e.certified;
+  m.certified_at <- e.certified_at;
+  m.last_response <- e.last_response;
+  m.rebuilds <- m.rebuilds + e.rebuilds;
+  m.fastpath_hits <- m.fastpath_hits + e.fastpath_hits;
+  m.graph_hits <- m.graph_hits + e.graph_hits;
+  m.searches_run <- m.searches_run + e.searches_run;
+  m.nodes_total <- m.nodes_total + e.nodes_total;
+  status m
 
-(* Would every value-returning read of [k] be valid if [k] sat at the end of
-   the certificate order?  Sufficient for adopting the order that moves [k]
-   there: [k]'s moved segment is the only thing the validator would see
-   differently — transactions between [k]'s old slot and the end lose only
-   an entry that contributed nothing (aborted, or committing just now with
-   no read downstream of the move), and the real-time clause cannot bind
-   [k] forward since [k]'s latest event is the newest in the history. *)
-let reads_valid_at_end m k =
-  let txn = Search.txn m.inc k in
-  List.for_all
-    (fun (r : Txn.read) ->
-      match r.Txn.kind with
-      | `Internal own -> r.Txn.value = own
-      | `External ->
-          let sem, du =
-            expected m ~skip:k ~res_index:r.Txn.res_index r.Txn.var
-              m.rev_order
-          in
-          r.Txn.value = sem && r.Txn.value = du)
-    (Txn.reads txn)
-
-let move_to_end m k =
-  (match m.rev_order with
-  | k' :: _ when k' = k -> ()  (* already last *)
-  | _ -> m.rev_order <- k :: List.filter (fun k' -> k' <> k) m.rev_order);
-  m.forward <- None
-
-let rec last_read = function
-  | [] -> None
-  | [ (r : Txn.read) ] -> Some r
-  | _ :: rest -> last_read rest
-
-let handle_response m h' k res =
-  let hit () =
-    m.fastpath_hits <- m.fastpath_hits + 1;
-    `Ok
-  in
-  match res with
-  | Event.Write_ok ->
-      (* A live transaction is aborted by the running certificate, so its
-         write is invisible to every other transaction and unconstrained. *)
-      hit ()
-  | Event.Read_ok v -> (
-      (* In place first: the new read is the only clause the validator would
-         check afresh, so compare it against the expectations at [k]'s
-         current certificate position.  Failing that, try sliding [k] (live,
-         hence certificate-aborted) to the end of the order — the common
-         case of a read that observed a transaction committed after [k]'s
-         birth.  Only then search. *)
-      match last_read (Txn.reads (Search.txn m.inc k)) with
-      | None -> run_search m h' (* defensive: cannot happen on Read_ok *)
-      | Some r ->
-          let ok_in_place =
-            match r.Txn.kind with
-            | `Internal own -> v = own
-            | `External ->
-                let rec drop_to = function
-                  | [] -> []
-                  | k' :: rest -> if k' = k then rest else drop_to rest
-                in
-                let sem, du =
-                  expected m ~skip:0 ~res_index:r.Txn.res_index r.Txn.var
-                    (drop_to m.rev_order)
-                in
-                v = sem && v = du
-          in
-          if ok_in_place then hit ()
-          else if reads_valid_at_end m k then begin
-            move_to_end m k;
-            hit ()
-          end
-          else run_search m h')
-  | Event.Committed ->
-      if Serialization.Tx_set.mem k m.committed then
-        (* An earlier search already decided to commit [k]; the response
-           merely resolves the pending tryC the way the certificate does. *)
-        hit ()
-      else if reads_valid_at_end m k then begin
-        (* Flip [k]'s decision to commit while moving it to the end: its
-           writes become visible to no one (nothing reads after the newest
-           event) and the deferred-update filter retains it for no earlier
-           read, so only [k]'s own reads need rechecking. *)
-        move_to_end m k;
-        m.committed <- Serialization.Tx_set.add k m.committed;
-        m.forward <- None;
-        hit ()
-      end
-      else run_search m h'
-  | Event.Aborted ->
-      if not (Serialization.Tx_set.mem k m.committed) then
-        (* The certificate already aborts [k]: the pending operation was
-           resolved with A_k in the completion, which the response now
-           makes literal. *)
-        hit ()
-      else
-        (* A commit-pending transaction the certificate chose to commit
-           (someone read its value) aborted after all. *)
-        run_search m h'
-
-let push m ev =
+and ingest m ev =
   match m.failed with
   | Some o -> o
   | None -> (
       m.events_seen <- m.events_seen + 1;
       match History.Builder.add m.events ev with
-      | Error e -> fail m (`Violation (Fmt.str "%a" History.pp_error e))
-      | Ok () -> (
-          let h' = History.Builder.history m.events in
-          (* the context knows [k] iff the certificate order holds it *)
-          let fresh =
-            match ev with
-            | Event.Inv (k, _) -> not (Search.mem m.inc k)
-            | Event.Res _ -> false
-          in
-          Search.sync m.inc h';
-          Conflict_graph.Inc.push m.graph ev;
-          match ev with
-          | Event.Inv (k, _) ->
-              (* Extending by an invocation preserves du-opacity and its
-                 certificate (see .mli); only register the new transaction.
-                 A transaction that never responds again — a crashed thread,
-                 a stalled tryC — simply stays registered here forever: it
-                 constrains nothing until a response event involves it. *)
-              if fresh then begin
-                m.rev_order <- k :: m.rev_order;
-                m.forward <- None;
-                m.pending <- m.pending + 1
-              end;
-              `Ok
-          | Event.Res (k, res) ->
-              (* The builder validated the response against [k]'s pending
-                 invocation, so C_k/A_k t-completes exactly one counted
-                 transaction; later events for [k] are ill-formed and never
-                 reach here. *)
-              (match res with
-              | Event.Committed | Event.Aborted -> m.pending <- m.pending - 1
-              | Event.Read_ok _ | Event.Write_ok -> ());
+      | Error e -> (
+          (* an earlier prefix in the uncertified window fails first *)
+          match certify m with
+          | `Ok -> fail m (`Violation (Fmt.str "%a" History.pp_error e))
+          | o -> o)
+      | Ok () ->
+          Inc.push m.graph ev;
+          (match ev with
+          | Event.Res (_, res) -> (
               m.responses_seen <- m.responses_seen + 1;
-              handle_response m h' k res))
+              m.last_response <- History.Builder.length m.events;
+              match res with
+              | Event.Committed | Event.Aborted ->
+                  m.completed <- m.completed + 1
+              | Event.Read_ok _ | Event.Write_ok -> ())
+          | Event.Inv _ -> ());
+          `Ok)
+
+(* An invocation keeps every prefix du-opaque: its operation is pending,
+   so a completion aborts it. *)
+and push m ev =
+  match ingest m ev with
+  | `Ok when Event.is_res ev -> certify m
+  | o -> o
 
 let push_all m events =
-  List.fold_left
-    (fun _ ev -> push m ev)
-    (match m.failed with Some o -> o | None -> `Ok)
-    events
+  List.fold_left (fun _ ev -> push m ev) (status m) events
 
-let history m = History.Builder.history m.events
-
+(* A search's certificate predates the invocations pushed since; their
+   transactions are live, so they sit last and abort. *)
 let certificate m =
-  match m.failed with None -> Some (force_forward m) | Some _ -> None
+  if m.failed <> None || m.responses_seen > m.certified then None
+  else
+    match m.cert with
+      | None -> Some (Inc.certificate m.graph)
+      | Some c ->
+          let known = Hashtbl.create 64 in
+          List.iter (fun k -> Hashtbl.replace known k ()) c.Serialization.order;
+          let fresh =
+            List.filter
+              (fun k -> not (Hashtbl.mem known k))
+              (History.txns (history m))
+          in
+        Some { c with Serialization.order = c.Serialization.order @ fresh }
 
-let pending_txns m = m.pending
+let adopt_verdict m (o : outcome) index =
+  match o with
+  | `Ok -> ()
+  | `Violation _ | `Budget _ ->
+      m.failed <- Some o;
+      m.violation_index <- index
 
+let pending_txns m = (Inc.stats m.graph).Conflict_graph.nodes - m.completed
 let violation_index m = m.violation_index
 let events_seen m = m.events_seen
 let responses_seen m = m.responses_seen
+let certifies m = m.certifies
+let rebuilds m = m.rebuilds
+let replays m = m.replays
+let fallback m = m.fallback
 let fastpath_hits m = m.fastpath_hits
 let graph_hits m = m.graph_hits
 let searches_run m = m.searches_run
@@ -356,8 +308,6 @@ let snapshot (m : t) =
     pending = pending_txns m;
   }
 
-let status (m : t) = match m.failed with Some o -> o | None -> `Ok
-
 (* --- serializable checkpoints ------------------------------------------- *)
 
 type persisted = {
@@ -369,6 +319,7 @@ type persisted = {
 }
 
 let persist (m : t) =
+  ignore (certify m);
   {
     p_max_nodes = m.max_nodes;
     p_events = History.Builder.to_list m.events;
@@ -377,10 +328,9 @@ let persist (m : t) =
     p_counters = snapshot m;
   }
 
-(* Rebuild by replaying the accepted history through a fresh monitor: the
-   original built its certificate, search context, and sticky state from
-   exactly this push sequence, so the deterministic replay reproduces them
-   bit for bit.  The recorded counters are then adopted wholesale — they can
+(* Rebuild by ingesting the accepted history into a fresh monitor and
+   certifying once: the graph's state is a deterministic function of the
+   stream.  The recorded counters are then adopted wholesale — they can
    legitimately exceed the replayed ones (events the builder rejects are
    counted but never enter the history) and must survive a round-trip so
    hit rates are checkpoint-transparent.  A recorded [`Ok] that the replay
@@ -389,17 +339,13 @@ let persist (m : t) =
    failing event may have been rejected before reaching the history. *)
 let of_persisted p =
   let m = create ?max_nodes:p.p_max_nodes () in
-  let replayed = push_all m p.p_events in
-  match p.p_status, replayed with
+  List.iter (fun ev -> ignore (ingest m ev)) p.p_events;
+  match (p.p_status, certify m) with
   | `Ok, (`Violation why | `Budget why) ->
       Error
         (Fmt.str "monitor snapshot is corrupt: replay refutes it (%s)" why)
   | `Ok, `Ok | (`Violation _ | `Budget _), _ ->
-      (match p.p_status with
-      | `Ok -> ()
-      | (`Violation _ | `Budget _) as o ->
-          m.failed <- Some o;
-          m.violation_index <- p.p_violation_index);
+      adopt_verdict m p.p_status p.p_violation_index;
       m.events_seen <- p.p_counters.events;
       m.responses_seen <- p.p_counters.responses;
       m.fastpath_hits <- p.p_counters.fastpath_hits;

@@ -237,7 +237,6 @@ let sync c h =
   done;
   c.synced <- len
 
-let mem c k = Hashtbl.mem c.index k
 let txn c k = Txn.freeze c.drafts.(Hashtbl.find c.index k)
 
 (* Necessary conditions, checked in linear time.  A violation here refutes

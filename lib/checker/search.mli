@@ -109,7 +109,6 @@ val sync : ictx -> History.t -> unit
     one context pass successive extensions of one history, e.g. the
     snapshots of one {!History.Builder}. *)
 
-val mem : ictx -> Event.tx -> bool
 val txn : ictx -> Event.tx -> Txn.t
 (** {!History.info} of the synced history, cached until [T_k]'s next
     event.  @raise Not_found if [T_k] has no synced event. *)

@@ -13,18 +13,22 @@
    — forward reachability from the target bounded by the source's
    position, backward from the source bounded by the target's — is
    discovered and its order indices reassigned.  [`Cycle] leaves the graph
-   exactly as it was. *)
+   exactly as it was.  The inverse of the order ([pos]) and the lowest
+   index of every reorder ([lows]) are kept too, so an incremental caller
+   can walk the order from the lowest index that moved. *)
 
 (* Growable array with push/get/set; the workhorse for per-node state and
    the edge arenas (shared with the conflict-graph backend). *)
 module Pvec = struct
   type 'a t = { mutable a : 'a array; mutable n : int; dummy : 'a }
 
-  let create dummy = { a = Array.make 16 dummy; n = 0; dummy }
+  (* no storage until the first push: a graph creates many vectors, per
+     variable too, and a short history fills few of them *)
+  let create dummy = { a = [||]; n = 0; dummy }
 
   let push v x =
     if v.n = Array.length v.a then begin
-      let a' = Array.make (2 * v.n) v.dummy in
+      let a' = Array.make (if v.n < 4 then 8 else 2 * v.n) v.dummy in
       Array.blit v.a 0 a' 0 v.n;
       v.a <- a'
     end;
@@ -38,6 +42,7 @@ end
 
 type t = {
   ord : int Pvec.t;  (* maintained topological index *)
+  pos : int Pvec.t;  (* its inverse: the node at each index *)
   (* edge arenas: logical edge e has out-list links (e_dst, e_next) from
      its source and in-list links (e_src, e_inext) from its target *)
   out_head : int Pvec.t;
@@ -52,12 +57,13 @@ type t = {
   dfs_stack : int Pvec.t;
   dfa : int Pvec.t;  (* affected-region scratch: forward set *)
   dfb : int Pvec.t;  (* backward set *)
-  mutable reorders : int;
+  lows : int Pvec.t;  (* lowest index each reorder reassigned, in turn *)
 }
 
 let create () =
   {
     ord = Pvec.create 0;
+    pos = Pvec.create 0;
     out_head = Pvec.create (-1);
     in_head = Pvec.create (-1);
     e_dst = Pvec.create (-1);
@@ -69,17 +75,20 @@ let create () =
     dfs_stack = Pvec.create 0;
     dfa = Pvec.create 0;
     dfb = Pvec.create 0;
-    reorders = 0;
+    lows = Pvec.create 0;
   }
 
 let nodes t = t.ord.Pvec.n
 let ord t n = Pvec.get t.ord n
 let edge_count t = t.e_dst.Pvec.n
-let reorders t = t.reorders
+let at t i = Pvec.get t.pos i
+let reorders t = t.lows.Pvec.n
+let reorder_low t i = Pvec.get t.lows i
 
 let add_node t =
   let n = nodes t in
   Pvec.push t.ord n;
+  Pvec.push t.pos n;
   Pvec.push t.out_head (-1);
   Pvec.push t.in_head (-1);
   Pvec.push t.mark 0;
@@ -174,17 +183,14 @@ let reorder t =
   let pool = Array.map (Pvec.get t.ord) all in
   Array.sort Int.compare pool;
   let k = ref 0 in
-  Array.iter
-    (fun n ->
-      Pvec.set t.ord n pool.(!k);
-      incr k)
-    back;
-  Array.iter
-    (fun n ->
-      Pvec.set t.ord n pool.(!k);
-      incr k)
-    fwd;
-  t.reorders <- t.reorders + 1
+  let place n =
+    Pvec.set t.ord n pool.(!k);
+    Pvec.set t.pos pool.(!k) n;
+    incr k
+  in
+  Array.iter place back;
+  Array.iter place fwd;
+  Pvec.push t.lows pool.(0)
 
 let add_edge t u v =
   if u = v then `Cycle

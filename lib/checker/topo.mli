@@ -42,6 +42,15 @@ val edge_count : t -> int
 val reorders : t -> int
 (** Affected-region reorders performed so far. *)
 
+val reorder_low : t -> int -> int
+(** [reorder_low t i] is the lowest order index the [i]-th reorder
+    reassigned (from 0).  A reorder permutes the indices of its region
+    among themselves, so every index below the lowest of the reorders
+    since some moment still holds the node it held then. *)
+
+val at : t -> int -> int
+(** The node at an order index: the inverse of {!ord}. *)
+
 val ord : t -> int -> int
 (** The node's current topological index.  Over the [n] nodes the
     indices are a permutation of [0 .. n-1] (a new node takes [n], and a

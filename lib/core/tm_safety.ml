@@ -46,18 +46,19 @@ module Limit = Tm_checker.Limit
 module Shrink = Tm_checker.Shrink
 module Dot = Tm_checker.Dot
 module Monitor = Tm_checker.Monitor
-module Session_monitor = Tm_checker.Session_monitor
 
 (** The one-shard API of the deleted location-sharded monitor, over
-    {!Session_monitor}.  Kept only because the frozen perfbench harness
-    still calls it. *)
+    {!Monitor}: [push] only ingests, certifies come from [certify].  Kept
+    only because the frozen perfbench harness still calls it. *)
 module Sharded_monitor = struct
-  include Session_monitor
+  include Monitor
 
   let create ?max_nodes ?(nshards = 1) () =
     if nshards <> 1 then
       invalid_arg "Sharded_monitor.create: sessions have exactly one shard";
     create ?max_nodes ()
+
+  let push = ingest
 
   type stitch_stats = {
     certifies : int;
@@ -68,7 +69,7 @@ module Sharded_monitor = struct
 
   let stitch_stats t =
     let n = certifies t in
-    { certifies = n; incremental = n; full = 0; escalated = escalation t }
+    { certifies = n; incremental = n; full = 0; escalated = fallback t }
 end
 module Topo = Tm_checker.Topo
 

@@ -2,7 +2,6 @@ module Du = Tm_checker.Du_opacity
 module Lu = Tm_checker.Last_use_opacity
 module Conflict_graph = Tm_checker.Conflict_graph
 module Monitor = Tm_checker.Monitor
-module Session = Tm_checker.Session_monitor
 module Verdict = Tm_checker.Verdict
 module Serialization = Tm_checker.Serialization
 module Shrink = Tm_checker.Shrink
@@ -174,29 +173,30 @@ let lockstep ?(max_nodes = 2_000_000) ?submit h =
         mon_first_bad := Monitor.violation_index m;
         v3_of_outcome (Monitor.status m))
   in
-  (* Session monitor: the service's streaming path, certified at a handful
-     of intermediate boundaries and at the end — intermediate certifies
-     exercise the graph's incremental state, the final one settles the
-     verdict.  Escalation adopts a monitor with the same budget wholesale,
-     so the designed invariant is parity with the monitor leg: final
-     verdict, and first violating prefix when both blame one. *)
+  (* The same engine as the service drives it: events ingested, certified
+     at a handful of intermediate boundaries and at the end — intermediate
+     certifies exercise the graph's incremental state, the final one
+     settles the verdict.  A batch certify the graph cannot settle replays
+     its window response by response, so the designed invariant is parity
+     with the monitor leg: final verdict, and first violating prefix when
+     both blame one. *)
   let ses_first_bad = ref None in
   let session =
     timed "session" (fun () ->
-        let m = Session.create ~max_nodes () in
+        let m = Monitor.create ~max_nodes () in
         let certify_at =
           let stride = max 1 (List.length bs / 6) in
           List.filteri (fun i _ -> i mod stride = stride - 1) bs
         in
         List.iteri
           (fun i ev ->
-            ignore (Session.push m ev);
+            ignore (Monitor.ingest m ev);
             (* lint: allow quadratic-hot-path — certify_at has ≤ 6 points *)
-            if List.mem (i + 1) certify_at then ignore (Session.certify m))
+            if List.mem (i + 1) certify_at then ignore (Monitor.certify m))
           (History.to_list h);
-        let v = Session.certify m in
-        Option.iter (validate_cert "session" h) (Session.certificate m);
-        ses_first_bad := Session.violation_index m;
+        let v = Monitor.certify m in
+        Option.iter (validate_cert "session" h) (Monitor.certificate m);
+        ses_first_bad := Monitor.violation_index m;
         v3_of_outcome v)
   in
   (* Last-use-opacity legs: the batch checker and the per-boundary

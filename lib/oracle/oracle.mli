@@ -3,8 +3,9 @@
     The repo decides du-opacity in several independent ways — the batch
     {!Tm_checker.Du_opacity.check}, the polynomial
     {!Tm_checker.Conflict_graph.check}, the incremental [check_inc], the
-    online {!Tm_checker.Monitor} and {!Tm_checker.Session_monitor}, and
-    the [tm serve] wire path.  The batch paths answer "is this history
+    online {!Tm_checker.Monitor} under its two call patterns (a certify
+    per response, and the service's batch certifies), and the [tm serve]
+    wire path.  The batch paths answer "is this history
     du-opaque?"; the incremental and monitor paths are sticky and answer
     "is {e every prefix} du-opaque?" — the safety closure of du-opacity.
     Under the paper's unique-writes assumption the two questions coincide
@@ -88,10 +89,11 @@ val lockstep :
     - a fresh {!Tm_checker.Monitor} fed event by event, compared against
       the incremental path {e at every boundary} and on the index of the
       first violating prefix;
-    - the service's {!Tm_checker.Session_monitor}, certified at a handful
-      of intermediate boundaries and at the end (a graph certificate
-      validated), compared against the monitor on the final verdict and,
-      when both blame a violating prefix, on its index;
+    - the same monitor as the service drives it (the [session] leg):
+      events ingested, certified at a handful of intermediate boundaries
+      and at the end (the certificate validated), compared against the
+      per-response monitor on the final verdict and, when both blame a
+      violating prefix, on its index;
     - prefix-closure as an executable invariant: the first violating prefix
       is re-judged from scratch (a refutation convicts the incremental
       state), and boundaries after it are re-checked — a later acceptance

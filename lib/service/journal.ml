@@ -1,5 +1,4 @@
 module Monitor = Tm_checker.Monitor
-module Session = Tm_checker.Session_monitor
 
 let magic = "TMJ2"
 
@@ -178,25 +177,12 @@ let parse_journal data =
   end
 
 (* A journalled sticky verdict is authoritative: the pre-crash server
-   observed it live.  Replay may fail to re-derive it (e.g. a
-   search-found violation degrades to [`Budget] under a smaller
-   [max_nodes]), so adopt it into a monitor rebuilt from the replay. *)
-let adopt_verdict monitor = function
-  | Some (((`Violation _ | `Budget _) as st), vidx)
-    when Session.status monitor <> st -> (
-      let patched =
-        {
-          (Session.persist monitor) with
-          Monitor.p_status = st;
-          p_violation_index = vidx;
-        }
-      in
-      match Session.of_persisted patched with Ok m -> m | Error _ -> monitor)
-  | _ -> monitor
-
-(* The final certify settles the replayed stream's verdict, so the
-   caller's [Resumed] frame never reports a provisional [`Ok] over an
-   uncertified suffix. *)
+   observed it live.  Replay may fail to re-derive it (e.g. a search-found
+   violation degrades to [`Budget] under a smaller [max_nodes]), so it is
+   adopted into the monitor the journal was ingested into.  The final
+   certify settles the replayed stream's verdict, so the caller's
+   [Resumed] frame never reports a provisional [`Ok] over an uncertified
+   suffix. *)
 let recover ?(sync = false) ?max_nodes ~dir ~session () =
   let path = journal_path ~dir ~session in
   let parsed =
@@ -218,10 +204,13 @@ let recover ?(sync = false) ?max_nodes ~dir ~session () =
       | fd ->
           (* shear any torn tail before appending again *)
           (try Unix.ftruncate fd valid_len with Unix.Unix_error _ -> ());
-          let monitor = Session.create ?max_nodes () in
-          List.iter (fun ev -> ignore (Session.push monitor ev)) events;
-          let monitor = adopt_verdict monitor verdict in
-          ignore (Session.certify monitor);
+          let monitor = Monitor.create ?max_nodes () in
+          List.iter (fun ev -> ignore (Monitor.ingest monitor ev)) events;
+          (match verdict with
+          | Some (st, vidx) when Monitor.status monitor <> st ->
+              Monitor.adopt_verdict monitor st vidx
+          | _ -> ());
+          ignore (Monitor.certify monitor);
           let count = List.length events in
           Ok (monitor, count, { sync; fd = Some fd; count }))
 

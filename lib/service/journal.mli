@@ -12,9 +12,9 @@
     loss of the torn tail, never a parse error or a wrong replay.
 
     The monitor's state is a deterministic function of the event stream,
-    so the journal is the session's whole durable state: recovery replays
-    it into a fresh {!Tm_checker.Session_monitor}, and the recovered
-    session is verdict-identical to an uninterrupted one.
+    so the journal is the session's whole durable state: recovery ingests
+    it into a fresh {!Tm_checker.Monitor}, once, and the recovered session
+    is verdict-identical to an uninterrupted one.
 
     Writes happen only from the session's owning worker domain, so no
     locking; {!recover} runs before a session goes live. *)
@@ -65,12 +65,14 @@ val recover :
   dir:string ->
   session:int ->
   unit ->
-  (Tm_checker.Session_monitor.t * int * t, string) result
-(** Rebuild the session: parse the journal, truncate any torn tail, replay
-    its events into a fresh session monitor under [max_nodes], adopt the
-    last journalled sticky verdict when the replay disagrees, certify, and
-    reopen the journal for appending.  Returns the monitor, the applied
-    index, and the journal handle.  Because the rebuilt stream is
+  (Tm_checker.Monitor.t * int * t, string) result
+(** Rebuild the session: parse the journal, truncate any torn tail,
+    ingest its events into a fresh monitor under [max_nodes], adopt the
+    last journalled sticky verdict into that same monitor when it records
+    a failure the monitor does not show
+    ({!Tm_checker.Monitor.adopt_verdict}: one replay, not two), certify,
+    and reopen the journal for appending.  Returns the monitor, the
+    applied index, and the journal handle.  Because the rebuilt stream is
     certified before returning, the caller's [Resumed] status is never a
     provisional [`Ok] over an uncertified suffix.
 
@@ -91,7 +93,7 @@ val recover_sharded :
   dir:string ->
   session:int ->
   unit ->
-  (Tm_checker.Session_monitor.t * int * t, string) result
+  (Tm_checker.Monitor.t * int * t, string) result
 (** {!recover} under its former name, kept because the frozen perfbench
     harness calls it. *)
 

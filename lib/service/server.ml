@@ -1,5 +1,4 @@
 module Monitor = Tm_checker.Monitor
-module Session = Tm_checker.Session_monitor
 
 type config = {
   addr : Wire.addr;
@@ -92,7 +91,7 @@ type conn = {
 and session = {
   client_sid : int;
   mutable sconn : conn;
-  mutable monitor : Session.t;  (* replaced once, on crash recovery *)
+  mutable monitor : Monitor.t;  (* replaced once, on crash recovery *)
   worker : int;  (* index of the owning worker domain *)
   mutable last : Monitor.snapshot;  (* last snapshot folded into dstats *)
   mutable applied : int;  (* events durably applied (journalled + pushed) *)
@@ -165,8 +164,8 @@ let status_of_outcome : Monitor.outcome -> Protocol.status = function
 
 let verdict_frame s ~token =
   Protocol.verdict ~mode:s.dmode ~applied:s.applied ~session:s.client_sid
-    ~token ~events:(Session.events_seen s.monitor)
-    (status_of_outcome (Session.status s.monitor))
+    ~token ~events:(Monitor.events_seen s.monitor)
+    (status_of_outcome (Monitor.status s.monitor))
 
 let resumed_frame s =
   Protocol.Resumed
@@ -174,7 +173,7 @@ let resumed_frame s =
       session = s.client_sid;
       applied = s.applied;
       mode = s.dmode;
-      status = status_of_outcome (Session.status s.monitor);
+      status = status_of_outcome (Monitor.status s.monitor);
     }
 
 (* --- worker domains ------------------------------------------------------- *)
@@ -184,7 +183,7 @@ let resumed_frame s =
    pending gauge, which used to recount [History.infos] per call and made
    accounting quadratic over a session's stream. *)
 let account d s =
-  let snap = Session.snapshot s.monitor in
+  let snap = Monitor.snapshot s.monitor in
   let add a n = if n <> 0 then ignore (Atomic.fetch_and_add a n) in
   add d.d_events (snap.Monitor.events - s.last.Monitor.events);
   add d.d_responses (snap.Monitor.responses - s.last.Monitor.responses);
@@ -228,8 +227,8 @@ let fsync_quiet srv s j =
    the whole point of monitoring. *)
 let record_verdict_quiet srv s j =
   try
-    Journal.record_verdict j (Session.status s.monitor)
-      (Session.violation_index s.monitor)
+    Journal.record_verdict j (Monitor.status s.monitor)
+      (Monitor.violation_index s.monitor)
   with Unix.Unix_error (e, _, _) ->
     srv.cfg.log
       (Fmt.str "session %d: verdict record failed (%s)" s.client_sid
@@ -240,13 +239,13 @@ let record_verdict_quiet srv s j =
    monitor's push used to — kill-at-violation recovery depends on that.
    Non-durable sessions skip the per-batch certify: nothing reads their
    status between batches, and checkpoint, close and resume certify
-   before building a verdict frame, so a verdict is always backed by a
-   graph (or escalated) certificate either way. *)
+   before building a verdict frame, so a verdict is always a certified
+   one either way. *)
 let certify_record srv s ~was_ok =
   match s.journal with
   | Some j ->
-      ignore (Session.certify s.monitor);
-      if was_ok && Session.status s.monitor <> `Ok then
+      ignore (Monitor.certify s.monitor);
+      if was_ok && Monitor.status s.monitor <> `Ok then
         record_verdict_quiet srv s j
   | None -> ()
 
@@ -345,9 +344,9 @@ let worker srv i () =
                           false)
                 in
                 if admitted then begin
-                  let was_ok = Session.status s.monitor = `Ok in
+                  let was_ok = Monitor.status s.monitor = `Ok in
                   List.iter
-                    (fun ev -> ignore (Session.push s.monitor ev))
+                    (fun ev -> ignore (Monitor.ingest s.monitor ev))
                     events;
                   certify_record srv s ~was_ok;
                   account d s
@@ -357,7 +356,7 @@ let worker srv i () =
           loop ()
       | W_checkpoint (s, token) ->
           account d s;
-          ignore (Session.certify s.monitor);
+          ignore (Monitor.certify s.monitor);
           (* a durable session's sticky verdict is already journalled (it
              certifies every batch), so a checkpoint only makes the
              journal durable *)
@@ -368,7 +367,7 @@ let worker srv i () =
           loop ()
       | W_close s ->
           account d s;
-          ignore (Session.certify s.monitor);
+          ignore (Monitor.certify s.monitor);
           let final = verdict_frame s ~token:0 in
           (* Counters and durable state settle before the final verdict: a
              client holding its close verdict must not observe the session
@@ -401,7 +400,7 @@ let worker srv i () =
                   s.monitor <- m;
                   (* Pre-crash monitor work stays accounted to the process
                      that did it; only post-recovery deltas hit dstats. *)
-                  s.last <- Session.snapshot m;
+                  s.last <- Monitor.snapshot m;
                   s.applied <- applied;
                   s.journal <- Some j;
                   send_frame s.sconn (resumed_frame s)
@@ -460,13 +459,13 @@ let handshake conn =
 
 let new_session srv conn sid =
   let key = Atomic.fetch_and_add srv.next_session 1 in
-  let monitor = Session.create ?max_nodes:srv.cfg.max_nodes () in
+  let monitor = Monitor.create ?max_nodes:srv.cfg.max_nodes () in
   {
     client_sid = sid;
     sconn = conn;
     monitor;
     worker = key mod srv.cfg.domains;
-    last = Session.snapshot monitor;
+    last = Monitor.snapshot monitor;
     applied = 0;
     journal = None;
     dmode = Protocol.M_full;

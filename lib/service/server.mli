@@ -1,13 +1,15 @@
 (** The [tm serve] server: a streaming du-opacity checking service.
 
     One listening socket (Unix or TCP), many concurrent connections, many
-    sessions per connection.  Each session owns one
-    {!Tm_checker.Session_monitor} — an incremental conflict graph that
-    hands the stream to a {!Tm_checker.Monitor} when it cannot certify it
-    — and is pinned to one domain of a fixed worker pool; connection
-    reader threads decode frames and hand the per-session work to that
-    worker's bounded mailbox ({!Mailbox}), whose bound is the backpressure
-    that stalls over-eager clients instead of buffering without limit.
+    sessions per connection.  Each session owns one {!Tm_checker.Monitor}
+    — the online engine: an incremental conflict graph, with the search
+    behind it for what the graph cannot decide — which ingests every
+    admitted event and certifies at durable batches, checkpoints, close
+    and resume.  A session is pinned to one domain of a fixed worker
+    pool; connection reader threads decode frames and hand the
+    per-session work to that worker's bounded mailbox ({!Mailbox}), whose
+    bound is the backpressure that stalls over-eager clients instead of
+    buffering without limit.
 
     {2 Robustness invariants} (exercised by the loopback and chaos tests):
     - a malformed frame body is answered with an [Error] frame and the

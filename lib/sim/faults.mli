@@ -23,7 +23,8 @@ type outcome = [ `Ok | `Violation of string | `Budget of string ]
 type monitor_stats = {
   responses : int;  (** response events the monitor handled *)
   fastpath_hits : int;
-      (** responses absorbed by a local check, no graph or search *)
+      (** responses the graph certified as it stood: no rebuild, no
+          search *)
   searches : int;  (** backtracking searches run *)
   nodes : int;  (** total search nodes across the stream *)
 }

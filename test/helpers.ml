@@ -66,3 +66,17 @@ let arb_history ?(params = Gen.default) () =
 let qtest ?(count = 200) name gen prop =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~name ~count gen prop)
+
+(* [events] with transaction [k] renamed [tx_base + k] and variable [v]
+   renamed [var_base + v], so a fixed pattern can share a stream with a
+   recording. *)
+let relabel ~tx_base ~var_base events =
+  List.map
+    (function
+      | Event.Inv (k, Event.Read v) ->
+          Event.Inv (tx_base + k, Event.Read (var_base + v))
+      | Event.Inv (k, Event.Write (v, x)) ->
+          Event.Inv (tx_base + k, Event.Write (var_base + v, x))
+      | Event.Inv (k, i) -> Event.Inv (tx_base + k, i)
+      | Event.Res (k, r) -> Event.Res (tx_base + k, r))
+    events

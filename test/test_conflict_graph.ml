@@ -283,12 +283,107 @@ let test_inc_prefix_verdicts () =
   if !decided = 0 then
     Alcotest.fail "graph decided no prefix of a recorded TL2 stream"
 
+(* --- incremental against batch -------------------------------------------- *)
+
+(* [Inc.decide] after every event and after every seventh event, against
+   [Conflict_graph.check] of the same prefix, on every soak source at
+   seeds 1-200, and on short pessimistic recordings whose written values
+   repeat within three (seeds 1-100), where repairs reorder far below the
+   newest transactions.  Both are sound, so neither may answer Sat where
+   the other answers Unsat, and the incremental replay must never reject
+   the order its resolution repaired (a read a verdict failed to rescan
+   shows there first); an incremental Sat's certificate must also pass
+   the validator on the short prefixes, where validating is cheap. *)
+let test_incremental_matches_batch () =
+  let soak =
+    List.concat_map
+      (fun source ->
+        List.init 200 (fun i ->
+            ( Fmt.str "%s/%d" (Oracle.source_tag source) (i + 1),
+              Oracle.produce source ~seed:(i + 1) )))
+      (List.sort_uniq compare Oracle.default_sources)
+  in
+  let repeated =
+    List.init 100 (fun i ->
+        let params =
+          {
+            Stm.Workload.default with
+            n_threads = 3;
+            txns_per_thread = 20;
+            ops_per_txn = 3;
+            n_vars = 3;
+            values = `Range 3;
+          }
+        in
+        ( Fmt.str "pessimistic, values 0-2/%d" (i + 1),
+          (Sim.Runner.run ~stm:"pessimistic" ~params ~seed:(i + 1) ())
+            .Sim.Runner.history ))
+  in
+  let show = function
+    | `Sat -> "Sat"
+    | `Unsat why -> "Unsat: " ^ why
+    | `Ambiguous why -> "Ambiguous: " ^ why
+  in
+  List.iter
+    (fun (name, h) ->
+      let batch = Array.make (History.length h + 1) None in
+      let batch_at n =
+        match batch.(n) with
+        | Some r -> r
+        | None ->
+            let r =
+              match Conflict_graph.check (History.prefix h n) with
+              | Conflict_graph.Sat _ -> `Sat
+              | Conflict_graph.Unsat _ -> `Unsat
+              | Conflict_graph.Ambiguous _ -> `Ambiguous
+            in
+            batch.(n) <- Some r;
+            r
+      in
+      List.iter
+        (fun period ->
+          let g = Conflict_graph.Inc.create () in
+          List.iteri
+            (fun i ev ->
+              Conflict_graph.Inc.push g ev;
+              let n = i + 1 in
+              if n mod period = 0 || n = History.length h then begin
+                let inc = Conflict_graph.Inc.decide g in
+                (match (inc, batch_at n) with
+                | `Sat, `Unsat | `Unsat _, `Sat ->
+                    Alcotest.failf
+                      "%s, every %d events, prefix %d: incremental %s, \
+                       batch disagrees"
+                      name period n (show inc)
+                | `Ambiguous why, _ when contains why "internal" ->
+                    Alcotest.failf
+                      "%s, every %d events, prefix %d: the replay rejected \
+                       the repaired order: %s"
+                      name period n why
+                | _ -> ());
+                if inc = `Sat && n <= 160 then
+                  match
+                    Serialization.validate ~claim:Serialization.Du_opaque
+                      (History.prefix h n)
+                      (Conflict_graph.Inc.certificate g)
+                  with
+                  | Ok () -> ()
+                  | Error why ->
+                      Alcotest.failf
+                        "%s, every %d events, prefix %d: certificate \
+                         rejected: %s"
+                        name period n why
+              end)
+            (History.to_list h))
+        [ 1; 7 ])
+    (soak @ repeated)
+
 (* --- monitor graph fast path ---------------------------------------------- *)
 
 let test_monitor_graph_hits () =
-  (* A recorded unique-writes TL2 stream: every response must be absorbed
-     by revalidation or decided by the graph — a backtracking search
-     running here is the fast-path regression this test guards. *)
+  (* A recorded unique-writes TL2 stream: every response must be decided
+     by the graph — a backtracking search running here is the fast-path
+     regression this test guards. *)
   let params =
     {
       Stm.Workload.default with
@@ -505,6 +600,8 @@ let suite =
         test "a same-value writer's tryC unforces a repair"
           test_unforced_by_a_stand_in;
         test "incremental prefix verdicts" test_inc_prefix_verdicts;
+        test "incremental verdicts match batch over soak sources"
+          test_incremental_matches_batch;
         test "monitor graph fast path" test_monitor_graph_hits;
         test "monitor graph Unsat path" test_monitor_graph_unsat;
         slow "offline check, ~10k events" test_offline_medium;

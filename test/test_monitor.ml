@@ -70,12 +70,13 @@ let test_matches_offline () =
     Figures.catalog
 
 let test_budget () =
-  (* The revalidation fast path absorbs everything it can and the graph
-     backend decides everything but a contradiction after a heuristic
+  (* The graph decides everything but a contradiction after a heuristic
      choice, so the budget needs a response that reaches the backtracking
      search: T3's read of [X=1] ties between the commit-pending T1 and
      T2, the graph binds it to T1, and T1's abort then makes the graph
-     decline as Ambiguous — the 1-node search budget trips. *)
+     decline as Ambiguous.  Rebuilt from the stream, it binds T1 again —
+     the candidates are fixed at the read's response — so the 1-node
+     search budget trips. *)
   let h =
     Dsl.(
       history
@@ -86,6 +87,41 @@ let test_budget () =
   | `Budget _ -> ()
   | `Ok -> Alcotest.fail "expected budget exhaustion"
   | `Violation why -> Alcotest.failf "budget must not report violation: %s" why
+
+(* The pattern of [test_budget] keeps every graph of the stream
+   Ambiguous, rebuilt or not, so every later response needs the search.
+   Rebuilds stay logarithmic in the stream length: a graph that cannot
+   decide is rebuilt only once the stream has doubled since the last
+   rebuild. *)
+let test_ambiguous_stream_rebuilds () =
+  let stuck =
+    Dsl.(history [ w 1 x 1; c_inv 1; w 2 x 1; c_inv 2; r 3 x 1; aborted 1 ])
+  in
+  let events =
+    relabel ~tx_base:1_000_000 ~var_base:1_000 (History.to_list stuck)
+    @ History.to_list
+        (Sim.Runner.run ~stm:"tl2"
+           ~params:
+             { Stm.Workload.default with n_threads = 3; txns_per_thread = 20;
+               ops_per_txn = 3; n_vars = 6 }
+           ~seed:5 ())
+          .Sim.Runner.history
+  in
+  let n = List.length events in
+  let m = Monitor.create () in
+  (match Monitor.push_all m events with
+  | `Ok -> ()
+  | `Violation why -> Alcotest.failf "violation: %s" why
+  | `Budget why -> Alcotest.failf "budget: %s" why);
+  let log2 = int_of_float (Float.log2 (float_of_int n)) in
+  Alcotest.(check bool)
+    (Fmt.str "%d rebuilds over %d events" (Monitor.rebuilds m) n)
+    true
+    (Monitor.rebuilds m <= log2 + 1);
+  (* the graph decides the three responses before [aborted 1] *)
+  Alcotest.(check int) "every later response searched"
+    (Monitor.responses_seen m - 3)
+    (Monitor.searches_run m)
 
 let test_commit_pending_stream () =
   (* A stream that ends with a permanently pending tryC — a stalled commit
@@ -130,8 +166,8 @@ let test_incremental_efficiency () =
     (nodes <= searches * (txns + 2))
 
 let test_long_stream_fastpath () =
-  (* On a recorded TL2 stream of >= 2000 events the certificate-revalidation
-     fast path must absorb at least 90% of response events, keeping total
+  (* On a recorded TL2 stream of >= 2000 events the graph as it stands
+     must certify at least 90% of response events, keeping total
      search work and wall time bounded (the pre-fast-path monitor ran one
      full search per response — Θ(events) searches, unbounded here). *)
   let params =
@@ -173,11 +209,10 @@ let test_long_stream_fastpath () =
 
 let test_repeated_values_fast () =
   (* [bench check]'s 33,470-event repeated-values recording.  Written
-     values repeat, so commit and abort responses that the local checks
-     cannot absorb fall back to the graph and then the search; a monitor
-     that revalidated the whole certificate there paid O(T^2) per
-     fallback and took ~17 s on a 2-vCPU VM.  Every response must be
-     accounted to exactly one of the three deciders. *)
+     values repeat; a monitor that revalidated the whole certificate on a
+     fallback paid O(T^2) per fallback and took ~17 s on a 2-vCPU VM.
+     Every response must be accounted to exactly one of the three
+     deciders: the graph as it stands, a rebuilt graph, the search. *)
   let params =
     {
       Stm.Workload.default with
@@ -294,6 +329,8 @@ let suite =
         test "rejects ill-formed events" test_ill_formed_stream;
         test "agrees with offline checker" test_matches_offline;
         test "budget surfaces as Budget" test_budget;
+        test "a stream the graph cannot decide rebuilds logarithmically"
+          test_ambiguous_stream_rebuilds;
         test "accepts a permanently commit-pending stream"
           test_commit_pending_stream;
         test "incremental efficiency" test_incremental_efficiency;

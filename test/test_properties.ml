@@ -257,7 +257,8 @@ let prop_monitor_offline =
 
 (* The same agreement, hammered harder: 1000 iterations over a blend of
    random histories and fault-injected simulator runs (crashes, stalls,
-   spurious aborts, omission), so the revalidation fast path is exercised
+   spurious aborts, omission), so the monitor's incremental graph is
+   exercised
    against genuinely incomplete streams — commit-pending zombies and
    invocations pending forever — not just generator output. *)
 

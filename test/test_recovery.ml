@@ -83,16 +83,16 @@ let test_journal_roundtrip () =
       let events = History.to_list Figures.fig1 in
       let n = List.length events in
       let a, b = split_at (n / 2) events in
-      let m = Session_monitor.create () in
+      let m = Monitor.create () in
       let j = Journal.create ~dir ~session:7 () in
-      ignore (Session_monitor.push_all m a);
+      List.iter (fun ev -> ignore (Monitor.ingest m ev)) a;
       ignore (Journal.append j a);
       (* checkpoint mid-stream, then keep appending past it *)
-      Journal.snapshot j (Session_monitor.persist m);
-      ignore (Session_monitor.push_all m b);
+      Journal.snapshot j (Monitor.persist m);
+      List.iter (fun ev -> ignore (Monitor.ingest m ev)) b;
       ignore (Journal.append j b);
       (* recovery certifies the rebuilt stream; so does the original *)
-      ignore (Session_monitor.certify m);
+      ignore (Monitor.certify m);
       Alcotest.(check int) "applied counts everything" n (Journal.applied j);
       Journal.close j;
       Alcotest.(check bool) "exists on disk" true
@@ -105,9 +105,9 @@ let test_journal_roundtrip () =
       | Ok (m', applied, j') ->
           Alcotest.(check int) "recovered applied" n applied;
           Alcotest.(check int) "monitor replayed fully" n
-            (Session_monitor.events_seen m');
-          let s = Session_monitor.snapshot m
-          and s' = Session_monitor.snapshot m' in
+            (Monitor.events_seen m');
+          let s = Monitor.snapshot m
+          and s' = Monitor.snapshot m' in
           Alcotest.(check int) "replay reproduces responses"
             s.Monitor.responses s'.Monitor.responses;
           Alcotest.(check int) "replay reproduces fast-path hits"
@@ -134,7 +134,7 @@ let test_journal_torn_tail () =
             (Fmt.str "torn tail dropped (%d < %d)" applied n)
             true (applied < n);
           Alcotest.(check int) "monitor matches the surviving prefix" applied
-            (Session_monitor.events_seen m');
+            (Monitor.events_seen m');
           (* the journal is usable again: the torn tail was truncated away *)
           ignore (Journal.append j' [ Event.Inv (99, Event.Read 0) ]);
           Alcotest.(check int) "append after truncation" (applied + 1)
@@ -249,16 +249,17 @@ let test_concurrent_resume_keeps_capsules_apart () =
               Alcotest.(check (list event))
                 (Fmt.str "session %d: journal holds its own stream" id)
                 (History.to_list h)
-                (History.to_list (Session_monitor.history m));
+                (History.to_list (Monitor.history m));
               Alcotest.check status
                 (Fmt.str "session %d: recovered verdict" id)
                 (offline_status h)
-                (outcome_status (Session_monitor.status m)))
+                (outcome_status (Monitor.status m)))
         streams)
 
 let test_capsules_interchange () =
-  (* The session monitor and the sequential monitor share the capsule
-     format, so a journal checkpointed with either one's capsule recovers
+  (* A capsule written after a certify per response ("monitor") and one
+     written after ingestion alone, as the service streams ("session"),
+     share the format, so a journal checkpointed with either recovers
      every figure with the uninterrupted verdict: journal half the stream,
      checkpoint (which journals the capsule's sticky verdict), journal the
      rest, recover by replaying the whole journal. *)
@@ -290,7 +291,7 @@ let test_capsules_interchange () =
                   Alcotest.check status
                     (Fmt.str "%s: %s capsule, recovered verdict" h.name writer)
                     (offline_status h.history)
-                    (outcome_status (Session_monitor.status m))))
+                    (outcome_status (Monitor.status m))))
         Figures.catalog)
     [
       ( "monitor",
@@ -300,9 +301,9 @@ let test_capsules_interchange () =
           Monitor.persist m );
       ( "session",
         fun evs ->
-          let m = Session_monitor.create () in
-          ignore (Session_monitor.push_all m evs);
-          Session_monitor.persist m );
+          let m = Monitor.create () in
+          List.iter (fun ev -> ignore (Monitor.ingest m ev)) evs;
+          Monitor.persist m );
     ]
 
 let test_snapshotting_format_refused () =

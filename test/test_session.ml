@@ -1,9 +1,10 @@
-(* The service's session monitor against the sequential monitor: verdict
-   and first-violating-prefix parity over every soak source, validated
-   certificates at every certify point, the Finding-3 prefix trap
-   (certifying the current history must not resurrect a dead prefix),
-   checkpoint capsules, escalation transparency on ill-formed streams, and
-   the recordings that used to escalate the location-sharded monitor. *)
+(* The monitor as the service drives it — events ingested, certified in
+   batches — against the same monitor certified after every response:
+   verdict and first-violating-prefix parity over every soak source,
+   validated certificates at every certify point, the Finding-3 prefix
+   trap (certifying the current history must not resurrect a dead
+   prefix), checkpoint capsules, ill-formed streams, and the recordings
+   that used to escalate the location-sharded monitor. *)
 
 open Tm_safety
 open Helpers
@@ -23,35 +24,37 @@ let gen_soak_history =
         ~seed)
     QCheck2.Gen.(pair (int_range 0 5) (int_range 0 100_000))
 
-(* Feed [events] through a session monitor, certifying every [period]
-   events and once at the end (settling the verdict).  [on_ok] sees the
-   monitor and the number of events pushed after every [`Ok] certify. *)
+(* Ingest [events], certifying every [period] events and once at the end
+   (settling the verdict).  [on_ok] sees the monitor and the number of
+   events ingested after every [`Ok] certify. *)
 let drive ?(on_ok = fun _ _ -> ()) ~period events =
-  let s = Session_monitor.create ~max_nodes () in
+  let s = Monitor.create ~max_nodes () in
   let certify n =
-    let st = Session_monitor.certify s in
+    let st = Monitor.certify s in
     if st = `Ok then on_ok s n;
     st
   in
   List.iteri
     (fun i ev ->
-      ignore (Session_monitor.push s ev);
+      ignore (Monitor.ingest s ev);
       if (i + 1) mod period = 0 then ignore (certify (i + 1)))
     events;
   let st = certify (List.length events) in
   (s, st)
 
-(* Exact-parity oracle: after escalation the session monitor {e is} a
-   monitor replaying the same accepted events, so any outcome difference
-   is a bug — except "monitor ran out of budget, the graph certified
-   without ever searching", which is the graph working as designed. *)
+(* Exact-parity oracle: a batch certify the graph cannot settle replays
+   its window response by response, so any outcome difference is a bug —
+   except "the per-response pattern ran out of budget, the batch graph
+   certified without ever searching", which is the graph working as
+   designed. *)
 let agrees name (mstat, midx) (sstat, sidx) =
   match mstat, sstat with
   | `Ok, `Ok | `Budget _, (`Budget _ | `Ok) -> true
   | `Violation _, `Violation _ ->
       midx = sidx
       || QCheck2.Test.fail_reportf
-           "%s: first violating prefix differs: monitor=%a session=%a" name
+           "%s: first violating prefix differs: per-response=%a batch=%a"
+           name
            Fmt.(option ~none:(any "-") int)
            midx
            Fmt.(option ~none:(any "-") int)
@@ -62,7 +65,7 @@ let agrees name (mstat, midx) (sstat, sidx) =
         | `Violation w -> "violation (" ^ w ^ ")"
         | `Budget w -> "budget (" ^ w ^ ")"
       in
-      QCheck2.Test.fail_reportf "%s: monitor=%s session=%s" name (show mstat)
+      QCheck2.Test.fail_reportf "%s: per-response=%s batch=%s" name (show mstat)
         (show sstat)
 
 let monitor_outcome events =
@@ -73,7 +76,7 @@ let monitor_outcome events =
 (* The certificate behind an [`Ok] certify must pass the independent
    validator on the prefix it certified. *)
 let validate_on_prefix h s n =
-  match Session_monitor.certificate s with
+  match Monitor.certificate s with
   | None -> Error (Fmt.str "`Ok at %d events without a certificate" n)
   | Some c -> (
       match
@@ -86,7 +89,7 @@ let validate_on_prefix h s n =
 (* --- parity with the sequential monitor ---------------------------------- *)
 
 let prop_monitor_parity =
-  qtest ~count:250 "Session_monitor ≡ Monitor at every certify period"
+  qtest ~count:250 "batch certify ≡ per-response certify at every period"
     QCheck2.Gen.(pair gen_soak_history (int_range 1 8))
     (fun (h, stride) ->
       let events = History.to_list h in
@@ -94,7 +97,7 @@ let prop_monitor_parity =
       agrees
         (Fmt.str "certify period %d" (stride * 5))
         (monitor_outcome events)
-        (st, Session_monitor.violation_index s))
+        (st, Monitor.violation_index s))
 
 let prop_certificates_validate =
   qtest ~count:100 "every `Ok certify carries a validated certificate"
@@ -102,7 +105,7 @@ let prop_certificates_validate =
     (fun h ->
       let bad = ref None in
       let on_ok s n =
-        if !bad = None && not (Session_monitor.escalated s) then
+        if !bad = None then
           match validate_on_prefix h s n with
           | Ok () -> ()
           | Error why -> bad := Some why
@@ -120,41 +123,115 @@ let test_corollary2_gap () =
   let mstat, midx = monitor_outcome events in
   Alcotest.(check (option int)) "monitor blames the gap prefix" (Some vidx)
     midx;
-  (* The graph's own reason for escalating.  Certified often, the graph
-     meets [T9]'s read with an ordering it chose heuristically on an
-     earlier, du-opaque prefix; certified only at the end, it certifies
-     the full history with [T7] serving [T5]'s read, a certificate that
-     does not cover the prefix where [T7] cannot commit yet. *)
-  let contradiction choice =
-    "ordering contradiction after a heuristic " ^ choice
-    ^ ": committed writer T4 cannot leave the interval between T5 and its \
-       reader T9"
+  (match mstat with
+  | `Violation _ -> ()
+  | _ -> Alcotest.fail "expected a sticky violation per response");
+  (* The graph decides the gap prefix from forced edges alone, as the
+     batch check of that prefix does: no heuristic choice kept from an
+     earlier certify survives into the verdict that refutes it, and no
+     search runs.  Certified only at the end, the graph certifies the full
+     history with [T7] serving [T5]'s read, a certificate that does not
+     cover the prefix where [T7] cannot commit yet; the replay of that
+     window response by response finds the gap prefix. *)
+  let batch_reason =
+    match Conflict_graph.check (History.prefix h vidx) with
+    | Conflict_graph.Unsat why -> why
+    | _ -> Alcotest.fail "the batch check of the gap prefix must be Unsat"
+  in
+  let closure_gap =
+    "the certificate serves a read from a writer that invoked tryC after \
+     the read's response, past one of another value, so it need not cover \
+     earlier prefixes (repeated values forfeit prefix closure, Corollary 2)"
   in
   List.iter
-    (fun (period, reason) ->
+    (fun (period, reason, fallback) ->
       let s, st = drive ~period events in
-      (match mstat, st with
-      | `Violation _, `Violation _ -> ()
+      (match st with
+      | `Violation why ->
+          Alcotest.(check string)
+            (Fmt.str "period %d: the graph's reason" period)
+            (Fmt.str "prefix of length %d is not du-opaque: %s" vidx reason)
+            why
       | _ -> Alcotest.failf "period %d: expected a sticky violation" period);
       Alcotest.(check (option int))
         (Fmt.str "period %d: first violating prefix" period)
         (Some vidx)
-        (Session_monitor.violation_index s);
+        (Monitor.violation_index s);
+      Alcotest.(check int)
+        (Fmt.str "period %d: searches" period)
+        0 (Monitor.searches_run s);
       Alcotest.(check (option string))
-        (Fmt.str "period %d: escalation reason" period)
-        (Some reason) (Session_monitor.escalation s))
+        (Fmt.str "period %d: fallback" period)
+        fallback (Monitor.fallback s))
     [
-      (1, contradiction "write-order choice");
+      (1, batch_reason, None);
       ( 4,
-        contradiction
-          "choice among same-value writers (repeated values forfeit prefix \
-           closure, Corollary 2)" );
+        "committed writer T4 cannot leave the interval between T2 and its \
+         reader T5",
+        Some closure_gap );
       ( List.length events,
-        "the certificate serves a read from a writer that invoked tryC \
-         after the read's response, past one of another value, so it need \
-         not cover earlier prefixes (repeated values forfeit prefix \
-         closure, Corollary 2)" );
+        "committed writer T4 cannot leave the interval between T2 and its \
+         reader T5",
+        Some closure_gap );
     ]
+
+(* A certificate that does not restrict to every prefix, early in a long
+   stream.  [T5]'s read of [Y=1] is served locally by [T2] and globally by
+   [T7]; [T4] (Y=2) sits between them, and both invoke tryC after the
+   read.  Unlike {!Tm_figures.Findings.corollary2_gap}, [T7] invokes tryC
+   before [T4] commits, so every prefix is du-opaque.  Only a window that
+   ends before [T7]'s tryC needs checking response by response: certified
+   every 256 events, the first window replays and no later one does. *)
+let test_closure_gap_long_stream () =
+  let gap =
+    Dsl.(
+      history
+        [
+          r 2 x 0; w 2 y 1; w 4 y 2; c 2; w_inv 5 x 3; w_inv 4 x 1; w_ok 5;
+          r 5 y 1; w_ok 4; w 7 y 1; c_inv 4; c_inv 7; c_inv 5; committed 4;
+          committed 7; committed 5; r 9 x 3; c 9;
+        ])
+  in
+  let g = Conflict_graph.Inc.create () in
+  List.iter (Conflict_graph.Inc.push g) (History.to_list gap);
+  (match Conflict_graph.Inc.decide g with
+  | `Sat -> ()
+  | _ -> Alcotest.fail "the graph must certify the pattern");
+  Alcotest.(check bool) "the certificate is not prefix-closed" true
+    (Conflict_graph.Inc.closed_after g >= 0);
+  let params =
+    {
+      Stm.Workload.default with
+      n_threads = 4;
+      txns_per_thread = 250;
+      ops_per_txn = 4;
+      n_vars = 64;
+      values = `Range 100;
+    }
+  in
+  let rec_h =
+    (Sim.Runner.run ~stm:"tl2" ~params ~seed:7 ()).Sim.Runner.history
+  in
+  let events =
+    relabel ~tx_base:1_000_000 ~var_base:1_000 (History.to_list gap)
+    @ History.to_list rec_h
+  in
+  let h = History.of_events_exn events in
+  let mstat, _ = monitor_outcome events in
+  Alcotest.(check bool) "every prefix is du-opaque" true (mstat = `Ok);
+  let failure = ref None in
+  let on_ok s n =
+    if !failure = None then
+      match validate_on_prefix h s n with
+      | Ok () -> ()
+      | Error why -> failure := Some why
+  in
+  let s, st = drive ~on_ok ~period:256 events in
+  Alcotest.(check bool) "certified" true (st = `Ok);
+  Option.iter (Alcotest.failf "certificate rejected: %s") !failure;
+  Alcotest.(check int)
+    (Fmt.str "window replays over %d certifies" (Monitor.certifies s))
+    1 (Monitor.replays s)
 
 (* --- checkpoint capsules -------------------------------------------------- *)
 
@@ -163,34 +240,33 @@ let test_persist_roundtrip () =
   let h = Oracle.produce (`Stm "tl2") ~seed:42 in
   let s, st = drive ~period:50 (History.to_list h) in
   (match st with `Ok -> () | _ -> Alcotest.fail "expected a certified `Ok");
-  let p = Session_monitor.persist s in
-  (match Session_monitor.of_persisted p with
+  let p = Monitor.persist s in
+  (match Monitor.of_persisted p with
   | Ok s' ->
       Alcotest.(check bool) "rebuilt stream is `Ok" true
-        (Session_monitor.status s' = `Ok);
+        (Monitor.status s' = `Ok);
       Alcotest.(check int) "history survives" (History.length h)
-        (History.length (Session_monitor.history s'))
+        (History.length (Monitor.history s'))
   | Error why -> Alcotest.failf "clean capsule rejected: %s" why);
   (* A violating stream: the recorded failure is adopted, index intact. *)
   let hbad, vidx = Tm_figures.Findings.corollary2_gap in
   let sbad, _ = drive ~period:4 (History.to_list hbad) in
-  let pbad = Session_monitor.persist sbad in
-  match Session_monitor.of_persisted pbad with
+  let pbad = Monitor.persist sbad in
+  match Monitor.of_persisted pbad with
   | Ok s' ->
-      (match Session_monitor.status s' with
+      (match Monitor.status s' with
       | `Violation _ -> ()
       | _ -> Alcotest.fail "recorded violation not adopted");
       Alcotest.(check (option int)) "violation index adopted" (Some vidx)
-        (Session_monitor.violation_index s')
+        (Monitor.violation_index s')
   | Error why -> Alcotest.failf "failure capsule rejected: %s" why
 
-(* --- escalation transparency on ill-formed streams ------------------------ *)
+(* --- ill-formed streams ---------------------------------------------------- *)
 
 let test_ill_formed_parity () =
   (* A response with no pending invocation is rejected by the monitor's
-     History.Builder;
-     the monitor turns that into a sticky violation and so, via
-     escalation, must the session monitor — at the same index. *)
+     History.Builder; both call patterns turn that into a sticky
+     violation, at the same index and for the same reason. *)
   let events =
     [
       Event.Inv (1, Event.Write (0, 1));
@@ -200,16 +276,17 @@ let test_ill_formed_parity () =
     ]
   in
   let mstat, midx = monitor_outcome events in
-  let s = Session_monitor.create ~max_nodes () in
-  ignore (Session_monitor.push_all s events);
-  ignore (Session_monitor.certify s);
-  (match mstat, Session_monitor.status s with
-  | `Violation _, `Violation _ -> ()
+  let s = Monitor.create ~max_nodes () in
+  List.iter (fun ev -> ignore (Monitor.ingest s ev)) events;
+  ignore (Monitor.certify s);
+  (match mstat, Monitor.status s with
+  | `Violation a, `Violation b ->
+      Alcotest.(check string) "same reason" a b
   | _ -> Alcotest.fail "expected sticky violations on both paths");
   Alcotest.(check (option int)) "same violation index" midx
-    (Session_monitor.violation_index s);
-  Alcotest.(check (option string)) "escalated as ill-formed"
-    (Some "ill-formed event") (Session_monitor.escalation s)
+    (Monitor.violation_index s);
+  Alcotest.(check (option string)) "the graph needed no fallback" None
+    (Monitor.fallback s)
 
 (* --- recordings that escalated the location-sharded monitor --------------- *)
 
@@ -230,7 +307,7 @@ let record ~stm ~threads ~txns ~ops ~vars ~zipf_theta seed =
   (Sim.Runner.run ~stm ~params ~seed ()).Sim.Runner.history
 
 (* Certify every 512 events, as the service's frames do, and at the end:
-   the graph must certify every point without escalating, and each
+   the graph must certify every point without a fallback, and each
    certificate must pass the independent validator on its prefix. *)
 let certifies_throughout name h =
   let failure = ref None in
@@ -241,11 +318,11 @@ let certifies_throughout name h =
       | Error why -> failure := Some why
   in
   let s, st = drive ~on_ok ~period:512 (History.to_list h) in
-  (match st, Session_monitor.escalation s with
+  (match st, Monitor.fallback s with
   | `Ok, None -> ()
-  | _, Some why -> Alcotest.failf "%s escalated: %s" name why
+  | _, Some why -> Alcotest.failf "%s fell back: %s" name why
   | (`Violation why | `Budget why), None ->
-      Alcotest.failf "%s: %s without escalation" name why);
+      Alcotest.failf "%s: %s without a fallback" name why);
   match !failure with
   | None -> ()
   | Some why -> Alcotest.failf "%s: certificate rejected: %s" name why
@@ -282,13 +359,14 @@ let test_open_short_sessions () =
 
 (* --- two domains at once ----------------------------------------------- *)
 
-(* Sessions on different domains share no state: each owns its builder,
-   graph and (after escalation) monitor.  Two domains run the same streams
-   at once, in opposite orders, and every stream's outcome, violation index
-   and capsule must equal its run alone.  The streams mix the soak sources
-   with TL2 and eager recordings whose written values repeat within a
-   handful, so that some sessions escalate to a monitor replay and some of
-   those find a violation. *)
+(* Monitors on different domains share no state: each owns its builder,
+   graph and search context.  Two domains run the same streams at once,
+   in opposite orders, in both call patterns, and every stream's outcome,
+   violation index and capsule must equal its run alone.  The streams mix
+   the soak sources with TL2 and eager recordings whose written values
+   repeat within a handful, so that some batch certifies fall back (to a
+   search or a per-response replay) and some of those find a
+   violation. *)
 let test_two_domains () =
   let repeated stm seed =
     let params =
@@ -307,11 +385,11 @@ let test_two_domains () =
           | _ -> Oracle.produce (List.nth soak_sources (i mod 6)) ~seed))
   in
   let session events =
-    let s = Session_monitor.create ~max_nodes () in
-    ignore (Session_monitor.push_all s events);
-    let st = Session_monitor.certify s in
-    (st, Session_monitor.violation_index s, Session_monitor.persist s,
-     Session_monitor.escalated s)
+    let s = Monitor.create ~max_nodes () in
+    List.iter (fun ev -> ignore (Monitor.ingest s ev)) events;
+    let st = Monitor.certify s in
+    (st, Monitor.violation_index s, Monitor.persist s,
+     Monitor.fallback s <> None)
   in
   let monitor events =
     let m = Monitor.create ~max_nodes () in
@@ -320,9 +398,9 @@ let test_two_domains () =
   in
   let alone_s = Array.map session streams and alone_m = Array.map monitor streams in
   let count p = Array.fold_left (fun n r -> if p r then n + 1 else n) 0 alone_s in
-  Alcotest.(check bool) "some sessions escalate" true
-    (count (fun (_, _, _, escalated) -> escalated) > 0);
-  Alcotest.(check bool) "some escalated sessions find a violation" true
+  Alcotest.(check bool) "some sessions fall back" true
+    (count (fun (_, _, _, fell_back) -> fell_back) > 0);
+  Alcotest.(check bool) "some sessions that fall back find a violation" true
     (count (function `Violation _, _, _, true -> true | _ -> false) > 0);
   let n = Array.length streams in
   let run order () =
@@ -350,11 +428,13 @@ let suite =
         prop_certificates_validate;
         test "Finding 3: the gap prefix stays blamed at every certify period"
           test_corollary2_gap;
+        test "a closure gap early in a long stream replays one window"
+          test_closure_gap_long_stream;
         test "persist/of_persisted round-trips both outcomes"
           test_persist_roundtrip;
-        test "ill-formed events escalate to monitor parity"
+        test "ill-formed events: parity of the two call patterns"
           test_ill_formed_parity;
-        test "witness cross-shard-cycle-720 certifies without escalating"
+        test "witness cross-shard-cycle-720 certifies without a fallback"
           test_cross_shard_cycle_720;
         slow "witness per-frame-certify-escalation: 8 recordings certify"
           test_per_frame_certify;

@@ -21,8 +21,9 @@
    [Du_opacity.check] (any decided disagreement fails; every graph [Sat]
    certificate must pass [Serialization.validate]), and one way against
    last-use opacity (du-opaque implies last-use opaque).  At each leaf of
-   the tree [Monitor] and [Session_monitor] stream the history and are
-   compared, event by event, with the prefix closure the monitors decide
+   the tree [Monitor] streams the history, certified after every response
+   and, as the service drives it, after every event or only at the end;
+   each is compared with the prefix closure the monitor decides
    (as in [Oracle.lockstep]): a prefix is accepted iff the search accepts
    every response-boundary prefix of it. *)
 
@@ -113,28 +114,28 @@ let stream t events expected =
   (* certified once at the end, and after every event *)
   List.iter
     (fun every ->
-      let s = Session_monitor.create ~max_nodes () in
+      let s = Monitor.create ~max_nodes () in
       List.iter
         (fun ev ->
-          ignore (Session_monitor.push s ev);
-          if every then ignore (Session_monitor.certify s))
+          ignore (Monitor.ingest s ev);
+          if every then ignore (Monitor.certify s))
         events;
-      let outcome = Session_monitor.certify s in
+      let outcome = Monitor.certify s in
       let mode = if every then "every event" else "at the end" in
       match (outcome, first_bad) with
       | `Ok, Some b ->
-          fail t "%s: session monitor (certified %s) accepts, prefix %d \
+          fail t "%s: batch-certified monitor (%s) accepts, prefix %d \
                   refuted" (show h) mode b
       | `Violation _, None
         when Array.for_all (fun v -> v = Some true) expected ->
-          fail t "%s: session monitor (certified %s) refutes an accepted \
+          fail t "%s: batch-certified monitor (%s) refutes an accepted \
                   history" (show h) mode
-      | `Violation _, Some b when Session_monitor.violation_index s <> Some b
+      | `Violation _, Some b when Monitor.violation_index s <> Some b
         ->
-          fail t "%s: session monitor (certified %s) blames prefix %a, not \
+          fail t "%s: batch-certified monitor (%s) blames prefix %a, not \
                   %d" (show h) mode
             Fmt.(option ~none:(any "none") int)
-            (Session_monitor.violation_index s)
+            (Monitor.violation_index s)
             b
       | _ -> ())
     [ false; true ]
