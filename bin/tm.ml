@@ -783,7 +783,11 @@ let tcp_arg =
 
 let serve_cmd =
   let domains_arg =
-    let doc = "Worker pool size: sessions are spread across $(docv) OCaml domains." in
+    let doc =
+      "Worker pool size: sessions are spread across $(docv) workers, one \
+       OCaml domain each; where the process may use a single CPU (e.g. \
+       under $(b,taskset -c 1)) they run as threads of the main domain."
+    in
     Arg.(value & opt int 4 & info [ "domains" ] ~docv:"N" ~doc)
   in
   let queue_arg =
@@ -865,10 +869,15 @@ let serve_cmd =
             Fmt.epr "tm serve: %s@." m;
             3
         | srv ->
-            Fmt.pr "tm serve: listening on %a (%d domains, queue %d%s)@."
+            let plural n = if n = 1 then "" else "s" in
+            Fmt.pr "tm serve: listening on %a (%s, queue %d%s)@."
               Service.Wire.pp_addr
               (Service.Server.bound_addr srv)
-              domains queue
+              (if Service.Server.threaded srv then
+                 Fmt.str "%d worker%s on 1 domain (1 CPU)" domains
+                   (plural domains)
+               else Fmt.str "%d worker domain%s" domains (plural domains))
+              queue
               (match journal_dir with
               | Some d -> Fmt.str ", durable sessions in %s" d
               | None -> "");
@@ -892,7 +901,7 @@ let serve_cmd =
        ~doc:
          "Run the streaming du-opacity checking service (binary wire \
           protocol, one online monitor per session, sessions spread \
-          across a domain pool; optionally durable, with crash recovery \
+          across a worker pool; optionally durable, with crash recovery \
           and overload shedding)")
     Term.(
       const run $ unix_arg $ tcp_arg $ domains_arg $ shards_arg $ queue_arg

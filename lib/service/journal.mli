@@ -16,7 +16,7 @@
     it into a fresh {!Tm_checker.Monitor}, once, and the recovered session
     is verdict-identical to an uninterrupted one.
 
-    Writes happen only from the session's owning worker domain, so no
+    Writes happen only from the session's owning worker, so no
     locking; {!recover} runs before a session goes live. *)
 
 type t

@@ -70,7 +70,7 @@ str     := len:uv byte*
     [Events] frames into them, and collects [Verdict] frames: a
     [Checkpoint] is answered with the current verdict carrying the
     checkpoint's token, a [Close_session] with the final verdict (token
-    [0]).  [Stats_req] is answered with per-domain counters.
+    [0]).  [Stats_req] is answered with per-worker counters.
     Protocol-level problems come back as [Error] frames: an undecodable
     body ([bad-frame]) or a semantic error ([unknown-session],
     [duplicate-session], ...) is reported and the connection keeps serving
@@ -207,7 +207,7 @@ type domain_stats = {
   closed_sessions : int;
   events : int;
   responses : int;
-  fastpath_hits : int;  (** monitor fast-path hits across the domain *)
+  fastpath_hits : int;  (** monitor fast-path hits across the worker *)
   searches : int;
   nodes : int;
 }

@@ -47,10 +47,12 @@ let config ?(domains = 4) ?max_nodes ?(queue_capacity = 64)
     log;
   }
 
-(* Per-domain counters, written by the owning worker domain (and the reader
+(* Per-worker counters, written by the owning worker (and the reader
    threads for the live-session gauge), read by any reader thread serving a
-   [Stats_req].  Atomics make the cross-domain reads well-defined; the
-   counters are monotone so slight skew between fields is harmless. *)
+   [Stats_req].  A worker runs on a domain of its own, or as a thread of the
+   main domain where the process may use one CPU; atomics make the reads
+   well-defined either way, and the counters are monotone so slight skew
+   between fields is harmless. *)
 type dstat = {
   live : int Atomic.t;
   closed : int Atomic.t;
@@ -82,7 +84,7 @@ type conn = {
 }
 
 (* Field ownership.  [monitor]/[last]/[applied]/[journal] belong to the
-   session's worker domain once the session is live (mailbox FIFO is the
+   session's worker once the session is live (mailbox FIFO is the
    synchronisation).  [dmode]/[throttles]/[admit_flip] belong to the
    serving reader thread; the worker's reads of [dmode] for verdict tails
    are ordered behind the reader's writes by the mailbox mutex.
@@ -92,7 +94,7 @@ and session = {
   client_sid : int;
   mutable sconn : conn;
   mutable monitor : Monitor.t;  (* replaced once, on crash recovery *)
-  worker : int;  (* index of the owning worker domain *)
+  worker : int;  (* index of the owning worker *)
   mutable last : Monitor.snapshot;  (* last snapshot folded into dstats *)
   mutable applied : int;  (* events durably applied (journalled + pushed) *)
   mutable journal : Journal.t option;
@@ -104,9 +106,9 @@ and session = {
   mutable retired : bool;  (* gauges settled; never retire twice *)
 }
 
-(* Work items flowing reader -> worker domain.  A session is pinned to one
-   worker, so its items are processed in FIFO order by a single domain and
-   the monitor (and journal) need no locking. *)
+(* Work items flowing reader -> worker.  A session is pinned to one worker,
+   so its items are processed in FIFO order by a single thread of control
+   and the monitor (and journal) need no locking. *)
 type work =
   | W_open of session  (* create the journal of a fresh durable session *)
   | W_events of session * int option * string
@@ -134,7 +136,8 @@ type t = {
   mutable readers : Thread.t list;  (* guarded by conns_mutex *)
   mutable accept_thread : Thread.t option;
   mutable sweeper : Thread.t option;  (* orphan expiry, durable mode only *)
-  mutable workers : unit Domain.t array;
+  threaded : bool;  (* workers are threads of the main domain *)
+  mutable workers : (unit -> unit) array;  (* joins each worker *)
   next_conn : int Atomic.t;
   next_session : int Atomic.t;
   durables : (int, session) Hashtbl.t;  (* durable mode: global registry *)
@@ -142,6 +145,7 @@ type t = {
 }
 
 let bound_addr srv = srv.bound
+let threaded srv = srv.threaded
 let live_total srv =
   Array.fold_left (fun acc d -> acc + Atomic.get d.live) 0 srv.dstats
 
@@ -176,9 +180,9 @@ let resumed_frame s =
       status = status_of_outcome (Monitor.status s.monitor);
     }
 
-(* --- worker domains ------------------------------------------------------- *)
+(* --- workers ------------------------------------------------------------ *)
 
-(* Fold the session's monitor counters into its domain's atomics.  Called on
+(* Fold the session's monitor counters into its worker's atomics.  Called on
    every batch, so it leans on [Monitor.snapshot] being O(1) — including the
    pending gauge, which used to recount [History.infos] per call and made
    accounting quadratic over a session's stream. *)
@@ -847,6 +851,7 @@ let start cfg =
       readers = [];
       accept_thread = None;
       sweeper = None;
+      threaded = Domain.recommended_domain_count () = 1;
       workers = [||];
       next_conn = Atomic.make 1;
       next_session = Atomic.make 1;
@@ -854,7 +859,18 @@ let start cfg =
       reg_mutex = Mutex.create ();
     }
   in
-  srv.workers <- Array.init cfg.domains (fun i -> Domain.spawn (worker srv i));
+  (* Where the process may use one CPU, a domain per worker could never
+     run beside the main domain, and every minor collection would still
+     stop both; there the workers are threads of the main domain. *)
+  let spawn f =
+    if srv.threaded then
+      let t = Thread.create f () in
+      fun () -> Thread.join t
+    else
+      let d = Domain.spawn f in
+      fun () -> Domain.join d
+  in
+  srv.workers <- Array.init cfg.domains (fun i -> spawn (worker srv i));
   srv.accept_thread <- Some (Thread.create (accept_loop srv) ());
   if cfg.journal_dir <> None then
     srv.sweeper <- Some (Thread.create (sweeper srv) ());
@@ -890,7 +906,7 @@ let stop ?(drain = true) srv =
     List.iter Thread.join readers;
     (match srv.sweeper with Some t -> Thread.join t | None -> ());
     Array.iter (fun mb -> Mailbox.put mb W_quit) srv.mailboxes;
-    Array.iter Domain.join srv.workers;
+    Array.iter (fun join -> join ()) srv.workers;
     (* Close surviving durable journals (fds) — the files stay on disk, so
        every orphaned or still-open session remains recoverable by the
        next server on the same journal directory. *)

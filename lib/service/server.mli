@@ -5,18 +5,28 @@
     — the online engine: an incremental conflict graph, with the search
     behind it for what the graph cannot decide — which ingests every
     admitted event and certifies at durable batches, checkpoints, close
-    and resume.  A session is pinned to one domain of a fixed worker
-    pool; connection reader threads decode frames and hand the
-    per-session work to that worker's bounded mailbox ({!Mailbox}), whose
-    bound is the backpressure that stalls over-eager clients instead of
-    buffering without limit.
+    and resume.  A session is pinned to one worker of a fixed pool;
+    connection reader threads decode frames and hand the per-session work
+    to that worker's bounded mailbox ({!Mailbox}), whose bound is the
+    backpressure that stalls over-eager clients instead of buffering
+    without limit.
+
+    {2 Worker layout}: each worker runs on an OCaml domain of its own,
+    unless the process may use a single CPU
+    ([Domain.recommended_domain_count () = 1], which follows the CPU
+    affinity, e.g. under [taskset -c 1]).  There the workers run as
+    threads of the main domain, beside the accept loop and the readers:
+    a second domain could never run in parallel with the first, and would
+    only add the stop-the-world handshake of every minor collection.  The
+    layout is chosen at {!start} and reported by {!threaded}; everything
+    else — mailboxes, pinning, verdicts — is the same in both.
 
     {2 Robustness invariants} (exercised by the loopback and chaos tests):
     - a malformed frame body is answered with an [Error] frame and the
       connection keeps serving — other sessions never notice;
     - an unparseable length prefix (desync) closes only that connection;
     - a client that disconnects mid-stream has its sessions reaped through
-      the regular work queues — a dead client never wedges a domain.
+      the regular work queues — a dead client never wedges a worker.
 
     {2 Durable sessions} ([journal_dir]): every applied event is journalled
     ({!Journal}) before it reaches the monitor, checkpoints [fsync] the
@@ -26,7 +36,7 @@
     server on the same directory rebuilds the session by replaying its
     journal, verdict-identical to an uninterrupted run.  [Resume]
     answers with the durably-applied index; [Events_at] re-sends are
-    deduplicated in the session's worker domain — the only writer of its
+    deduplicated in the session's worker — the only writer of its
     applied counter — so duplicated or re-sent frames never double-apply,
     and a frame that would open a gap is refused with a zero-delay
     [Throttle].
@@ -46,7 +56,9 @@
 
 type config = {
   addr : Wire.addr;
-  domains : int;  (** session worker pool size (OCaml domains) *)
+  domains : int;
+      (** session worker pool size: one domain per worker, or that many
+          threads of the main domain on one CPU (see {e Worker layout}) *)
   max_nodes : int option;  (** per-response search budget, per monitor *)
   queue_capacity : int;  (** mailbox bound per worker (work items) *)
   journal_dir : string option;
@@ -78,7 +90,7 @@ val config :
   ?log:(string -> unit) ->
   Wire.addr ->
   config
-(** Defaults: 4 domains, no search budget, 64-item queues, not durable, no
+(** Defaults: 4 workers, no search budget, 64-item queues, not durable, no
     fsync, {!Protocol.default_session_timeout}, 1024 connections, 8192
     sessions, [hwm = queue_capacity / 2], sampling after 4 and shedding
     after 16 consecutive throttles, silent log.  [Throttle] frames always
@@ -87,8 +99,8 @@ val config :
 type t
 
 val start : config -> t
-(** Binds, spawns the worker pool, the accept thread and (durable mode) the
-    orphan sweeper, returns.  Ignores [SIGPIPE] process-wide (a dead
+(** Binds, starts the worker pool (domains, or threads on one CPU), the
+    accept thread and (durable mode) the orphan sweeper, returns.  Ignores [SIGPIPE] process-wide (a dead
     client must surface as a write error, not a signal). *)
 
 val stop : ?drain:bool -> t -> unit
@@ -102,6 +114,10 @@ val crash : t -> unit
 (** [stop ~drain:false] — the crash-recovery test hook: everything not yet
     journalled is lost, exactly as in a process kill, and a new {!start}
     on the same journal directory must rebuild sessions from disk. *)
+
+val threaded : t -> bool
+(** Whether the workers run as threads of the main domain, because the
+    process may use one CPU, rather than on a domain each. *)
 
 val bound_addr : t -> Wire.addr
 (** The bound address — with the actual port when [`Tcp (_, 0)] asked the

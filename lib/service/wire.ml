@@ -96,7 +96,7 @@ let read_exact ?(mid_frame = false) fd bytes pos len =
 
 (* Frames serialise into one contiguous byte string so a send is a single
    [write] loop under the caller's mutex — concurrent writers (one reader
-   thread, several worker domains) interleave whole frames only. *)
+   thread, several workers) interleave whole frames only. *)
 let frame_bytes frames =
   let out = Buffer.create 256 in
   List.iter

@@ -409,6 +409,74 @@ let test_accept_nodelay () =
     (Unix.getsockopt client Unix.TCP_NODELAY);
   List.iter Unix.close [ accepted; client; lfd ]
 
+(* A worker busy on a long certify must not hold up what the readers
+   answer themselves.  The relabelled pattern keeps the graph Ambiguous,
+   so the close certifies the recording with a search per response:
+   about a second.  Workers run on a domain each, or as threads of the
+   main domain where the process may use one CPU, and then a thread
+   computing is preempted only at the runtime's 50 ms tick; either way a
+   [Heartbeat] and a [Stats_req] on another connection are answered
+   within a second, while the close is still certifying. *)
+let test_replies_during_long_certify () =
+  with_server ~domains:1 (fun srv addr ->
+      Alcotest.(check bool)
+        "layout follows the CPUs the process may use"
+        (Domain.recommended_domain_count () = 1)
+        (Server.threaded srv);
+      let stuck =
+        Dsl.(history [ w 1 x 1; c_inv 1; w 2 x 1; c_inv 2; r 3 x 1; aborted 1 ])
+      in
+      let recording =
+        Sim.Runner.run ~stm:"tl2"
+          ~params:
+            { Stm.Workload.default with n_threads = 4; txns_per_thread = 60;
+              ops_per_txn = 4; n_vars = 16 }
+          ~seed:5 ()
+      in
+      let events =
+        relabel ~tx_base:1_000_000 ~var_base:1_000 (History.to_list stuck)
+        @ History.to_list recording.Sim.Runner.history
+      in
+      let busy = connect addr in
+      Client.open_session busy 1;
+      Client.send_events busy 1 events;
+      let verdict_at = ref nan and verdict = ref None in
+      let closer =
+        Thread.create
+          (fun () ->
+            verdict := Some (Client.close_session busy 1);
+            verdict_at := Unix.gettimeofday ())
+          ()
+      in
+      (* the events are ingested in milliseconds; the close then certifies *)
+      Thread.delay 0.1;
+      let c = connect addr in
+      let timed f =
+        let t0 = Unix.gettimeofday () in
+        f ();
+        Unix.gettimeofday () -. t0
+      in
+      let heartbeat = timed (fun () -> Client.ping c) in
+      let stats = timed (fun () -> ignore (Client.stats c)) in
+      let answered_at = Unix.gettimeofday () in
+      Thread.join closer;
+      Alcotest.(check bool)
+        (Fmt.str "heartbeat answered in %.3fs" heartbeat)
+        true (heartbeat < 1.0);
+      Alcotest.(check bool)
+        (Fmt.str "stats answered in %.3fs" stats)
+        true (stats < 1.0);
+      Alcotest.(check bool)
+        (Fmt.str "close still certifying %.3fs after the replies"
+           (!verdict_at -. answered_at))
+        true
+        (!verdict_at > answered_at);
+      (match !verdict with
+      | Some v -> Alcotest.check status "verdict" Protocol.S_ok v.Protocol.status
+      | None -> Alcotest.fail "no close verdict");
+      Client.close c;
+      Client.close busy)
+
 let suite =
   [
     ( "service: verdicts",
@@ -434,6 +502,8 @@ let suite =
         test "accepted TCP sockets get TCP_NODELAY" test_accept_nodelay;
         test "malformed events answered, session survives"
           test_malformed_events_survived;
+        test "heartbeat and stats answered during a long certify"
+          test_replies_during_long_certify;
       ] );
     ( "service: session monitors",
       [
