@@ -69,15 +69,19 @@
    place, and only the rest is re-sorted.  The batch [check] keeps no undo
    log: its one verdict replays from index 0.
 
-   No per-event step hashes a tuple.  Transactions and variables are
-   interned through [Int]-keyed tables; each written or read (variable,
-   value) pair has one mutable [slot] found through its variable's
-   value table; a node's deferred writes are a short (variable, value)
-   list; per-variable state is a vector indexed by the dense variable id.
-   The real-time prune needs, per variable, the committed writers in
-   completion order; that log is folded lazily out of the frontier vector
-   whenever a read has two candidates, so a history with one writer per
-   pair never builds it. *)
+   No per-event step hashes a tuple or calls into C, and the state is
+   monomorphic: every int kept per node, edge, read or variable lives in a
+   {!Topo.Ivec} (no float-array tag test per read, no write barrier per
+   write), and a variable's committed writers are two parallel vectors,
+   not tuples.  Transactions and variables are interned through a
+   direct-indexed array where their ids allow ([Intern]); each written or
+   read (variable, value) pair has one mutable [slot] found through its
+   variable's value table ([Itbl], an inline mix hash); a node's deferred
+   writes are a short (variable, value) list; per-variable state is a
+   vector indexed by the dense variable id.  The real-time prune needs,
+   per variable, the committed writers in completion order; that log is
+   folded lazily out of the frontier vector whenever a read has two
+   candidates, so a history with one writer per pair never builds it. *)
 
 type result =
   | Sat of Serialization.t
@@ -92,8 +96,59 @@ type stats = {
   tainted : bool;
 }
 
+module Ivec = Topo.Ivec
 module Pvec = Topo.Pvec
-module Itbl = Hashtbl.Make (Int)
+
+(* Int-keyed tables hashed inline.  Keys are client input (written values,
+   ids), so the hash is a mix, never the identity: keys that share their
+   low bits, such as multiples of 2^20, would otherwise share a bucket. *)
+module Itbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal (a : int) b = a = b
+
+  let hash k =
+    let k = (k lxor (k lsr 32)) * 0x3C79AC492BA7B653 in
+    let k = (k lxor (k lsr 29)) * 0x1C69B3F74AC4AE35 in
+    (k lxor (k lsr 32)) land max_int
+end)
+
+(* Dense ids for client ids (transactions, variables), handed out in
+   order of first sight.  An id below a bound proportional to the number
+   of ids interned is found in a direct-indexed array; any other (a
+   negative one, or one far beyond that count) goes through a table, so
+   the array stays O(entries) whatever ids a client sends. *)
+module Intern = struct
+  type t = {
+    mutable direct : int array;  (* id -> dense id; -1 *)
+    sparse : int Itbl.t;
+    ids : Ivec.t;  (* dense id -> id *)
+  }
+
+  let create () = { direct = [||]; sparse = Itbl.create 8; ids = Ivec.create 0 }
+  let size t = t.ids.Ivec.n
+  let id t i = Ivec.get t.ids i
+
+  (* the dense id of [k], or -1 *)
+  let find t k =
+    let i = if k >= 0 && k < Array.length t.direct then t.direct.(k) else -1 in
+    if i >= 0 || Itbl.length t.sparse = 0 then i
+    else match Itbl.find_opt t.sparse k with Some i -> i | None -> -1
+
+  (* [k], not interned yet, takes the next dense id *)
+  let add t k =
+    let i = size t and len = Array.length t.direct in
+    Ivec.push t.ids k;
+    if k >= 0 && k < len then t.direct.(k) <- i
+    else if k >= 0 && k < (4 * i) + 64 then begin
+      let d = Array.make (max (k + 1) (2 * len)) (-1) in
+      Array.blit t.direct 0 d 0 len;
+      d.(k) <- i;
+      t.direct <- d
+    end
+    else Itbl.replace t.sparse k i;
+    i
+end
 
 module Inc = struct
   (* Everything known about one written or read (variable, value) pair,
@@ -126,51 +181,53 @@ module Inc = struct
       rd_slot = { final = -1; others = []; relied = false };
     }
 
+  (* A variable's committed writers sorted by the ord cached at the last
+     look ([writer_array]): parallel vectors of ords and nodes. *)
+  type writers = { w_ord : Ivec.t; w_node : Ivec.t }
+
+  let new_writers () = { w_ord = Ivec.create 0; w_node = Ivec.create 0 }
+
   type t = {
     online : bool;  (* more verdicts will follow: keep the replay undo log *)
     (* interning *)
-    node_of_tx : int Itbl.t;
-    tx_of_node : int Pvec.t;
-    var_of_tvar : int Itbl.t;
-    tvar_of_var : Event.tvar Pvec.t;
+    txs : Intern.t;
+    tvars : Intern.t;
     (* the DSG itself: nodes, edges and the maintained topological order
        all live in the Pearce–Kelly structure *)
     topo : Topo.t;
     (* per-node state (parallel vectors, indexed by node) *)
-    first_ev : int Pvec.t;
-    completion : int Pvec.t;  (* index of C_k/A_k; -1 while not t-complete *)
-    tryc_inv : int Pvec.t;  (* index of the tryC invocation; -1 *)
-    aborted : int Pvec.t;  (* 0/1 *)
-    must_commit : int Pvec.t;
+    first_ev : Ivec.t;
+    completion : Ivec.t;  (* index of C_k/A_k; -1 while not t-complete *)
+    tryc_inv : Ivec.t;  (* index of the tryC invocation; -1 *)
+    aborted : Ivec.t;  (* 0/1 *)
+    must_commit : Ivec.t;
         (* 0 free / 1 forced to commit / 2 committed by a heuristic choice *)
-    pend_kind : int Pvec.t;  (* 0 none / 1 read / 2 write / 3 tryC / 4 tryA *)
-    pend_var : int Pvec.t;
-    pend_val : int Pvec.t;
+    pend_kind : Ivec.t;  (* 0 none / 1 read / 2 write / 3 tryC / 4 tryA *)
+    pend_var : Ivec.t;
+    pend_val : Ivec.t;
     writes : (int * int) list Pvec.t;
         (* the node's deferred buffer: (var, current final value) *)
     (* per-variable state (parallel vectors, indexed by variable) *)
     slots : slot Itbl.t Pvec.t;  (* value -> slot *)
-    wsorted : (int * int) Pvec.t Pvec.t;
-        (* committed writers as (ord, node), sorted by the ord cached at
-           the last look ([writer_array]) *)
+    wsorted : writers Pvec.t;
     wpending : int list Pvec.t;  (* committed writers not sorted in yet *)
-    wseen : int Pvec.t;  (* reorders folded into [wsorted] *)
-    wepoch : int Pvec.t;  (* pass of the last look *)
+    wseen : Ivec.t;  (* reorders folded into [wsorted] *)
+    wepoch : Ivec.t;  (* pass of the last look *)
     var_reads : reader Pvec.t Pvec.t;
         (* external reads, in stream order, folded in from [reads] only
            once values repeat ([resolve]) *)
     mutable var_reads_upto : int;
-    clog_end : int Pvec.t Pvec.t;
+    clog_end : Ivec.t Pvec.t;
         (* committed writers' completion indices, ascending *)
-    clog_start : int Pvec.t Pvec.t;  (* running max of their first events *)
+    clog_start : Ivec.t Pvec.t;  (* running max of their first events *)
     mutable clog_upto : int;  (* frontier entries folded into the logs *)
     reads : reader Pvec.t;  (* bound external reads, in order *)
-    last_read : int Pvec.t;  (* per node: index of its latest read; -1 *)
-    prev_read : int Pvec.t;
+    last_read : Ivec.t;  (* per node: index of its latest read; -1 *)
+    prev_read : Ivec.t;
         (* per read: index of its reader's previous read; -1 *)
     (* frontier of maximal t-complete transactions (queue over a vector;
        the vector keeps every t-complete node in completion order) *)
-    frontier : int Pvec.t;
+    frontier : Ivec.t;
     mutable f_lo : int;
     mutable epoch : int;  (* bumped at each resolution pass *)
     mutable low : int;  (* lowest order index touched since the last Sat *)
@@ -178,7 +235,7 @@ module Inc = struct
     (* the replay of the order against Definition 3, kept between
        verdicts: per-variable state after positions [0, rupto), with an
        undo record per replayed position *)
-    rvalue : int Pvec.t;  (* latest committed value *)
+    rvalue : Ivec.t;  (* latest committed value *)
     rstack : (int * int) list Pvec.t;
         (* committed writes as (tryC invocation index, value), newest
            first *)
@@ -206,39 +263,37 @@ module Inc = struct
   let make ~online =
     {
       online;
-      node_of_tx = Itbl.create 64;
-      tx_of_node = Pvec.create 0;
-      var_of_tvar = Itbl.create 16;
-      tvar_of_var = Pvec.create 0;
+      txs = Intern.create ();
+      tvars = Intern.create ();
       topo = Topo.create ();
-      first_ev = Pvec.create 0;
-      completion = Pvec.create (-1);
-      tryc_inv = Pvec.create (-1);
-      aborted = Pvec.create 0;
-      must_commit = Pvec.create 0;
-      pend_kind = Pvec.create 0;
-      pend_var = Pvec.create 0;
-      pend_val = Pvec.create 0;
+      first_ev = Ivec.create 0;
+      completion = Ivec.create (-1);
+      tryc_inv = Ivec.create (-1);
+      aborted = Ivec.create 0;
+      must_commit = Ivec.create 0;
+      pend_kind = Ivec.create 0;
+      pend_var = Ivec.create 0;
+      pend_val = Ivec.create 0;
       writes = Pvec.create [];
       slots = Pvec.create (Itbl.create 1);
-      wsorted = Pvec.create (Pvec.create (0, 0));
+      wsorted = Pvec.create (new_writers ());
       wpending = Pvec.create [];
-      wseen = Pvec.create 0;
-      wepoch = Pvec.create 0;
+      wseen = Ivec.create 0;
+      wepoch = Ivec.create 0;
       var_reads = Pvec.create (Pvec.create dummy_reader);
       var_reads_upto = 0;
-      clog_end = Pvec.create (Pvec.create 0);
-      clog_start = Pvec.create (Pvec.create 0);
+      clog_end = Pvec.create (Ivec.create 0);
+      clog_start = Pvec.create (Ivec.create 0);
       clog_upto = 0;
       reads = Pvec.create dummy_reader;
-      last_read = Pvec.create (-1);
-      prev_read = Pvec.create (-1);
-      frontier = Pvec.create 0;
+      last_read = Ivec.create (-1);
+      prev_read = Ivec.create (-1);
+      frontier = Ivec.create 0;
       f_lo = 0;
       epoch = 0;
       low = (if online then max_int else 0);
       lows_seen = 0;
-      rvalue = Pvec.create Event.init_value;
+      rvalue = Ivec.create Event.init_value;
       rstack = Pvec.create [];
       rlog = Pvec.create [];
       rupto = 0;
@@ -256,8 +311,8 @@ module Inc = struct
 
   let create () = make ~online:true
 
-  let nnodes g = g.tx_of_node.Pvec.n
-  let tx g n = Pvec.get g.tx_of_node n
+  let nnodes g = Intern.size g.txs
+  let tx g n = Intern.id g.txs n
 
   let poison g why = if g.poison = None then g.poison <- Some (g.idx, why)
   let violate g why = if g.violation = None then g.violation <- Some (g.idx, why)
@@ -269,25 +324,24 @@ module Inc = struct
     g.same_value_choice <- true
 
   let vid g x =
-    match Itbl.find_opt g.var_of_tvar x with
-    | Some i -> i
-    | None ->
-        let i = g.tvar_of_var.Pvec.n in
-        Itbl.replace g.var_of_tvar x i;
-        Pvec.push g.tvar_of_var x;
-        Pvec.push g.slots (Itbl.create 16);
-        Pvec.push g.wsorted (Pvec.create (0, 0));
-        Pvec.push g.wpending [];
-        Pvec.push g.wseen (Topo.reorders g.topo);
-        Pvec.push g.wepoch (-1);
-        Pvec.push g.var_reads (Pvec.create dummy_reader);
-        Pvec.push g.rvalue Event.init_value;
-        Pvec.push g.rstack [];
-        Pvec.push g.clog_end (Pvec.create 0);
-        Pvec.push g.clog_start (Pvec.create 0);
-        i
+    let i = Intern.find g.tvars x in
+    if i >= 0 then i
+    else begin
+      let i = Intern.add g.tvars x in
+      Pvec.push g.slots (Itbl.create 16);
+      Pvec.push g.wsorted (new_writers ());
+      Pvec.push g.wpending [];
+      Ivec.push g.wseen (Topo.reorders g.topo);
+      Ivec.push g.wepoch (-1);
+      Pvec.push g.var_reads (Pvec.create dummy_reader);
+      Ivec.push g.rvalue Event.init_value;
+      Pvec.push g.rstack [];
+      Pvec.push g.clog_end (Ivec.create 0);
+      Pvec.push g.clog_start (Ivec.create 0);
+      i
+    end
 
-  let pp_var g ppf v = Event.pp_tvar ppf (Pvec.get g.tvar_of_var v)
+  let pp_var g ppf v = Event.pp_tvar ppf (Intern.id g.tvars v)
 
   let slot g x v =
     let tbl = Pvec.get g.slots x in
@@ -305,8 +359,9 @@ module Inc = struct
 
   let ord g n = Topo.ord g.topo n
 
-  (* Int minimum: [Stdlib.min] compares polymorphically. *)
+  (* Int minimum and maximum: [Stdlib.min] compares polymorphically. *)
   let imin (a : int) b = if a < b then a else b
+  let imax (a : int) b = if a > b then a else b
 
   (* [n]'s order index, its decision or its reads changed.  The batch
      [check] rescans from index 0 anyway ([make]). *)
@@ -331,8 +386,8 @@ module Inc = struct
      from a source far back in a long stream it would walk the whole
      interval. *)
   let reach g a b =
-    (let c = Pvec.get g.completion a in
-     c >= 0 && c < Pvec.get g.first_ev b)
+    (let c = Ivec.get g.completion a in
+     c >= 0 && c < Ivec.get g.first_ev b)
     || Topo.reach g.topo a b
 
   (* --- transactions ----------------------------------------------------- *)
@@ -373,63 +428,62 @@ module Inc = struct
     else violate g (cycle_msg g u v)
 
   let node g k =
-    match Itbl.find_opt g.node_of_tx k with
-    | Some n -> n
-    | None ->
-        let n = nnodes g in
-        Itbl.replace g.node_of_tx k n;
-        Pvec.push g.tx_of_node k;
-        (* new nodes take the largest order index, so edges from existing
-           nodes never trigger a reorder *)
-        let n' = Topo.add_node g.topo in
-        assert (n = n');
-        Pvec.push g.first_ev g.idx;
-        Pvec.push g.completion (-1);
-        Pvec.push g.tryc_inv (-1);
-        Pvec.push g.aborted 0;
-        Pvec.push g.must_commit 0;
-        Pvec.push g.pend_kind 0;
-        Pvec.push g.pend_var (-1);
-        Pvec.push g.pend_val 0;
-        Pvec.push g.writes [];
-        Pvec.push g.last_read (-1);
-        touch g n;
-        (* real-time edges: the frontier holds exactly the maximal
-           t-complete transactions, each of which really-time-precedes the
-           newcomer; everything below them is implied transitively.  The
-           members are distinct and [n] has no edges yet, so none of these
-           is a duplicate. *)
-        for fi = g.f_lo to g.frontier.Pvec.n - 1 do
-          match add_edge g (Pvec.get g.frontier fi) n with
-          | `Ok -> ()
-          | `Cycle -> on_cycle g (Pvec.get g.frontier fi) n
-        done;
-        n
+    let n = Intern.find g.txs k in
+    if n >= 0 then n
+    else begin
+      let n = Intern.add g.txs k in
+      (* new nodes take the largest order index, so edges from existing
+         nodes never trigger a reorder *)
+      let n' = Topo.add_node g.topo in
+      assert (n = n');
+      Ivec.push g.first_ev g.idx;
+      Ivec.push g.completion (-1);
+      Ivec.push g.tryc_inv (-1);
+      Ivec.push g.aborted 0;
+      Ivec.push g.must_commit 0;
+      Ivec.push g.pend_kind 0;
+      Ivec.push g.pend_var (-1);
+      Ivec.push g.pend_val 0;
+      Pvec.push g.writes [];
+      Ivec.push g.last_read (-1);
+      touch g n;
+      (* real-time edges: the frontier holds exactly the maximal
+         t-complete transactions, each of which really-time-precedes the
+         newcomer; everything below them is implied transitively.  The
+         members are distinct and [n] has no edges yet, so none of these
+         is a duplicate. *)
+      for fi = g.f_lo to g.frontier.Ivec.n - 1 do
+        match add_edge g (Ivec.get g.frontier fi) n with
+        | `Ok -> ()
+        | `Cycle -> on_cycle g (Ivec.get g.frontier fi) n
+      done;
+      n
+    end
 
   let t_complete g n =
-    Pvec.set g.completion n g.idx;
+    Ivec.set g.completion n g.idx;
     (* drop frontier members now covered: they completed before [n] even
        started, so their edge to [n] plus [n]'s future edges imply theirs *)
-    let first_n = Pvec.get g.first_ev n in
+    let first_n = Ivec.get g.first_ev n in
     while
-      g.f_lo < g.frontier.Pvec.n
-      && Pvec.get g.completion (Pvec.get g.frontier g.f_lo) < first_n
+      g.f_lo < g.frontier.Ivec.n
+      && Ivec.get g.completion (Ivec.get g.frontier g.f_lo) < first_n
     do
       g.f_lo <- g.f_lo + 1
     done;
-    Pvec.push g.frontier n
+    Ivec.push g.frontier n
 
   let register_writer g x w = Pvec.set g.wpending x (w :: Pvec.get g.wpending x)
 
   (* Commit [w] in the certificate: [~forced] when every du-opaque
      serialization must, otherwise as a heuristic choice. *)
   let decide_commit g ~forced w =
-    match Pvec.get g.must_commit w with
+    match Ivec.get g.must_commit w with
     | 0 ->
-        Pvec.set g.must_commit w (if forced then 1 else 2);
+        Ivec.set g.must_commit w (if forced then 1 else 2);
         touch g w;
         List.iter (fun (x, _) -> register_writer g x w) (Pvec.get g.writes w)
-    | 2 when forced -> Pvec.set g.must_commit w 1
+    | 2 when forced -> Ivec.set g.must_commit w 1
     | _ -> ()
 
   (* [n] joins the writers of the pair.  A displaced writer that already
@@ -438,7 +492,7 @@ module Inc = struct
      re-executes and writes the same value again. *)
   let add_writer g s n =
     if s.relied then Itbl.replace g.watch n ();
-    if s.final >= 0 && Pvec.get g.aborted s.final = 0 then begin
+    if s.final >= 0 && Ivec.get g.aborted s.final = 0 then begin
       g.repeated <- true;
       s.others <- s.final :: s.others
     end;
@@ -470,32 +524,31 @@ module Inc = struct
      committed writers.  The frontier vector holds every t-complete node
      in completion order, so each log stays sorted by completion. *)
   let sync_clog g =
-    for fi = g.clog_upto to g.frontier.Pvec.n - 1 do
-      let nd = Pvec.get g.frontier fi in
-      if Pvec.get g.aborted nd = 0 then
+    for fi = g.clog_upto to g.frontier.Ivec.n - 1 do
+      let nd = Ivec.get g.frontier fi in
+      if Ivec.get g.aborted nd = 0 then
         List.iter
           (fun (x, _) ->
             let ends = Pvec.get g.clog_end x
             and starts = Pvec.get g.clog_start x in
-            let f = Pvec.get g.first_ev nd in
-            let n = starts.Pvec.n in
-            Pvec.push ends (Pvec.get g.completion nd);
-            Pvec.push starts
-              (if n = 0 then f else max f (Pvec.get starts (n - 1))))
+            let f = Ivec.get g.first_ev nd in
+            Ivec.push ends (Ivec.get g.completion nd);
+            Ivec.push starts
+              (if starts.Ivec.n = 0 then f else imax f (Ivec.last starts)))
           (Pvec.get g.writes nd)
     done;
-    g.clog_upto <- g.frontier.Pvec.n
+    g.clog_upto <- g.frontier.Ivec.n
 
   (* The latest first event among committed writers of [x] that completed
      before stream index [before]; -1 if there are none. *)
   let latest_rt_start g x before =
     let ends = Pvec.get g.clog_end x in
-    let l = ref 0 and r = ref ends.Pvec.n in
+    let l = ref 0 and r = ref ends.Ivec.n in
     while !l < !r do
       let m = (!l + !r) / 2 in
-      if Pvec.get ends m < before then l := m + 1 else r := m
+      if Ivec.get ends m < before then l := m + 1 else r := m
     done;
-    if !l = 0 then -1 else Pvec.get (Pvec.get g.clog_start x) (!l - 1)
+    if !l = 0 then -1 else Ivec.get (Pvec.get g.clog_start x) (!l - 1)
 
   (* Position of a committed writer in commit order: its [Committed]
      response index, or past-end-of-stream (by tryC invocation) for
@@ -504,13 +557,13 @@ module Inc = struct
      is the version order the implementation actually induced — the right
      default ordering for write pairs no read constrains. *)
   let commit_key g n =
-    let c = Pvec.get g.completion n in
+    let c = Ivec.get g.completion n in
     if c >= 0 then c
     else
       g.idx
       +
-      let t = Pvec.get g.tryc_inv n in
-      if t >= 0 then t else Pvec.get g.first_ev n
+      let t = Ivec.get g.tryc_inv n in
+      if t >= 0 then t else Ivec.get g.first_ev n
 
   let bind g n x v s ~forced w =
     if w >= 0 then begin
@@ -528,17 +581,17 @@ module Inc = struct
       { rd_node = n; rd_var = x; rd_value = v; rd_res = g.idx;
         rd_writer = w; rd_slot = s }
     in
-    Pvec.push g.prev_read (Pvec.get g.last_read n);
-    Pvec.set g.last_read n g.reads.Pvec.n;
+    Ivec.push g.prev_read (Ivec.get g.last_read n);
+    Ivec.set g.last_read n g.reads.Pvec.n;
     Pvec.push g.reads r;
     touch g n
 
   (* [f] on each of [n]'s reads, newest first *)
   let iter_reads g n f =
-    let ri = ref (Pvec.get g.last_read n) in
+    let ri = ref (Ivec.get g.last_read n) in
     while !ri >= 0 do
       f (Pvec.get g.reads !ri);
-      ri := Pvec.get g.prev_read !ri
+      ri := Ivec.get g.prev_read !ri
     done
 
   (* A read of a pair with several writers (T0 counting as the initial
@@ -551,16 +604,16 @@ module Inc = struct
   let tie_key g w =
     if w < 0 then min_int
     else
-      let c = Pvec.get g.completion w in
-      if c >= 0 then c else -1 - Pvec.get g.tryc_inv w
+      let c = Ivec.get g.completion w in
+      if c >= 0 then c else -1 - Ivec.get g.tryc_inv w
 
   let read_among g n x v s =
     g.repeated <- true;
     let live w =
       w >= 0 && w <> n
-      && Pvec.get g.aborted w = 0
+      && Ivec.get g.aborted w = 0
       &&
-      let tc = Pvec.get g.tryc_inv w in
+      let tc = Ivec.get g.tryc_inv w in
       tc >= 0 && tc < g.idx
     in
     let cands = List.filter live (s.final :: s.others) in
@@ -572,12 +625,12 @@ module Inc = struct
           (* a committed writer of [x] that starts after W completed and
              completes before [n] started sits between them, retained *)
           sync_clog g;
-          let m = latest_rt_start g x (Pvec.get g.first_ev n) in
+          let m = latest_rt_start g x (Ivec.get g.first_ev n) in
           List.filter
             (fun w ->
               if w < 0 then m < 0
               else
-                let c = Pvec.get g.completion w in
+                let c = Ivec.get g.completion w in
                 c < 0 || c >= m)
             cands
     in
@@ -610,7 +663,7 @@ module Inc = struct
         let w = s.final in
         if
           s.others <> []
-          || (v = Event.init_value && w >= 0 && Pvec.get g.aborted w = 0)
+          || (v = Event.init_value && w >= 0 && Ivec.get g.aborted w = 0)
         then read_among g n x v s
         else if v = Event.init_value then bind g n x v s ~forced:true (-1)
         else if w < 0 then
@@ -619,12 +672,12 @@ module Inc = struct
                "T%d reads %d from %a but no transaction's final write has \
                 that value"
                (tx g n) v (pp_var g) x)
-        else if Pvec.get g.aborted w = 1 then
+        else if Ivec.get g.aborted w = 1 then
           violate g
             (Fmt.str "T%d reads from T%d, which cannot commit" (tx g n)
                (tx g w))
         else begin
-          let tc = Pvec.get g.tryc_inv w in
+          let tc = Ivec.get g.tryc_inv w in
           if tc < 0 || tc >= g.idx then
             violate g
               (Fmt.str
@@ -640,36 +693,36 @@ module Inc = struct
         let n = node g k in
         match inv with
         | Event.Read x ->
-            Pvec.set g.pend_kind n 1;
-            Pvec.set g.pend_var n (vid g x)
+            Ivec.set g.pend_kind n 1;
+            Ivec.set g.pend_var n (vid g x)
         | Event.Write (x, v) ->
-            Pvec.set g.pend_kind n 2;
-            Pvec.set g.pend_var n (vid g x);
-            Pvec.set g.pend_val n v
+            Ivec.set g.pend_kind n 2;
+            Ivec.set g.pend_var n (vid g x);
+            Ivec.set g.pend_val n v
         | Event.Try_commit ->
-            Pvec.set g.pend_kind n 3;
-            Pvec.set g.tryc_inv n g.idx;
+            Ivec.set g.pend_kind n 3;
+            Ivec.set g.tryc_inv n g.idx;
             (* a writer a forced repair assumed could not commit now can *)
             if Itbl.length g.watch > 0 && Itbl.mem g.watch n then
               choose_among_same_value g
-        | Event.Try_abort -> Pvec.set g.pend_kind n 4)
+        | Event.Try_abort -> Ivec.set g.pend_kind n 4)
     | Event.Res (k, res) -> (
         let n = node g k in
-        let pk = Pvec.get g.pend_kind n in
-        Pvec.set g.pend_kind n 0;
+        let pk = Ivec.get g.pend_kind n in
+        Ivec.set g.pend_kind n 0;
         match res with
         | Event.Write_ok ->
             if pk = 2 then
-              do_write g n (Pvec.get g.pend_var n) (Pvec.get g.pend_val n)
+              do_write g n (Ivec.get g.pend_var n) (Ivec.get g.pend_val n)
             else poison g "ok response without a pending write"
         | Event.Read_ok v ->
-            if pk = 1 then do_read g n (Pvec.get g.pend_var n) v
+            if pk = 1 then do_read g n (Ivec.get g.pend_var n) v
             else poison g "read response without a pending read"
         | Event.Committed ->
             decide_commit g ~forced:true n;
             t_complete g n
         | Event.Aborted ->
-            (match Pvec.get g.must_commit n with
+            (match Ivec.get g.must_commit n with
             | 1 ->
                 violate g
                   (Fmt.str
@@ -680,7 +733,7 @@ module Inc = struct
                   (Fmt.str "T%d aborted after %s committed it" (tx g n)
                      (heuristic_note g))
             | _ -> ());
-            Pvec.set g.aborted n 1;
+            Ivec.set g.aborted n 1;
             t_complete g n));
     g.idx <- g.idx + 1
 
@@ -697,52 +750,60 @@ module Inc = struct
                  (heuristic_note g) why)
           else `Unsat why))
 
-  (* Sorted (ord, node) array of the committed writers of [x], brought up
-     to date at most once per resolution pass (and whenever a writer was
-     registered since).  Entries whose cached ord lies below every index a
-     reorder or a new writer touched since the last look kept their index
+  (* The committed writers of [x] sorted by ord, brought up to date at
+     most once per resolution pass (and whenever a writer was registered
+     since).  Entries whose cached ord lies below every index a reorder or
+     a new writer touched since the last look kept their index
      ({!Topo.reorder_low}) and stay; the rest are re-sorted by their
      current ord.  Within a pass the positions may go stale as repairs
      reorder the region — [repair] re-checks current positions before
      acting, and the fixpoint loop only stops after a clean pass against
      freshly sorted arrays, so staleness costs at most an extra pass,
-     never a wrong verdict. *)
+     never a wrong verdict.  Ords are distinct, so the moved entries are
+     re-sorted as bare ords, each one's node read back through
+     {!Topo.at}. *)
   let writer_array g x =
-    let arr = Pvec.get g.wsorted x and pend = Pvec.get g.wpending x in
-    if Pvec.get g.wepoch x <> g.epoch || pend <> [] then begin
-      Pvec.set g.wepoch x g.epoch;
+    let ws = Pvec.get g.wsorted x and pend = Pvec.get g.wpending x in
+    if Ivec.get g.wepoch x <> g.epoch || pend <> [] then begin
+      Ivec.set g.wepoch x g.epoch;
       let t = ref max_int and nr = Topo.reorders g.topo in
-      for i = Pvec.get g.wseen x to nr - 1 do
+      for i = Ivec.get g.wseen x to nr - 1 do
         t := imin !t (Topo.reorder_low g.topo i)
       done;
-      Pvec.set g.wseen x nr;
+      Ivec.set g.wseen x nr;
       List.iter (fun n -> t := imin !t (ord g n)) pend;
       if !t < max_int then begin
-        let l = ref 0 and r = ref arr.Pvec.n in
+        let len = ws.w_ord.Ivec.n in
+        let l = ref 0 and r = ref len in
         while !l < !r do
           let m = (!l + !r) / 2 in
-          if fst (Pvec.get arr m) < !t then l := m + 1 else r := m
+          if Ivec.get ws.w_ord m < !t then l := m + 1 else r := m
         done;
-        let rest = ref pend in
-        for i = !l to arr.Pvec.n - 1 do
-          rest := snd (Pvec.get arr i) :: !rest
+        let moved = Array.make (len - !l + List.length pend) 0 in
+        for i = !l to len - 1 do
+          moved.(i - !l) <- ord g (Ivec.get ws.w_node i)
         done;
-        let moved = Array.of_list (List.map (fun n -> (ord g n, n)) !rest) in
-        Array.sort (fun (a, _) (b, _) -> Int.compare a b) moved;
-        arr.Pvec.n <- !l;
-        Array.iter (Pvec.push arr) moved;
+        List.iteri (fun i n -> moved.(len - !l + i) <- ord g n) pend;
+        Array.sort Int.compare moved;
+        ws.w_ord.Ivec.n <- !l;
+        ws.w_node.Ivec.n <- !l;
+        Array.iter
+          (fun o ->
+            Ivec.push ws.w_ord o;
+            Ivec.push ws.w_node (Topo.at g.topo o))
+          moved;
         Pvec.set g.wpending x []
       end
     end;
-    arr
+    ws
 
   (* Committed writers of another value than the read's, strictly inside
      the serialization interval the read forbids: (writer, reader) for
      reads bound to a writer, (-inf, reader) for T0.  Writers of the same
      value may sit anywhere; a pair with one writer has none to skip. *)
   let offenders g (r : reader) =
-    let arr = writer_array g r.rd_var in
-    let len = arr.Pvec.n in
+    let ws = writer_array g r.rd_var in
+    let len = ws.w_ord.Ivec.n in
     if len = 0 then []
     else begin
       let lo = if r.rd_writer < 0 then min_int else ord g r.rd_writer in
@@ -753,12 +814,12 @@ module Inc = struct
       let l = ref 0 and rgt = ref len in
       while !l < !rgt do
         let m = (!l + !rgt) / 2 in
-        if fst (Pvec.get arr m) <= lo then l := m + 1 else rgt := m
+        if Ivec.get ws.w_ord m <= lo then l := m + 1 else rgt := m
       done;
       let acc = ref [] in
       let i = ref !l in
-      while !i < len && fst (Pvec.get arr !i) < hi do
-        let w'' = snd (Pvec.get arr !i) in
+      while !i < len && Ivec.get ws.w_ord !i < hi do
+        let w'' = Ivec.get ws.w_node !i in
         if
           w'' <> r.rd_node && w'' <> r.rd_writer
           && (one_writer
@@ -774,7 +835,7 @@ module Inc = struct
 
   (* Does the read's local serialization retain [w]? *)
   let retains g (r : reader) w =
-    let tc = Pvec.get g.tryc_inv w in
+    let tc = Ivec.get g.tryc_inv w in
     tc >= 0 && tc < r.rd_res
 
   (* Writers of the read's pair that could stand in as its global source
@@ -786,8 +847,8 @@ module Inc = struct
     List.filter
       (fun w ->
         w >= 0 && w <> r.rd_writer && w <> r.rd_node
-        && Pvec.get g.aborted w = 0
-        && Pvec.get g.tryc_inv w >= 0)
+        && Ivec.get g.aborted w = 0
+        && Ivec.get g.tryc_inv w >= 0)
       (s.final :: s.others)
 
   (* A forced repair of a non-retained offender assumed no other writer of
@@ -799,7 +860,7 @@ module Inc = struct
     List.iter
       (fun w ->
         if w >= 0 && w <> r.rd_writer && w <> r.rd_node
-           && Pvec.get g.aborted w = 0
+           && Ivec.get g.aborted w = 0
         then Itbl.replace g.watch w ())
       (s.final :: s.others)
 
@@ -844,7 +905,7 @@ module Inc = struct
         (not hard)
         && List.exists
              (fun s ->
-               Pvec.get g.must_commit s <> 0
+               Ivec.get g.must_commit s <> 0
                && ord g w'' < ord g s && ord g s < ord g i)
              subs
       then false (* served by a same-value writer after it *)
@@ -887,7 +948,7 @@ module Inc = struct
                        nothing new *)
                     let committed, free =
                       List.partition
-                        (fun s -> Pvec.get g.must_commit s <> 0)
+                        (fun s -> Ivec.get g.must_commit s <> 0)
                         subs
                     in
                     match
@@ -1016,14 +1077,14 @@ module Inc = struct
       for q = g.rupto - 1 downto p do
         List.iter
           (fun (x, v, st) ->
-            Pvec.set g.rvalue x v;
+            Ivec.set g.rvalue x v;
             Pvec.set g.rstack x st)
           (Pvec.get g.rlog q);
         Pvec.pop g.rlog
       done
     else
-      for x = 0 to g.rvalue.Pvec.n - 1 do
-        Pvec.set g.rvalue x Event.init_value;
+      for x = 0 to g.rvalue.Ivec.n - 1 do
+        Ivec.set g.rvalue x Event.init_value;
         Pvec.set g.rstack x []
       done;
     g.rupto <- (if g.online then p else 0)
@@ -1075,7 +1136,7 @@ module Inc = struct
                     du ~other:(other || v <> r.rd_value)
                       ~latest:(if tc > latest then tc else latest) rest
             in
-            let glob = Pvec.get g.rvalue r.rd_var in
+            let glob = Ivec.get g.rvalue r.rd_var in
             let duv =
               du ~other:false ~latest:(-1) (Pvec.get g.rstack r.rd_var)
             in
@@ -1089,13 +1150,13 @@ module Inc = struct
           end);
       if !bad = None then begin
         let undo = ref [] in
-        if Pvec.get g.must_commit nd <> 0 then
+        if Ivec.get g.must_commit nd <> 0 then
           List.iter
             (fun (x, v) ->
               let st = Pvec.get g.rstack x in
-              if g.online then undo := (x, Pvec.get g.rvalue x, st) :: !undo;
-              Pvec.set g.rvalue x v;
-              Pvec.set g.rstack x ((Pvec.get g.tryc_inv nd, v) :: st))
+              if g.online then undo := (x, Ivec.get g.rvalue x, st) :: !undo;
+              Ivec.set g.rvalue x v;
+              Pvec.set g.rstack x ((Ivec.get g.tryc_inv nd, v) :: st))
             (Pvec.get g.writes nd);
         if g.online then Pvec.push g.rlog !undo;
         g.rupto <- p + 1
@@ -1109,7 +1170,7 @@ module Inc = struct
     for p = nnodes g - 1 downto 0 do
       let nd = Topo.at g.topo p in
       order := tx g nd :: !order;
-      if Pvec.get g.must_commit nd <> 0 then committed := tx g nd :: !committed
+      if Ivec.get g.must_commit nd <> 0 then committed := tx g nd :: !committed
     done;
     Serialization.make ~order:!order ~committed:!committed
 
@@ -1161,9 +1222,16 @@ module Inc = struct
     }
 end
 
-let check_stats h =
+(* a batch graph fed every event of [h], read by index: no list copy *)
+let batch h =
   let g = Inc.make ~online:false in
-  List.iter (Inc.push g) (History.to_list h);
+  for i = 0 to History.length h - 1 do
+    Inc.push g (History.get h i)
+  done;
+  g
+
+let check_stats h =
+  let g = batch h in
   (* the verdict's resolution adds edges and repairs: count them *)
   let r = Inc.verdict g in
   (r, Inc.stats g)
@@ -1171,8 +1239,7 @@ let check_stats h =
 let check h = fst (check_stats h)
 
 let counterexample_cycle h =
-  let g = Inc.make ~online:false in
-  List.iter (Inc.push g) (History.to_list h);
+  let g = batch h in
   (* verdict-time resolution can be what closes the cycle *)
   ignore (Inc.verdict g);
   Inc.cycle g

@@ -17,8 +17,31 @@
     [u -> v] is only inserted when [ord u > ord v], and an existing edge
     [u -> v] would have forced [ord u < ord v]. *)
 
-(** Growable array with push/get/set — shared with the conflict-graph
-    backend's per-node state vectors. *)
+(** Growable [int array] with push/get/set.  The element type is visible
+    to the compiler, so [get] tests no float-array tag and [set]/[push]
+    store without the write barrier ([caml_modify]).  Every int vector of
+    this module and of the conflict-graph backend ({!Conflict_graph.Inc})
+    is one: the order and its inverse, the edge arenas, marks, DFS stacks,
+    per-node and per-read state. *)
+module Ivec : sig
+  type t = { mutable a : int array; mutable n : int; dummy : int }
+
+  val create : int -> t
+  (** An empty vector; [dummy] fills the storage past [n]. *)
+
+  val push : t -> int -> unit
+  val get : t -> int -> int
+  val set : t -> int -> int -> unit
+  val pop : t -> unit
+
+  val last : t -> int
+  (** The element at [n - 1]. *)
+end
+
+(** Growable array of boxed contents (reads, lists, tables, nested
+    vectors), with the same operations as {!Ivec}.  Holding ints, it would
+    pay a float-array tag test per [get] and the write barrier per
+    [set]; use {!Ivec} for those. *)
 module Pvec : sig
   type 'a t = { mutable a : 'a array; mutable n : int; dummy : 'a }
 

@@ -81,10 +81,11 @@ let validate arr len =
   in
   go 0
 
-let of_events events =
-  let arr = Array.of_list events in
+let of_event_array arr =
   let len = Array.length arr in
   Result.map (fun () -> of_array arr len) (validate arr len)
+
+let of_events events = of_event_array (Array.of_list events)
 
 let of_events_exn events =
   match of_events events with

@@ -38,6 +38,12 @@ val of_events : Event.t list -> (t, error) result
     The summaries ({!info}, {!txns}, {!infos}) are built in one more pass
     when first asked for; a caller that only reads events never pays. *)
 
+val of_event_array : Event.t array -> (t, error) result
+(** {!of_events} on an array, validated in place: the history keeps the
+    array as its storage, so the caller must not modify it afterwards.
+    A decoder that knows the event count builds its history this way,
+    without a list. *)
+
 val of_events_exn : Event.t list -> t
 (** @raise Invalid_argument on ill-formed input. *)
 

@@ -226,11 +226,16 @@ let put_events b events =
 
 let max_event_bytes = 1 + (3 * 9)
 
-let get_events r =
+(* The count that prefixes an event sequence. *)
+let get_count r =
   let n = get_uvarint r in
   if n > remaining r then
     (* each event takes >= 2 bytes; an inflated count cannot be honest *)
     fail "event count %d exceeds remaining payload" n;
+  n
+
+(* The batch decoder over [r]: each call decodes the next event. *)
+let event_decoder r =
   let data = r.data in
   (* [get_uvarint] with the bounds checks elided; failure positions and
      messages mirror the checked decoder exactly *)
@@ -284,16 +289,27 @@ let get_events r =
     else if tag = tag_res_aborted then Event.Res (tx (), Event.Aborted)
     else fail "unknown event tag %d" tag
   in
+  fun () ->
+    if r.limit - r.pos >= max_event_bytes then fast_event () else get_event r
+
+let get_events r =
+  let n = get_count r in
+  let next = event_decoder r in
   let rec build i acc =
-    if i >= n then List.rev acc
-    else
-      let ev =
-        if r.limit - r.pos >= max_event_bytes then fast_event ()
-        else get_event r
-      in
-      build (i + 1) (ev :: acc)
+    if i >= n then List.rev acc else build (i + 1) (next () :: acc)
   in
   build 0 []
+
+(* A decoded history fills an array of the announced count, which
+   [History.of_event_array] then validates in place: no list. *)
+let get_event_array r =
+  let n = get_count r in
+  let next = event_decoder r in
+  let arr = Array.make n (Event.Res (0, Event.Aborted)) in
+  for i = 0 to n - 1 do
+    arr.(i) <- next ()
+  done;
+  arr
 
 (* --- standalone history files ------------------------------------------ *)
 
@@ -311,8 +327,7 @@ let history_to_string h =
 let get_history r =
   let magic = get_bytes r 4 in
   if magic <> history_magic then fail "bad history magic %S" magic;
-  let events = get_events r in
-  match History.of_events events with
+  match History.of_event_array (get_event_array r) with
   | Ok h -> h
   | Error e -> fail "decoded events are ill-formed: %a" History.pp_error e
 

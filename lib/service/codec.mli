@@ -76,7 +76,8 @@ val put_history : Buffer.t -> History.t -> unit
 val history_to_string : History.t -> string
 
 val get_history : reader -> History.t
-(** Decodes and validates well-formedness. *)
+(** Decodes into an array of the announced count and validates
+    well-formedness in place ({!History.of_event_array}). *)
 
 val history_of_string : string -> (History.t, string) result
 

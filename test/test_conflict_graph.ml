@@ -508,6 +508,138 @@ let test_edge_dedup () =
     (Conflict_graph.counterexample_cycle cyc_h);
   check_unsat "the search agrees" (Du_opacity.check cyc_h)
 
+(* --- sparse ids ------------------------------------------------------- *)
+
+(* Transaction and variable ids are interned by first sight, through a
+   direct-indexed array while they are small and a table otherwise, and
+   written values are hashed.  None of that may show in a verdict: a
+   history with sparse ids (transactions 1, 2^40 + 1 and max_int, huge and
+   negative variables, values that are multiples of 2^20) must be judged
+   exactly as its dense original. *)
+let sparse_tx = function
+  | 1 -> 1
+  | 2 -> (1 lsl 40) + 1
+  | 3 -> max_int
+  | k -> (k lsl 40) + 1
+
+let sparse_var x = if x mod 2 = 0 then max_int - x else min_int + x
+let sparse_value v = v lsl 20
+
+let sparse_event = function
+  | Event.Inv (k, Event.Read x) ->
+      Event.Inv (sparse_tx k, Event.Read (sparse_var x))
+  | Event.Inv (k, Event.Write (x, v)) ->
+      Event.Inv (sparse_tx k, Event.Write (sparse_var x, sparse_value v))
+  | Event.Inv (k, i) -> Event.Inv (sparse_tx k, i)
+  | Event.Res (k, Event.Read_ok v) ->
+      Event.Res (sparse_tx k, Event.Read_ok (sparse_value v))
+  | Event.Res (k, r) -> Event.Res (sparse_tx k, r)
+
+(* The text of a dense history's verdict as the sparse one must print it:
+   every word naming one of [h]'s transactions, variables or values is
+   renamed. *)
+let sparse_text h text =
+  let names = Hashtbl.create 64 in
+  let name a b = Hashtbl.replace names a b in
+  List.iter
+    (fun ev ->
+      let k = Event.tx_of ev in
+      name (Fmt.str "T%d" k) (Fmt.str "T%d" (sparse_tx k));
+      let var x =
+        name (Fmt.str "%a" Event.pp_tvar x)
+          (Fmt.str "%a" Event.pp_tvar (sparse_var x))
+      in
+      let value v =
+        if v <> 0 then name (string_of_int v) (string_of_int (sparse_value v))
+      in
+      match ev with
+      | Event.Inv (_, Event.Read x) -> var x
+      | Event.Inv (_, Event.Write (x, v)) ->
+          var x;
+          value v
+      | Event.Res (_, Event.Read_ok v) -> value v
+      | _ -> ())
+    (History.to_list h);
+  let word = function
+    | 'A' .. 'Z' | 'a' .. 'z' | '0' .. '9' | '-' -> true
+    | _ -> false
+  in
+  let b = Buffer.create (String.length text) and n = String.length text in
+  let i = ref 0 in
+  while !i < n do
+    let j = ref !i in
+    while !j < n && word text.[!j] do
+      incr j
+    done;
+    if !j = !i then begin
+      Buffer.add_char b text.[!i];
+      incr i
+    end
+    else begin
+      let w = String.sub text !i (!j - !i) in
+      Buffer.add_string b (Option.value ~default:w (Hashtbl.find_opt names w));
+      i := !j
+    end
+  done;
+  Buffer.contents b
+
+(* Verdict text (a [Sat]'s certificate included), counterexample cycle and
+   stats, with [text] and [tx] applied to the names. *)
+let judged ~text ~tx h =
+  let r, s = verdict_then_stats h in
+  let v =
+    match r with
+    | Conflict_graph.Sat c -> Fmt.str "Sat %a" Serialization.pp c
+    | Conflict_graph.Unsat why -> "Unsat " ^ why
+    | Conflict_graph.Ambiguous why -> "Ambiguous " ^ why
+  in
+  ( text v,
+    Option.map (List.map tx) (Conflict_graph.counterexample_cycle h),
+    Conflict_graph.
+      (Fmt.str "%d nodes, %d edges, %d reorders, %d repairs, tainted %b"
+         s.nodes s.edges s.reorders s.repairs s.tainted) )
+
+let test_sparse_ids () =
+  let open Dsl in
+  let cases =
+    ("edge dedup cycle",
+     history
+       [ w 1 x 1; w 1 y 2; c 1; r 2 x 1; r 2 y 2; w 3 x 3; w 3 z 4; c 3;
+         r 2 z 4; c 2 ])
+    :: ("offline medium", offline_medium_history ())
+    :: List.map (fun (name, h, _) -> (name, h)) hand_built_cases
+  in
+  List.iter
+    (fun (name, h) ->
+      let sparse =
+        History.of_events_exn (List.map sparse_event (History.to_list h))
+      in
+      Alcotest.(check (triple string (option (list int)) string))
+        name
+        (judged ~text:(sparse_text h) ~tx:sparse_tx h)
+        (judged ~text:Fun.id ~tx:Fun.id sparse))
+    cases
+
+(* A transaction id of 2^40 must not size anything by its value. *)
+let test_sparse_tx_heap () =
+  let m = Monitor.create () in
+  let k = 1 lsl 40 in
+  Gc.full_major ();
+  let before = (Gc.quick_stat ()).Gc.heap_words in
+  let outcome =
+    Monitor.push_all m
+      [ Event.Inv (k, Event.Write (0, 1)); Event.Res (k, Event.Write_ok);
+        Event.Inv (k, Event.Try_commit); Event.Res (k, Event.Committed) ]
+  in
+  Gc.full_major ();
+  let grown =
+    ((Gc.quick_stat ()).Gc.heap_words - before) * (Sys.word_size / 8)
+  in
+  Alcotest.(check bool) "du-opaque" true (outcome = `Ok);
+  Alcotest.(check int) "responses" 2 (Monitor.responses_seen m);
+  if grown >= 1 lsl 20 then
+    Alcotest.failf "the heap grew by %d bytes for one 2^40 transaction" grown
+
 (* --- parity pin ------------------------------------------------------- *)
 
 (* The graph's stats and a digest of its verdict text (for [Sat], the
@@ -609,6 +741,9 @@ let suite =
         test "check_stats counts the verdict's repairs"
           test_check_stats_after_verdict;
         test "a repeated reads-from edge is stored once" test_edge_dedup;
+        test "sparse ids judged as their dense renaming" test_sparse_ids;
+        test "a 2^40 transaction id does not size the heap"
+          test_sparse_tx_heap;
         prop_graph_agrees;
       ]
       @ hand_built_tests @ undecided_unique_writes_tests );
