@@ -76,12 +76,13 @@
    not tuples.  Transactions and variables are interned through a
    direct-indexed array where their ids allow ([Intern]); each written or
    read (variable, value) pair has one mutable [slot] found through its
-   variable's value table ([Itbl], an inline mix hash); a node's deferred
-   writes are a short (variable, value) list; per-variable state is a
-   vector indexed by the dense variable id.  The real-time prune needs,
-   per variable, the committed writers in completion order; that log is
-   folded lazily out of the frontier vector whenever a read has two
-   candidates, so a history with one writer per pair never builds it. *)
+   variable's value table ({!Int_tbl}, whose hash mixes a value's high
+   bits); a node's deferred writes are a short (variable, value) list;
+   per-variable state is a vector indexed by the dense variable id.  The
+   real-time prune needs, per variable, the committed writers in
+   completion order; that log is folded lazily out of the frontier vector
+   whenever a read has two candidates, so a history with one writer per
+   pair never builds it. *)
 
 type result =
   | Sat of Serialization.t
@@ -99,41 +100,30 @@ type stats = {
 module Ivec = Topo.Ivec
 module Pvec = Topo.Pvec
 
-(* Int-keyed tables hashed inline.  Keys are client input (written values,
-   ids), so the hash is a mix, never the identity: keys that share their
-   low bits, such as multiples of 2^20, would otherwise share a bucket. *)
-module Itbl = Hashtbl.Make (struct
-  type t = int
-
-  let equal (a : int) b = a = b
-
-  let hash k =
-    let k = (k lxor (k lsr 32)) * 0x3C79AC492BA7B653 in
-    let k = (k lxor (k lsr 29)) * 0x1C69B3F74AC4AE35 in
-    (k lxor (k lsr 32)) land max_int
-end)
-
 (* Dense ids for client ids (transactions, variables), handed out in
    order of first sight.  An id below a bound proportional to the number
    of ids interned is found in a direct-indexed array; any other (a
    negative one, or one far beyond that count) goes through a table, so
-   the array stays O(entries) whatever ids a client sends. *)
+   the array stays O(entries) whatever ids a client sends.  Every event
+   interns its transaction, and the array, not the table alone, is what
+   makes that cheap (EXPERIMENTS.md §24). *)
 module Intern = struct
   type t = {
     mutable direct : int array;  (* id -> dense id; -1 *)
-    sparse : int Itbl.t;
+    sparse : int Int_tbl.t;
     ids : Ivec.t;  (* dense id -> id *)
   }
 
-  let create () = { direct = [||]; sparse = Itbl.create 8; ids = Ivec.create 0 }
+  let create () =
+    { direct = [||]; sparse = Int_tbl.create 8; ids = Ivec.create 0 }
   let size t = t.ids.Ivec.n
   let id t i = Ivec.get t.ids i
 
   (* the dense id of [k], or -1 *)
   let find t k =
     let i = if k >= 0 && k < Array.length t.direct then t.direct.(k) else -1 in
-    if i >= 0 || Itbl.length t.sparse = 0 then i
-    else match Itbl.find_opt t.sparse k with Some i -> i | None -> -1
+    if i >= 0 || Int_tbl.length t.sparse = 0 then i
+    else match Int_tbl.find_opt t.sparse k with Some i -> i | None -> -1
 
   (* [k], not interned yet, takes the next dense id *)
   let add t k =
@@ -146,7 +136,7 @@ module Intern = struct
       d.(k) <- i;
       t.direct <- d
     end
-    else Itbl.replace t.sparse k i;
+    else Int_tbl.replace t.sparse k i;
     i
 end
 
@@ -208,7 +198,7 @@ module Inc = struct
     writes : (int * int) list Pvec.t;
         (* the node's deferred buffer: (var, current final value) *)
     (* per-variable state (parallel vectors, indexed by variable) *)
-    slots : slot Itbl.t Pvec.t;  (* value -> slot *)
+    slots : slot Int_tbl.t Pvec.t;  (* value -> slot *)
     wsorted : writers Pvec.t;
     wpending : int list Pvec.t;  (* committed writers not sorted in yet *)
     wseen : Ivec.t;  (* reorders folded into [wsorted] *)
@@ -246,7 +236,7 @@ module Inc = struct
            another value between its local source and it, ascending, each
            with the latest tryC index of such a read's newer writers so far
            ({!closed_after}) *)
-    watch : unit Itbl.t;
+    watch : unit Int_tbl.t;
         (* writers of [relied] slots that had not invoked tryC *)
     (* stream state *)
     mutable idx : int;
@@ -275,7 +265,7 @@ module Inc = struct
       pend_var = Ivec.create 0;
       pend_val = Ivec.create 0;
       writes = Pvec.create [];
-      slots = Pvec.create (Itbl.create 1);
+      slots = Pvec.create (Int_tbl.create 1);
       wsorted = Pvec.create (new_writers ());
       wpending = Pvec.create [];
       wseen = Ivec.create 0;
@@ -298,7 +288,7 @@ module Inc = struct
       rlog = Pvec.create [];
       rupto = 0;
       opens = Pvec.create (0, -1);
-      watch = Itbl.create 1;
+      watch = Int_tbl.create 1;
       idx = 0;
       poison = None;
       violation = None;
@@ -328,7 +318,7 @@ module Inc = struct
     if i >= 0 then i
     else begin
       let i = Intern.add g.tvars x in
-      Pvec.push g.slots (Itbl.create 16);
+      Pvec.push g.slots (Int_tbl.create 16);
       Pvec.push g.wsorted (new_writers ());
       Pvec.push g.wpending [];
       Ivec.push g.wseen (Topo.reorders g.topo);
@@ -345,11 +335,11 @@ module Inc = struct
 
   let slot g x v =
     let tbl = Pvec.get g.slots x in
-    match Itbl.find_opt tbl v with
+    match Int_tbl.find_opt tbl v with
     | Some s -> s
     | None ->
         let s = { final = -1; others = []; relied = false } in
-        Itbl.add tbl v s;
+        Int_tbl.add tbl v s;
         s
 
   (* --- edges and Pearce–Kelly maintenance ------------------------------ *)
@@ -491,7 +481,7 @@ module Inc = struct
      common case under STM retry, where an aborted attempt's program
      re-executes and writes the same value again. *)
   let add_writer g s n =
-    if s.relied then Itbl.replace g.watch n ();
+    if s.relied then Int_tbl.replace g.watch n ();
     if s.final >= 0 && Ivec.get g.aborted s.final = 0 then begin
       g.repeated <- true;
       s.others <- s.final :: s.others
@@ -703,7 +693,7 @@ module Inc = struct
             Ivec.set g.pend_kind n 3;
             Ivec.set g.tryc_inv n g.idx;
             (* a writer a forced repair assumed could not commit now can *)
-            if Itbl.length g.watch > 0 && Itbl.mem g.watch n then
+            if Int_tbl.length g.watch > 0 && Int_tbl.mem g.watch n then
               choose_among_same_value g
         | Event.Try_abort -> Ivec.set g.pend_kind n 4)
     | Event.Res (k, res) -> (
@@ -861,7 +851,7 @@ module Inc = struct
       (fun w ->
         if w >= 0 && w <> r.rd_writer && w <> r.rd_node
            && Ivec.get g.aborted w = 0
-        then Itbl.replace g.watch w ())
+        then Int_tbl.replace g.watch w ())
       (s.final :: s.others)
 
   let added g u v =

@@ -1,10 +1,5 @@
 module Int_map = Map.Make (Int)
 
-module Int_tbl = Hashtbl.Make (struct
-  include Int
-  let hash k = k land max_int
-end)
-
 (* Histories share their event storage, and a snapshot of length [len]
    never reads beyond [len].  Only a [Builder] appends, and only into a
    buffer it allocated itself, at the end of what it has filled: so each

@@ -379,6 +379,32 @@ let test_lazy_summary_across_domains () =
   Alcotest.(check bool) "filled once and kept" true
     (Array.for_all (fun h -> History.infos h = want) hs)
 
+(* Transaction ids, variables and written values are client input, and
+   [History]'s well-formedness check and the conflict graph look them up
+   in [Int_tbl].  Ids that share their low bits (multiples of 2^20, or
+   k·2^40 + 1) must not share a bucket, or one client makes every lookup
+   linear; dense ids fill the buckets evenly. *)
+let test_int_tbl_spreads () =
+  let longest keys =
+    let t = Tm_history.Int_tbl.create 16 in
+    List.iter (fun k -> Tm_history.Int_tbl.replace t k ()) keys;
+    (Tm_history.Int_tbl.stats t).Hashtbl.max_bucket_length
+  in
+  let n = 20_000 in
+  let keys f = List.init n (fun i -> f (i + 1)) in
+  (* the table holds up to two keys per bucket before it grows *)
+  Alcotest.(check bool) "dense ids: at most two per bucket" true
+    (longest (keys Fun.id) <= 2);
+  List.iter
+    (fun (name, f) ->
+      let l = longest (keys f) in
+      if l > 16 then Alcotest.failf "%s: %d keys in one bucket" name l)
+    [
+      ("ids i * 2^20", fun i -> i lsl 20);
+      ("ids i * 2^40 + 1", fun i -> (i lsl 40) + 1);
+      ("negative ids", fun i -> min_int + (i lsl 16));
+    ]
+
 let suite =
   [
     ("history: well-formedness", formation_tests);
@@ -402,5 +428,7 @@ let suite =
           test_validators_agree;
         test "lazy summary from two domains at once"
           test_lazy_summary_across_domains;
+        test "client-chosen ids spread over the table's buckets"
+          test_int_tbl_spreads;
       ] );
   ]
