@@ -557,7 +557,7 @@ let domain_hit_rate (d : Service.Protocol.domain_stats) =
   if d.responses = 0 then 0.
   else float_of_int d.fastpath_hits /. float_of_int d.responses
 
-(* --- overload phase: percentiles while the degradation ladder engages ----- *)
+(* --- overload phase: percentiles while the server throttles --------------- *)
 
 (* A deliberately tiny worker queue (hwm 2) and slow drain pressure from
    many concurrent sessions: most Events_at frames bounce off the
@@ -580,8 +580,7 @@ let bench_service_overload () =
   let srv =
     Service.Server.start
       (Service.Server.config ~domains:2 ~queue_capacity:4 ~hwm:2
-         ~throttle_sample:1_000 ~throttle_shed:1_000_000
-         (`Tcp ("127.0.0.1", 0)))
+         ~throttle_shed:1_000_000 (`Tcp ("127.0.0.1", 0)))
   in
   let addr = Service.Server.bound_addr srv in
   let stream = List.hd (service_streams ()) in
@@ -698,7 +697,7 @@ let bench_service_recovery () =
     let srv2 = Service.Server.start cfg in
     let c2 = Service.Client.connect addr in
     let applied =
-      match Service.Client.resume c2 1 ~from:0 with
+      match Service.Client.resume c2 1 with
       | Ok (applied, _, _) -> applied
       | Error (code, msg) ->
           Fmt.failwith "bench recovery: resume: %a: %s"
@@ -1012,7 +1011,7 @@ let check_containment () =
         incr histories;
         let du = Conflict_graph.check_or_fallback ~max_nodes:2_000_000 h in
         let lu = Last_use_opacity.check_fast ~max_nodes:2_000_000 h in
-        match (du, Last_use_opacity.to_verdict lu) with
+        match (du, lu) with
         | Verdict.Sat _, Verdict.Sat _ ->
             incr du_sat;
             incr lu_sat
@@ -1123,14 +1122,10 @@ let bench_check () =
            decorated search. *)
         if events <= search_cap then
           time key "lu-fast"
-            (fun () ->
-              Last_use_opacity.to_verdict (Last_use_opacity.check_fast h))
+            (fun () -> Last_use_opacity.check_fast h)
             verdict_of;
         if events <= search_cap then
-          time key "lu-search"
-            (fun () ->
-              Last_use_opacity.to_verdict (Last_use_opacity.check h))
-            verdict_of
+          time key "lu-search" (fun () -> Last_use_opacity.check h) verdict_of
       end;
       (* what `tm check` pays before any backend runs: decoding the
          recording's binary encoding, validation included *)

@@ -94,8 +94,7 @@ let du_check =
 
 let last_use_check =
   ( "last-use opacity",
-    fun ?max_nodes h ->
-      Last_use_opacity.to_verdict (Last_use_opacity.check ?max_nodes h) )
+    fun ?max_nodes h -> Last_use_opacity.check ?max_nodes h )
 
 let rec checks_of_property = function
   | P_du -> [ du_check ]
@@ -125,22 +124,19 @@ let rec checks_of_property = function
           P_strict_ser; P_si;
         ]
 
-(* [--criterion] narrows a check run to the du vs last-use comparison the
-   verify/bench surfaces report on; it overrides [--property] when given. *)
-type criterion = C_du | C_lastuse | C_both
-
-let criterion_conv =
-  Arg.enum [ ("du", C_du); ("last-use", C_lastuse); ("both", C_both) ]
-
-let checks_of_criterion = function
-  | C_du -> [ du_check ]
-  | C_lastuse -> [ last_use_check ]
-  | C_both -> [ du_check; last_use_check ]
-
 let check_cmd =
   let property_arg =
-    let doc = "Property to check: $(docv) ∈ du|opacity|final-state|tms2|rco|serializable|strict-serializable|si|all." in
-    Arg.(value & opt property_conv P_du & info [ "property"; "p" ] ~docv:"PROP" ~doc)
+    let doc =
+      "Properties to check, comma-separated, each $(docv) ∈ \
+       du|last-use|opacity|final-state|tms2|rco|serializable|\
+       strict-serializable|si|all.  One verdict line per property; \
+       $(b,du,last-use) is how early-release histories show the two \
+       criteria separate."
+    in
+    Arg.(
+      value
+      & opt (list property_conv) [ P_du ]
+      & info [ "property"; "p" ] ~docv:"PROP" ~doc)
   in
   let certificate_arg =
     let doc = "Print the serialization certificate on success." in
@@ -153,16 +149,6 @@ let check_cmd =
     in
     Arg.(value & flag & info [ "shrink"; "s" ] ~doc)
   in
-  let criterion_arg =
-    let doc =
-      "Safety criterion to judge: $(docv) ∈ du|last-use|both.  Overrides \
-       $(b,--property); [both] prints one verdict line per criterion, \
-       which is how early-release histories show the two separate."
-    in
-    Arg.(
-      value & opt (some criterion_conv) None
-      & info [ "criterion" ] ~docv:"CRIT" ~doc)
-  in
   let dot_arg =
     let doc =
       "On a du-opacity violation, write a Graphviz rendering of the \
@@ -171,8 +157,7 @@ let check_cmd =
     in
     Arg.(value & opt (some string) None & info [ "dot" ] ~docv:"FILE" ~doc)
   in
-  let run input property criterion max_nodes timeline certificate shrink
-      dot =
+  let run input properties max_nodes timeline certificate shrink dot =
     match history_of_input input with
     | Error e -> e
     | Ok h ->
@@ -195,11 +180,7 @@ let check_cmd =
                 | None -> "")
                 path
         in
-        let checks =
-          match criterion with
-          | Some c -> checks_of_criterion c
-          | None -> checks_of_property property
-        in
+        let checks = List.concat_map checks_of_property properties in
         List.iter
           (fun (name, check) ->
             match check ?max_nodes h with
@@ -231,8 +212,8 @@ let check_cmd =
   in
   let term =
     Term.(
-      const run $ input_arg $ property_arg $ criterion_arg $ max_nodes_arg
-      $ timeline_arg $ certificate_arg $ shrink_arg $ dot_arg)
+      const run $ input_arg $ property_arg $ max_nodes_arg $ timeline_arg
+      $ certificate_arg $ shrink_arg $ dot_arg)
   in
   let handle = function
     | `Ok () -> 0
@@ -839,8 +820,8 @@ let serve_cmd =
   in
   let hwm_arg =
     let doc =
-      "Mailbox high-watermark at which sessions are throttled \
-       (degradation ladder); default queue/2."
+      "Mailbox high-watermark at which sessions are throttled, and shed \
+       at the 16th consecutive throttle; default queue/2."
     in
     Arg.(value & opt (some int) None & info [ "hwm" ] ~docv:"N" ~doc)
   in

@@ -99,6 +99,9 @@ val scan_roots :
 val pp_finding : Format.formatter -> finding -> unit
 (** [file:line: [rule] text] — one line per finding. *)
 
+val json_escape : string -> string
+(** The body of a JSON string literal holding [s]. *)
+
 val report_json : ?rules_run:string list -> finding list -> string
 (** Machine-readable report:
     [{"rules": [...], "count": n, "findings": [{"file", "line", "rule",

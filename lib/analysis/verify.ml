@@ -98,15 +98,15 @@ let verdicts_of ?(graph = false) cfg (histories : (string, History.t) Hashtbl.t)
       | Verdict.Unknown _ -> incr unknown);
       let l = Lu.check_fast ~max_nodes:cfg.max_nodes h in
       (match l with
-      | Lu.Sat _ -> incr lu_sat
-      | Lu.Unsat why ->
+      | Verdict.Sat _ -> incr lu_sat
+      | Verdict.Unsat why ->
           incr lu_unsat;
           if !lu_first_unsat = None then
             lu_first_unsat := Some (Fmt.str "%s@.%s" why (String.trim key))
-      | Lu.Ambiguous _ -> incr lu_unknown);
+      | Verdict.Unknown _ -> incr lu_unknown);
       (match v, l with
-      | Verdict.Sat _, Lu.Unsat _ -> incr containment
-      | Verdict.Unsat _, Lu.Sat _ -> incr separated
+      | Verdict.Sat _, Verdict.Unsat _ -> incr containment
+      | Verdict.Unsat _, Verdict.Sat _ -> incr separated
       | _ -> ());
       if graph then begin
         incr graph_checked;
@@ -321,20 +321,6 @@ let pp_table ppf results =
 
 (* --- JSON ------------------------------------------------------------------ *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 32 ->
-          Buffer.add_string b (Fmt.str "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json cfg ~wall results =
   let p = cfg.params in
   let outcome_json (o : Explore.outcome) =
@@ -348,7 +334,8 @@ let to_json cfg ~wall results =
       (match r.rkind with
       | Race.Dirty_read -> "dirty-read"
       | Race.Write_write -> "write-write")
-      r.loc r.writer.Race.fiber r.other.Race.fiber (json_escape r.witness)
+      r.loc r.writer.Race.fiber r.other.Race.fiber
+      (Lint.json_escape r.witness)
   in
   let stm_json r =
     Fmt.str

@@ -1,34 +1,10 @@
-type result =
-  | Sat of Serialization.t
-  | Unsat of string
-  | Ambiguous of string
-
-let of_verdict = function
-  | Verdict.Sat s -> Sat s
-  | Verdict.Unsat why -> Unsat why
-  | Verdict.Unknown why -> Ambiguous why
-
-let to_verdict = function
-  | Sat s -> Verdict.Sat s
-  | Unsat why -> Verdict.Unsat why
-  | Ambiguous why -> Verdict.Unknown why
-
-let is_sat = function Sat _ -> true | Unsat _ | Ambiguous _ -> false
-let is_unsat = function Unsat _ -> true | Sat _ | Ambiguous _ -> false
-
-let pp ppf = function
-  | Sat s -> Fmt.pf ppf "Sat [%a]" Serialization.pp s
-  | Unsat why -> Fmt.pf ppf "Unsat (%s)" why
-  | Ambiguous why -> Fmt.pf ppf "Ambiguous (%s)" why
-
 let decoration h =
   List.map
     (fun (t : Txn.t) -> (t.Txn.id, Txn.closing_writes t))
     (History.infos h)
 
 let check_stats ?max_nodes ?hint h =
-  let v, stats = Search.search { Search.lu with max_nodes; hint } h in
-  (of_verdict v, stats)
+  Search.search { Search.lu with max_nodes; hint } h
 
 let check ?max_nodes ?hint h = fst (check_stats ?max_nodes ?hint h)
 
@@ -38,7 +14,7 @@ let check_fast ?max_nodes h =
      witnesses the weaker criterion.  A du refutation proves nothing here
      (du-Unsat does not imply last-use-Unsat), so only [Sat] short-cuts. *)
   match Conflict_graph.check h with
-  | Conflict_graph.Sat s -> Sat s
+  | Conflict_graph.Sat s -> Verdict.Sat s
   | Conflict_graph.Unsat _ | Conflict_graph.Ambiguous _ -> check ?max_nodes h
 
 type inc = Search.ictx
@@ -46,5 +22,4 @@ type inc = Search.ictx
 let incremental () = Search.ictx Search.lu
 
 let check_inc ?max_nodes ?hint inc h =
-  let v, stats = Search.search_ictx ?max_nodes ?hint inc h in
-  (of_verdict v, stats)
+  Search.search_ictx ?max_nodes ?hint inc h

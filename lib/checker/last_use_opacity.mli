@@ -46,39 +46,22 @@
     judges each prefix as a standalone history with its own decoration —
     its verdict at a boundary always equals {!check} of that prefix.
 
-    Verdicts follow the same three-valued honesty contract as
-    {!Conflict_graph}: [Ambiguous] means the search budget was exhausted
-    and is never a safety verdict. *)
-
-type result =
-  | Sat of Serialization.t
-      (** witnessed; the certificate validates under
-          {!Serialization.validate} with claim [Last_use] *)
-  | Unsat of string  (** no serialization exists *)
-  | Ambiguous of string
-      (** the node budget was exhausted — not a verdict *)
-
-val is_sat : result -> bool
-val is_unsat : result -> bool
-val pp : Format.formatter -> result -> unit
-
-val to_verdict : result -> Verdict.t
-(** [Ambiguous] maps to {!Verdict.Unknown}. *)
-
-val of_verdict : Verdict.t -> result
-(** Inverse of {!to_verdict}. *)
+    Verdicts are {!Verdict.t}s: a [Sat] certificate validates under
+    {!Serialization.validate} with claim [Last_use], [Unsat] means no
+    serialization exists, and [Unknown] means the node budget was
+    exhausted — never a safety verdict. *)
 
 val decoration : History.t -> (Event.tx * (Event.tvar * int) list) list
 (** The closing-write decoration the judgment is relative to: for every
     transaction, the response index of its last successful write per
     variable ({!Txn.closing_writes}). *)
 
-val check : ?max_nodes:int -> ?hint:Event.tx list -> History.t -> result
+val check : ?max_nodes:int -> ?hint:Event.tx list -> History.t -> Verdict.t
 
 val check_stats :
-  ?max_nodes:int -> ?hint:Event.tx list -> History.t -> result * Search.stats
+  ?max_nodes:int -> ?hint:Event.tx list -> History.t -> Verdict.t * Search.stats
 
-val check_fast : ?max_nodes:int -> History.t -> result
+val check_fast : ?max_nodes:int -> History.t -> Verdict.t
 (** Adopts a {!Conflict_graph.check} [Sat] certificate, otherwise runs
     the exact search — sound because a du-opacity certificate is also a
     last-use one (optional candidate visibility).  A graph [Unsat] is not
@@ -100,6 +83,6 @@ val check_inc :
   ?hint:Event.tx list ->
   inc ->
   History.t ->
-  result * Search.stats
+  Verdict.t * Search.stats
 (** Successive calls must pass successive extensions of one history and
     pay only for the events appended since the previous call. *)

@@ -1,13 +1,3 @@
-(* The indices in [response_indices] are ascending prefix lengths, one per
-   response, so [n] is among them iff the last event is a response — an
-   O(1) test, instead of scanning the list and copying it with a
-   non-tail-recursive append. *)
-let prefix_lengths h =
-  let n = History.length h in
-  let at_responses = History.response_indices h in
-  if n = 0 || Event.is_res (History.get h (n - 1)) then at_responses
-  else List.rev (n :: List.rev at_responses)
-
 let check ?max_nodes h =
   (* Check short prefixes first so [Unsat] reports the shortest violating
      prefix, matching how the paper's Figure 3 is analysed. *)
@@ -22,7 +12,9 @@ let check ?max_nodes h =
                  why)
         | Verdict.Unknown _ as v -> v)
   in
-  go (Verdict.Sat (Serialization.make ~order:[] ~committed:[])) (prefix_lengths h)
+  go
+    (Verdict.Sat (Serialization.make ~order:[] ~committed:[]))
+    (History.boundaries h)
 
 let first_bad_prefix ?max_nodes h =
   let rec go = function
@@ -34,4 +26,4 @@ let first_bad_prefix ?max_nodes h =
         | Verdict.Unknown why ->
             failwith ("Opacity.first_bad_prefix: " ^ why))
   in
-  go (prefix_lengths h)
+  go (History.boundaries h)

@@ -8,13 +8,6 @@
     [Du_opacity.check h = Sat _] implies [check h = Sat _], but not
     conversely (Figure 4). *)
 
-val prefix_lengths : History.t -> int list
-(** Ascending prefix lengths at which a verdict can change: one per
-    response, plus the full length when the history ends mid-operation.
-    O(n), allocation-shared with {!History.response_indices} when the
-    final event is a response — it sits on the per-history hot path and
-    is timing-regression-guarded at ≥2000 responses. *)
-
 val check : ?max_nodes:int -> History.t -> Verdict.t
 (** [Sat] carries the final-state serialization of the full history; [Unsat]
     names the length of the shortest prefix that is not final-state

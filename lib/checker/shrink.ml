@@ -1,7 +1,7 @@
 let truncate_to_first_bad bad h =
-  let lens = History.response_indices h @ [ History.length h ] in
-  let lens = List.sort_uniq Int.compare lens in
-  match List.find_opt (fun i -> bad (History.prefix h i)) lens with
+  match
+    List.find_opt (fun i -> bad (History.prefix h i)) (History.boundaries h)
+  with
   | Some i -> History.prefix h i
   | None -> h
 

@@ -10,11 +10,6 @@ let certificate = function
   | Sat s -> Some s
   | Unsat _ | Unknown _ -> None
 
-let to_bool = function
-  | Sat _ -> true
-  | Unsat _ -> false
-  | Unknown why -> failwith ("Verdict.to_bool: search budget exhausted: " ^ why)
-
 let pp ppf = function
   | Sat s -> Fmt.pf ppf "sat: %a" Serialization.pp s
   | Unsat why -> Fmt.pf ppf "unsat: %s" why

@@ -15,9 +15,4 @@ val is_unsat : t -> bool
 
 val certificate : t -> Serialization.t option
 
-val to_bool : t -> bool
-(** [true] iff [Sat].
-    @raise Failure on [Unknown] — an exhausted budget must not be silently
-    read as a negative verdict. *)
-
 val pp : Format.formatter -> t -> unit

@@ -38,12 +38,21 @@ let wf_rule prev ev =
       if Event.matches inv res then None
       else Some "response does not match the pending invocation"
 
-(* Admit [ev] at [i] after its transaction's last event, recorded in [last]. *)
+(* Admit [ev] at [i] after its transaction's last event, held in the
+   transaction's cell in [last]: one lookup per event, and an insertion
+   only for a transaction's first event. *)
 let admit last i ev =
   let k = Event.tx_of ev in
-  match wf_rule (Int_tbl.find_opt last k) ev with
-  | Some reason -> Error { index = i; event = ev; reason }
-  | None -> Int_tbl.replace last k ev; Ok ()
+  let reject reason = Error { index = i; event = ev; reason } in
+  match Int_tbl.find last k with
+  | cell -> (
+      match wf_rule (Some !cell) ev with
+      | Some reason -> reject reason
+      | None -> cell := ev; Ok ())
+  | exception Not_found -> (
+      match wf_rule None ev with
+      | Some reason -> reject reason
+      | None -> Int_tbl.add last k (ref ev); Ok ())
 
 (* The summary of the well-formed events [arr.(0 .. len - 1)], in one pass. *)
 let build_summary arr len =
@@ -231,6 +240,11 @@ let response_indices h =
   done;
   !acc
 
+let boundaries h =
+  let n = h.len in
+  if n = 0 || Event.is_res h.arr.(n - 1) then response_indices h
+  else response_indices h @ [ n ]
+
 let pp ppf h =
   let pp_item ppf (i, ev) = Fmt.pf ppf "%3d  %a" i Event.pp ev in
   let items = List.mapi (fun i ev -> (i, ev)) (to_list h) in
@@ -244,7 +258,7 @@ let filler = Event.Res (0, Event.Aborted)
 
 module Builder = struct
   type history = t
-  type t = { mutable h : history; last : Event.t Int_tbl.t }
+  type t = { mutable h : history; last : Event.t ref Int_tbl.t }
 
   let create () = { h = empty; last = Int_tbl.create 16 }
   let length b = b.h.len

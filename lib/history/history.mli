@@ -139,6 +139,13 @@ val response_indices : t -> int list
     needs checking (extending a history by a lone invocation preserves
     final-state opacity). *)
 
+val boundaries : t -> int list
+(** Ascending prefix lengths at which a verdict can change: one per
+    response, plus the full length when the history ends mid-operation
+    (a trailing invocation still extends the history).  O(n);
+    opacity's prefix check and the lockstep oracle walk it per history,
+    and the test suite timing-guards it at ≥2000 responses. *)
+
 val pp : Format.formatter -> t -> unit
 (** One event per line, prefixed by its index. *)
 
@@ -148,7 +155,8 @@ val pp_inline : Format.formatter -> t -> unit
 (** {1 Streaming construction} *)
 
 (** The one way to grow a history: {!add} costs one {!wf_rule} check, one
-    table update and one slot write, and keeps no summary.  A builder
+    table lookup (an insertion only for a transaction's first event) and
+    one slot write, and keeps no summary.  A builder
     writes only into storage it allocated, past every snapshot it handed
     out, so no slot has two writers.  It must stay on one domain; its
     snapshots may be shared. *)

@@ -65,5 +65,3 @@ let timeline h =
     Buffer.add_char buf '\n'
   done;
   Buffer.contents buf
-
-let pp_timeline ppf h = Fmt.string ppf (timeline h)

@@ -12,4 +12,3 @@
     span between its events. *)
 
 val timeline : History.t -> string
-val pp_timeline : Format.formatter -> History.t -> unit

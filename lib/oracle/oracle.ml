@@ -60,19 +60,6 @@ let v3_of_outcome = function
   | `Violation _ -> Bad3
   | `Budget _ -> Unk3
 
-(* Prefix lengths at which a verdict can change: after every response, plus
-   the full length (a trailing invocation still extends the history). *)
-let boundaries h =
-  let n = History.length h in
-  if n = 0 then []
-  else
-    let bs = History.response_indices h in
-    (* [bs] is ascending with one entry per response, so its last element
-       is [n] iff the final event is a response — an O(1) test on the last
-       event instead of an O(n) walk to the last cons cell *)
-    if Event.is_res (History.get h (n - 1)) then bs
-    else List.rev (n :: List.rev bs)
-
 (* --- the lockstep oracle ------------------------------------------------- *)
 
 let lockstep ?(max_nodes = 2_000_000) ?submit h =
@@ -127,7 +114,7 @@ let lockstep ?(max_nodes = 2_000_000) ?submit h =
   (* Incremental path: one [check_inc] per response boundary over a
      persistent context, stopping at the first non-ok verdict (the
      prefix-closure re-checks below cover what follows). *)
-  let bs = boundaries h in
+  let bs = History.boundaries h in
   let validate_prefix_certs = n <= 160 in
   let inc_first_bad = ref None in
   let inc_verdicts = ref [] in
@@ -211,16 +198,11 @@ let lockstep ?(max_nodes = 2_000_000) ?submit h =
         add Bad_certificate path "-"
           (Fmt.str "prefix %d: %s" (History.length hp) why)
   in
-  let lu_v3 = function
-    | Lu.Sat _ -> Ok3
-    | Lu.Unsat _ -> Bad3
-    | Lu.Ambiguous _ -> Unk3
-  in
   let lu =
     timed "lu" (fun () ->
         let v = Lu.check ~max_nodes h in
-        (match v with Lu.Sat c -> validate_lu_cert "lu" h c | _ -> ());
-        lu_v3 v)
+        (match v with Verdict.Sat c -> validate_lu_cert "lu" h c | _ -> ());
+        v3_of_verdict v)
   in
   let lu_inc_verdicts = ref [] in
   let lu_inc =
@@ -231,10 +213,10 @@ let lockstep ?(max_nodes = 2_000_000) ?submit h =
             let hp = History.prefix h b in
             let v, _stats = Lu.check_inc ~max_nodes inc hp in
             (match v with
-            | Lu.Sat c when validate_prefix_certs ->
+            | Verdict.Sat c when validate_prefix_certs ->
                 validate_lu_cert "lu-inc" hp c
             | _ -> ());
-            let s = lu_v3 v in
+            let s = v3_of_verdict v in
             lu_inc_verdicts := (b, s) :: !lu_inc_verdicts;
             s)
           Ok3 bs)

@@ -63,14 +63,6 @@ type lockstep_result = {
           history — legitimate non-prefix-closure, not a discrepancy *)
 }
 
-val boundaries : History.t -> int list
-(** Ascending prefix lengths at which a verdict can change: one per
-    response, plus the full length when the history ends mid-operation
-    (a trailing invocation still extends the history).  O(n) and shares
-    {!History.response_indices}'s list when the final event is a
-    response — the lockstep driver walks it per history, and the test
-    suite timing-guards it at ≥2000 responses. *)
-
 val lockstep :
   ?max_nodes:int ->
   ?submit:(History.t -> [ `Ok | `Violation of string | `Budget of string ]) ->

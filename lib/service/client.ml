@@ -187,8 +187,8 @@ let close_session t session =
   Wire.send t.fd (Protocol.Close_session { session });
   await_verdict t session 0
 
-let resume t session ~from =
-  Wire.send t.fd (Protocol.Resume { session; from });
+let resume t session =
+  Wire.send t.fd (Protocol.Resume { session });
   let rec wait () =
     match recv_frame t with
     | Protocol.Resumed { session = s; applied; mode; status } when s = session
@@ -289,7 +289,7 @@ let submit_durable ?(session = 1) ?(chunk = 256) ?(checkpoint_every = 4)
     (* Silent waits: let the server's idle deadline break a dead-ended
        connection; reconnect + Resume is this path's recovery story. *)
     c.keepalive <- false;
-    match resume c session ~from:!best with
+    match resume c session with
     | Ok (applied, mode, _status) ->
         if mode = Protocol.M_shed && !shed_reason = None then
           shed_reason := Some "resumed into a shed session";

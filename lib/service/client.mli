@@ -56,7 +56,7 @@ val open_session : t -> int -> unit
     global on a durable server; reuse of a live identifier is answered
     with a [duplicate-session] error on the next reply-expecting call. *)
 
-val resume : t -> int -> from:int ->
+val resume : t -> int ->
   (int * Protocol.mode * Protocol.status,
    Protocol.error_code * string) result
 (** Attach to a durable session: [Ok (applied, mode, status)] is the

@@ -16,8 +16,8 @@ val put : 'a t -> 'a -> unit
 
 val try_put : 'a t -> 'a -> bool
 (** Non-blocking [put]: [false] when the queue is full — the caller's cue
-    to shed or throttle instead of queueing without bound (the server's
-    overload ladder). *)
+    to throttle instead of queueing without bound (the server's overload
+    path). *)
 
 val take : 'a t -> 'a
 (** Blocks while the queue is empty. *)

@@ -1,4 +1,4 @@
-let version = 4
+let version = 5
 let hello_magic = "TMSV"
 let max_frame = 16 * 1024 * 1024
 let default_session_timeout = 30.0
@@ -45,22 +45,14 @@ let pp_error_code ppf c =
 
 type status = S_ok | S_violation of string | S_budget of string
 
-type mode = M_full | M_sampling | M_shed
+type mode = M_full | M_shed
 
-let mode_to_int = function M_full -> 0 | M_sampling -> 1 | M_shed -> 2
+let mode_to_int = function M_full -> 0 | M_shed -> 2
 
-let mode_of_int = function
-  | 0 -> Some M_full
-  | 1 -> Some M_sampling
-  | 2 -> Some M_shed
-  | _ -> None
+let mode_of_int = function 0 -> Some M_full | 2 -> Some M_shed | _ -> None
 
 let pp_mode ppf m =
-  Fmt.string ppf
-    (match m with
-    | M_full -> "full"
-    | M_sampling -> "sampling"
-    | M_shed -> "shed")
+  Fmt.string ppf (match m with M_full -> "full" | M_shed -> "shed")
 
 type verdict = {
   session : int;
@@ -92,9 +84,9 @@ type frame =
   | Stats of domain_stats list
   | Err of { code : error_code; message : string }
   | Goodbye
-  | Resume of { session : int; from : int }
+  | Resume of { session : int }
   | Resumed of { session : int; applied : int; mode : mode; status : status }
-  | Throttle of { session : int; retry_after_ms : int }
+  | Throttle of { session : int }
   | Heartbeat
   | Events_at of { session : int; from : int; events : Event.t list }
   | Shed of { session : int; reason : string }
@@ -172,17 +164,13 @@ let encode b frame =
       Codec.put_uvarint b (error_code_to_int code);
       Codec.put_string b message
   | Goodbye -> ()
-  | Resume { session; from } ->
-      Codec.put_uvarint b session;
-      Codec.put_uvarint b from
+  | Resume { session } -> Codec.put_uvarint b session
   | Resumed { session; applied; mode; status } ->
       Codec.put_uvarint b session;
       Codec.put_uvarint b applied;
       Buffer.add_char b (Char.chr (mode_to_int mode));
       put_status b status
-  | Throttle { session; retry_after_ms } ->
-      Codec.put_uvarint b session;
-      Codec.put_uvarint b retry_after_ms
+  | Throttle { session } -> Codec.put_uvarint b session
   | Heartbeat -> ()
   | Events_at { session; from; events } ->
       Codec.put_uvarint b session;
@@ -270,18 +258,14 @@ let decode_reader r =
       in
       Err { code; message }
   | 10 -> Goodbye
-  | 11 ->
-      let session = Codec.get_uvarint r in
-      Resume { session; from = Codec.get_uvarint r }
+  | 11 -> Resume { session = Codec.get_uvarint r }
   | 12 ->
       let session = Codec.get_uvarint r in
       let applied = Codec.get_uvarint r in
       let mode = get_mode r in
       let status = get_status r in
       Resumed { session; applied; mode; status }
-  | 13 ->
-      let session = Codec.get_uvarint r in
-      Throttle { session; retry_after_ms = Codec.get_uvarint r }
+  | 13 -> Throttle { session = Codec.get_uvarint r }
   | 14 -> Heartbeat
   | 15 ->
       let session = Codec.get_uvarint r in
@@ -340,12 +324,11 @@ let pp_frame ppf = function
   | Err { code; message } ->
       Fmt.pf ppf "Error %a: %s" pp_error_code code message
   | Goodbye -> Fmt.string ppf "Goodbye"
-  | Resume { session; from } -> Fmt.pf ppf "Resume %d from %d" session from
+  | Resume { session } -> Fmt.pf ppf "Resume %d" session
   | Resumed { session; applied; mode; status } ->
       Fmt.pf ppf "Resumed %d applied %d [%a]: %a" session applied pp_mode
         mode pp_status status
-  | Throttle { session; retry_after_ms } ->
-      Fmt.pf ppf "Throttle %d retry-after %dms" session retry_after_ms
+  | Throttle { session } -> Fmt.pf ppf "Throttle %d" session
   | Heartbeat -> Fmt.string ppf "Heartbeat"
   | Events_at { session; from; events } ->
       Fmt.pf ppf "Events_at %d from %d (%d events)" session from

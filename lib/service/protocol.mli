@@ -19,9 +19,9 @@ payload by tag:
   8  Stats          ndomains:uv domain*
   9  Error          code:uv message:str
   10 Goodbye        (empty)
-  11 Resume         session:uv from:uv
+  11 Resume         session:uv
   12 Resumed        session:uv applied:uv mode:u8 status
-  13 Throttle       session:uv retry_after_ms:uv
+  13 Throttle       session:uv
   14 Heartbeat      (empty)
   15 Events_at      session:uv from:uv count:uv event*
   16 Shed           session:uv reason:str
@@ -47,9 +47,11 @@ tail    := mode:u8 applied:uv        (* present iff mode <> 0 or
                                         events                          *)
 
 mode    := 0                         (* full checking                   *)
-         | 1                         (* sampling (see ladder below)     *)
          | 2                         (* shed: events past [applied]
                                         were discarded                  *)
+
+(any other mode byte, 1 among them, fails to decode; so does a Resume or
+ Throttle body with anything after its session)
 
 domain  := live:uv closed:uv events:uv responses:uv hits:uv
            searches:uv nodes:uv
@@ -91,7 +93,7 @@ str     := len:uv byte*
     session identifier namespace is {e global} (shared by every
     connection), not per-connection.
 
-    [Resume session from] attaches the connection to durable session
+    [Resume session] attaches the connection to durable session
     [session]: to a live orphaned session (its previous connection died)
     in memory, or — after a server crash — to one rebuilt by replaying its
     journal under the restarted server's node budget (a session journalled
@@ -101,34 +103,32 @@ str     := len:uv byte*
     client re-sends everything from that index.  Re-sending is idempotent
     through [Events_at]: a frame whose [from] lies at or before [applied]
     has its first [applied - from] events dropped, and a frame that would
-    open a gap ([from > applied]) is answered with a zero-delay
-    [Throttle] and not applied — so duplicated, re-sent, or reordered
-    frames can never double-apply or skip events, and the session's
-    applied stream is always a contiguous prefix of what the client sent.
+    open a gap ([from > applied]) is answered with [Throttle] and not
+    applied — so duplicated, re-sent, or reordered frames can never
+    double-apply or skip events, and the session's applied stream is
+    always a contiguous prefix of what the client sent.
 
-    {1 Overload: the degradation ladder}
+    {1 Overload: throttle, then shed}
 
     A server under pressure degrades {e predictably} instead of queueing
-    without bound or wedging:
+    without bound or wedging.  du-opacity is a safety property, so a
+    verdict stays honest as long as it says which prefix it covers; two
+    moves suffice:
 
-    - {e full}: normal operation; every event is checked.
     - {e throttle}: a session whose worker's mailbox is over its
       high-watermark gets its [Events]/[Events_at] frame {e discarded}
-      and answered with [Throttle retry_after_ms]; the client backs off
-      and re-sends from its last acknowledged index.
-    - {e sampling}: after repeated throttles the session admits only
-      every other frame (the rest are throttled proactively), giving the
-      worker room to drain; nothing is lost — throttled frames are
-      re-sent.
-    - {e shed}: a session that stays overloaded is shed: the server
-      answers [Shed], discards every later event for that session, and
-      all subsequent verdicts carry [mode = 2] with [applied] marking the
-      contiguous prefix the verdict actually covers.  A shed verdict is
-      still sound — for the prefix — and never silently masquerades as a
-      full one.
+      and answered with [Throttle]; the client backs off on its own
+      schedule and re-sends from its last acknowledged index.  A
+      [Throttle] always means the frame was not applied.
+    - {e shed}: a session throttled too many times in a row is shed: the
+      server answers [Shed], discards every later event for that
+      session, and all subsequent verdicts carry [mode = 2] with
+      [applied] marking the contiguous prefix the verdict actually
+      covers.  A shed verdict is still sound — for the prefix — and never
+      silently masquerades as a full one.
 
-    The current rung travels in the verdict [tail]; its absence means
-    full checking.  Open/accept admission is controlled separately:
+    The mode travels in the verdict [tail]; its absence means full
+    checking.  Open/accept admission is controlled separately:
     beyond [max_sessions] live sessions (or [max_conns] connections) the
     server answers [Error overloaded] rather than accepting work it
     cannot serve.
@@ -147,8 +147,10 @@ str     := len:uv byte*
     hostage for longer than the session timeout. *)
 
 val version : int
-(** The protocol version: 4.  A peer must send exactly this version in
-    its [Hello]; any other is refused. *)
+(** The protocol version: 5.  A peer must send exactly this version in
+    its [Hello]; any other is refused.  Version 4 also carried a sampling
+    mode, a retry hint in [Throttle] and a resume index in [Resume]; no
+    peer acted on any of them, and version 5 carries none. *)
 
 val hello_magic : string
 
@@ -183,7 +185,6 @@ type status =
 
 type mode =
   | M_full  (** every event checked *)
-  | M_sampling  (** overloaded: frames admitted alternately, none lost *)
   | M_shed  (** events past [applied] discarded; verdict covers the prefix *)
 
 val mode_to_int : mode -> int
@@ -195,7 +196,7 @@ type verdict = {
   token : int;  (** checkpoint token; [0] for the final verdict *)
   events : int;  (** events the monitor accepted so far *)
   status : status;
-  mode : mode;  (** degradation rung; [M_full] when the tail is absent *)
+  mode : mode;  (** [M_full] when the tail is absent *)
   applied : int;
       (** events durably applied (journalled and fed to the monitor,
           counting post-violation events the sticky monitor ignores);
@@ -223,12 +224,10 @@ type frame =
   | Stats of domain_stats list
   | Err of { code : error_code; message : string }  (** the [Error] frame *)
   | Goodbye
-  | Resume of { session : int; from : int }
-      (** attach to a durable session; [from] is the index the client can
-          re-send from *)
+  | Resume of { session : int }  (** attach to a durable session *)
   | Resumed of { session : int; applied : int; mode : mode; status : status }
       (** reply: [applied] events are durable; re-send from there *)
-  | Throttle of { session : int; retry_after_ms : int }
+  | Throttle of { session : int }
       (** the last [Events]/[Events_at] frame was discarded, not applied;
           back off and re-send *)
   | Heartbeat  (** liveness probe; the server echoes it *)

@@ -11,19 +11,15 @@ type config = {
   max_conns : int;
   max_sessions : int;
   hwm : int;
-  throttle_sample : int;
   throttle_shed : int;
   log : string -> unit;
 }
-
-(* The backoff hint carried in [Throttle] frames. *)
-let retry_after_ms = 50
 
 let config ?(domains = 4) ?max_nodes ?(queue_capacity = 64)
     ?journal_dir
     ?(journal_sync = false)
     ?(session_timeout = Protocol.default_session_timeout) ?(max_conns = 1024)
-    ?(max_sessions = 8192) ?hwm ?(throttle_sample = 4) ?(throttle_shed = 16)
+    ?(max_sessions = 8192) ?hwm ?(throttle_shed = 16)
     ?(log = ignore) addr =
   if domains <= 0 then invalid_arg "Server.config: domains must be positive";
   if session_timeout <= 0.0 then
@@ -42,7 +38,6 @@ let config ?(domains = 4) ?max_nodes ?(queue_capacity = 64)
     max_conns;
     max_sessions;
     hwm;
-    throttle_sample;
     throttle_shed;
     log;
   }
@@ -85,7 +80,7 @@ type conn = {
 
 (* Field ownership.  [monitor]/[last]/[applied]/[journal] belong to the
    session's worker once the session is live (mailbox FIFO is the
-   synchronisation).  [dmode]/[throttles]/[admit_flip] belong to the
+   synchronisation).  [dmode]/[throttles] belong to the
    serving reader thread; the worker's reads of [dmode] for verdict tails
    are ordered behind the reader's writes by the mailbox mutex.
    [sconn]/[orphaned_at]/[expiring] are guarded by the server's registry
@@ -98,9 +93,8 @@ and session = {
   mutable last : Monitor.snapshot;  (* last snapshot folded into dstats *)
   mutable applied : int;  (* events durably applied (journalled + pushed) *)
   mutable journal : Journal.t option;
-  mutable dmode : Protocol.mode;  (* degradation-ladder rung *)
-  mutable throttles : int;  (* consecutive throttles; 0 resets the ladder *)
-  mutable admit_flip : bool;  (* M_sampling: admit every other frame *)
+  mutable dmode : Protocol.mode;  (* [M_shed] is sticky *)
+  mutable throttles : int;  (* consecutive throttles; 0 resets the count *)
   mutable orphaned_at : float;  (* wall-clock; [nan] while attached *)
   mutable expiring : bool;  (* sweeper claimed it; no reattach *)
   mutable retired : bool;  (* gauges settled; never retire twice *)
@@ -302,11 +296,9 @@ let worker srv i () =
       | W_events (s, from, body) ->
           (match (from, Protocol.decode body) with
           | Some f, _ when f > s.applied ->
-              (* A gap: applying would skip events.  Zero-delay throttle =
+              (* A gap: applying would skip events.  Throttle =
                  "not applied, re-send from your acknowledged index". *)
-              send_frame s.sconn
-                (Protocol.Throttle
-                   { session = s.client_sid; retry_after_ms = 0 })
+              send_frame s.sconn (Protocol.Throttle { session = s.client_sid })
           | _, Error msg ->
               srv.cfg.log
                 (Fmt.str "session %d: malformed events (%s)" s.client_sid msg);
@@ -474,7 +466,6 @@ let new_session srv conn sid =
     journal = None;
     dmode = Protocol.M_full;
     throttles = 0;
-    admit_flip = false;
     orphaned_at = Float.nan;
     expiring = false;
     retired = false;
@@ -576,7 +567,7 @@ let handle_resume srv conn sid =
               Atomic.incr srv.dstats.(s.worker).live;
               Mailbox.put srv.mailboxes.(s.worker) (W_recover s)))
 
-(* The admission path: the degradation ladder lives here, in the reader,
+(* The admission path: throttling and shedding live here, in the reader,
    because the reader is what sees mailbox pressure.  The reader never
    blocks on a full mailbox: over the high-watermark the frame is discarded
    and answered with [Throttle]/[Shed], so the client can back off and
@@ -606,34 +597,12 @@ let handle_events srv conn sid from events =
                    Fmt.str "overloaded: %d consecutive throttles" s.throttles;
                })
         end
-        else begin
-          if
-            s.throttles >= srv.cfg.throttle_sample
-            && s.dmode = Protocol.M_full
-          then begin
-            s.dmode <- Protocol.M_sampling;
-            srv.cfg.log
-              (Fmt.str "session %d: sampling after %d throttles" sid
-                 s.throttles)
-          end;
-          send_frame conn (Protocol.Throttle { session = sid; retry_after_ms })
-        end
+        else send_frame conn (Protocol.Throttle { session = sid })
       in
-      let admit =
-        if s.dmode = Protocol.M_sampling then begin
-          s.admit_flip <- not s.admit_flip;
-          s.admit_flip
-        end
-        else true
-      in
-      if not admit then throttle ()
-      else if Mailbox.length mb >= srv.cfg.hwm then throttle ()
+      if Mailbox.length mb >= srv.cfg.hwm then throttle ()
       else if not (Mailbox.try_put mb (W_events (s, from, events))) then
         throttle ()
-      else if Mailbox.length mb * 2 < srv.cfg.hwm then begin
-        s.throttles <- 0;
-        if s.dmode = Protocol.M_sampling then s.dmode <- Protocol.M_full
-      end
+      else if Mailbox.length mb * 2 < srv.cfg.hwm then s.throttles <- 0
 
 let with_session srv conn sid k =
   match Hashtbl.find_opt conn.sessions sid with
@@ -658,7 +627,7 @@ let serve_frames srv conn =
                 open_session srv conn session
             | Protocol.Events _ | Protocol.Events_at _ ->
                 assert false (* taken by [events_header] *)
-            | Protocol.Resume { session; from = _ } ->
+            | Protocol.Resume { session } ->
                 handle_resume srv conn session
             | Protocol.Heartbeat -> send_frame conn Protocol.Heartbeat
             | Protocol.Checkpoint { session; token } ->

@@ -38,21 +38,19 @@
     answers with the durably-applied index; [Events_at] re-sends are
     deduplicated in the session's worker — the only writer of its
     applied counter — so duplicated or re-sent frames never double-apply,
-    and a frame that would open a gap is refused with a zero-delay
-    [Throttle].
+    and a frame that would open a gap is refused with [Throttle].
 
     {2 Overload}: admission control refuses connections over [max_conns]
-    and sessions over [max_sessions] with [Error overloaded].  A session
-    whose worker's mailbox is at the high-watermark walks the degradation
-    ladder — throttle (frame discarded, [Throttle] reply), sampling
-    (alternate frames admitted) after [throttle_sample] consecutive
-    throttles, shed (sticky; later events discarded, verdicts carry
-    [mode = shed] and the covered prefix) after [throttle_shed] — instead
-    of blocking the connection's reader.  Reads and writes both carry
-    [session_timeout]-second socket deadlines (slow-loris: a silent or
-    never-draining peer is cut loose, its durable sessions
-    orphaned-resumable); idle clients heartbeat to stay attached, and the
-    server echoes [Heartbeat]. *)
+    and sessions over [max_sessions] with [Error overloaded].  A frame
+    for a session whose worker's mailbox is at the high-watermark is
+    throttled (discarded, [Throttle] reply) instead of blocking the
+    connection's reader; the [throttle_shed]-th consecutive throttle
+    sheds the session instead (sticky; a [Shed] reply, later events
+    discarded, verdicts carry [mode = shed] and the covered prefix).
+    Reads and writes both carry [session_timeout]-second socket deadlines
+    (slow-loris: a silent or never-draining peer is cut loose, its
+    durable sessions orphaned-resumable); idle clients heartbeat to stay
+    attached, and the server echoes [Heartbeat]. *)
 
 type config = {
   addr : Wire.addr;
@@ -70,7 +68,6 @@ type config = {
   max_conns : int;  (** admission: concurrent connections *)
   max_sessions : int;  (** admission: live sessions *)
   hwm : int;  (** mailbox high-watermark that starts throttling *)
-  throttle_sample : int;  (** consecutive throttles before sampling *)
   throttle_shed : int;  (** consecutive throttles before shedding *)
   log : string -> unit;  (** server-side event log (malformed frames, ...) *)
 }
@@ -85,16 +82,14 @@ val config :
   ?max_conns:int ->
   ?max_sessions:int ->
   ?hwm:int ->
-  ?throttle_sample:int ->
   ?throttle_shed:int ->
   ?log:(string -> unit) ->
   Wire.addr ->
   config
 (** Defaults: 4 workers, no search budget, 64-item queues, not durable, no
     fsync, {!Protocol.default_session_timeout}, 1024 connections, 8192
-    sessions, [hwm = queue_capacity / 2], sampling after 4 and shedding
-    after 16 consecutive throttles, silent log.  [Throttle] frames always
-    carry a 50 ms retry hint. *)
+    sessions, [hwm = queue_capacity / 2], shedding at the 16th
+    consecutive throttle, silent log. *)
 
 type t
 

@@ -44,10 +44,10 @@ let run_one ?(max_nodes = 2_000_000) ?(check = true) ?retry ~stm ~params ~spec
         else
           let p = History.prefix h i in
           match Tm_checker.Last_use_opacity.check_inc ~max_nodes ctx p with
-          | Tm_checker.Last_use_opacity.Sat _, _ -> judge (i + 1)
-          | Tm_checker.Last_use_opacity.Unsat why, _ ->
+          | Tm_checker.Verdict.Sat _, _ -> judge (i + 1)
+          | Tm_checker.Verdict.Unsat why, _ ->
               `Violation (Fmt.str "prefix %d: %s (last-use)" i why)
-          | Tm_checker.Last_use_opacity.Ambiguous why, _ -> `Budget why
+          | Tm_checker.Verdict.Unknown why, _ -> `Budget why
       in
       (Some (judge 0), None)
     end

@@ -10,16 +10,6 @@ let kind_to_string = function
   | `Spurious -> "abort"
   | `Omission -> "omission"
 
-let kind_of_string = function
-  | "crash" -> Ok `Crash
-  | "stall" -> Ok `Stall
-  | "abort" | "spurious" -> Ok `Spurious
-  | "omission" | "omit" -> Ok `Omission
-  | s ->
-      Error
-        (Fmt.str "unknown fault kind %S (expected %s)" s
-           (String.concat "|" (List.map kind_to_string all_kinds)))
-
 type spec = {
   crash : point option;
   stall : point option;

@@ -34,7 +34,6 @@ type kind = [ `Crash | `Stall | `Spurious | `Omission ]
 
 val all_kinds : kind list
 val kind_to_string : kind -> string
-val kind_of_string : string -> (kind, string) result
 
 type spec = {
   crash : point option;  (** kill the thread at this boundary *)

@@ -143,8 +143,7 @@ let gen_domain_stats =
     (pair n n) (pair n n)
     (pair n (pair n n))
 
-let gen_mode =
-  QCheck2.Gen.oneofl [ Protocol.M_full; Protocol.M_sampling; Protocol.M_shed ]
+let gen_mode = QCheck2.Gen.oneofl [ Protocol.M_full; Protocol.M_shed ]
 
 let gen_frame =
   let open QCheck2.Gen in
@@ -163,7 +162,7 @@ let gen_frame =
         session (0 -- 1_000);
       map (fun s -> Protocol.Close_session { session = s }) session;
       (* Both tail-free verdicts (applied = events, full mode) and
-         verdicts carrying a degradation tail. *)
+         verdicts carrying a tail. *)
       map3
         (fun s token (events, status) ->
           Protocol.Verdict
@@ -196,18 +195,14 @@ let gen_frame =
            ])
         str;
       pure Protocol.Goodbye;
-      map2
-        (fun s from -> Protocol.Resume { session = s; from })
-        session (0 -- 100_000);
+      map (fun s -> Protocol.Resume { session = s }) session;
       map3
         (fun s (applied, mode) status ->
           Protocol.Resumed { session = s; applied; mode; status })
         session
         (pair (0 -- 100_000) gen_mode)
         gen_status;
-      map2
-        (fun s retry_after_ms -> Protocol.Throttle { session = s; retry_after_ms })
-        session (0 -- 10_000);
+      map (fun s -> Protocol.Throttle { session = s }) session;
       pure Protocol.Heartbeat;
       map3
         (fun s from events -> Protocol.Events_at { session = s; from; events })
@@ -439,6 +434,38 @@ let retired_tags_refused () =
       ("tag 18 with a protocol-3 payload", "\x12\x01\x01\x03\x03\x00\x00");
     ]
 
+(* Protocol 4 carried a sampling mode (byte 1), a retry hint after a
+   [Throttle]'s session and a resume index after a [Resume]'s.  Version 5
+   carries none of them, so each such body must be refused; the same
+   bodies without the retired field still decode. *)
+let retired_fields_refused () =
+  let refused (name, body) =
+    match Protocol.decode body with
+    | Ok f -> Alcotest.failf "%s decoded as %a" name Protocol.pp_frame f
+    | Error _ -> ()
+  in
+  List.iter refused
+    [
+      ("verdict tail with mode byte 1", "\x06\x01\x00\x03\x00\x01\x03");
+      ("Resumed with mode byte 1", "\x0c\x01\x02\x01\x00");
+      ("Throttle with a retry hint", "\x0d\x01\x32");
+      ("Resume with a resume index", "\x0b\x01\x00");
+    ];
+  let decodes name body want =
+    match Protocol.decode body with
+    | Ok f when f = want -> ()
+    | Ok f -> Alcotest.failf "%s decoded as %a" name Protocol.pp_frame f
+    | Error msg -> Alcotest.failf "%s: %s" name msg
+  in
+  decodes "shed verdict tail" "\x06\x01\x00\x03\x00\x02\x03"
+    (Protocol.verdict ~mode:Protocol.M_shed ~session:1 ~token:0 ~events:3
+       Protocol.S_ok);
+  decodes "Resumed, shed" "\x0c\x01\x02\x02\x00"
+    (Protocol.Resumed
+       { session = 1; applied = 2; mode = Protocol.M_shed; status = S_ok });
+  decodes "Throttle" "\x0d\x01" (Protocol.Throttle { session = 1 });
+  decodes "Resume" "\x0b\x01" (Protocol.Resume { session = 1 })
+
 let prop_garbage =
   qtest ~count:1000 "protocol: arbitrary bytes never crash the decoder"
     QCheck2.Gen.(string_size ~gen:(0 -- 255 |> map Char.chr) (0 -- 64))
@@ -477,6 +504,7 @@ let suite =
         prop_frame_fuzz;
         prop_garbage;
         test "retired tags 17 and 18 do not decode" retired_tags_refused;
+        test "retired protocol-4 fields do not decode" retired_fields_refused;
         prop_events_header;
         prop_events_header_garbage;
       ] );

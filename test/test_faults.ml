@@ -160,6 +160,38 @@ let test_campaign () =
     (Fmt.str "some campaign run left a tryC pending (%d did)" !pending_seen)
     true (!pending_seen >= 1)
 
+(* An early-release STM is judged prefix by prefix under last-use
+   opacity, its own criterion.  Some of its histories are not du-opaque,
+   so an [`Ok] on those shows the last-use branch decided them. *)
+let test_campaign_early_release () =
+  let seeds = List.init 10 (fun i -> i + 1) in
+  let reports =
+    Sim.Faults.campaign ~max_nodes:2_000_000
+      ~kinds:[ `Crash; `Stall; `Spurious ] ~stm:"early-release" ~params ~seeds
+      ()
+  in
+  Alcotest.(check int) "one report per seed" (List.length seeds)
+    (List.length reports);
+  let not_du = ref 0 in
+  List.iter
+    (fun (r : Sim.Faults.report) ->
+      let h = r.Sim.Faults.history in
+      (match r.Sim.Faults.outcome with
+      | Some `Ok -> ()
+      | Some (`Violation why) ->
+          Alcotest.failf "seed %d: early-release not last-use-opaque: %s@.%s"
+            r.Sim.Faults.seed why (Pretty.timeline h)
+      | Some (`Budget why) ->
+          Alcotest.failf "seed %d: budget: %s" r.Sim.Faults.seed why
+      | None -> Alcotest.failf "seed %d: checking was on" r.Sim.Faults.seed);
+      match Conflict_graph.check_or_fallback ~max_nodes:2_000_000 h with
+      | Verdict.Unsat _ -> incr not_du
+      | Verdict.Sat _ | Verdict.Unknown _ -> ())
+    reports;
+  Alcotest.(check bool)
+    (Fmt.str "some campaign history is not du-opaque (%d are)" !not_du)
+    true (!not_du >= 1)
+
 (* --- properties (QCheck over seeds) -------------------------------------- *)
 
 let arb_faulted_run =
@@ -231,6 +263,8 @@ let suite =
     ( "faults: campaign",
       [
         slow "tl2 stays du-opaque under a 15-seed campaign" test_campaign;
+        test "early-release stays last-use-opaque under a 10-seed campaign"
+          test_campaign_early_release;
         prop_well_formed;
         prop_prefix_of_own_completion;
         prop_du_opacity_antitone;

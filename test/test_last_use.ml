@@ -12,7 +12,7 @@ open Helpers
 
 let of_text = Parse.of_string_exn
 
-let lu h = Last_use_opacity.to_verdict (Last_use_opacity.check h)
+let lu h = Last_use_opacity.check h
 let du h = Du_opacity.check h
 
 let check_lu_certified name h v =
@@ -102,9 +102,8 @@ let test_incremental_matches_batch () =
           let batch = Last_use_opacity.check p in
           Alcotest.(check bool)
             (Fmt.str "prefix %d of %s agrees" i text)
-            (Last_use_opacity.is_sat batch)
-            (Last_use_opacity.is_sat inc))
-        (Oracle.boundaries h))
+            (Verdict.is_sat batch) (Verdict.is_sat inc))
+        (History.boundaries h))
     [
       "W1(X,1)->ok R2(X)->1 C1->C C2->C";
       "W1(X,1)->ok R2(X)->1 C1->A C2->C";
@@ -194,9 +193,9 @@ let prop_containment =
       match Conflict_graph.check_or_fallback ~max_nodes:500_000 h with
       | Verdict.Sat _ -> (
           match Last_use_opacity.check_fast ~max_nodes:500_000 h with
-          | Last_use_opacity.Sat _ -> true
-          | Last_use_opacity.Unsat _ -> false
-          | Last_use_opacity.Ambiguous _ -> QCheck2.assume_fail ())
+          | Verdict.Sat _ -> true
+          | Verdict.Unsat _ -> false
+          | Verdict.Unknown _ -> QCheck2.assume_fail ())
       | Verdict.Unsat _ -> true
       | Verdict.Unknown _ -> QCheck2.assume_fail ())
 

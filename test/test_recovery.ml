@@ -1,6 +1,6 @@
 (* Fault tolerance of the [tm serve] service: durable session journals,
    crash recovery by journal replay, client resume with
-   idempotent re-send, the overload degradation ladder, heartbeats and
+   idempotent re-send, overload throttling and shedding, heartbeats and
    session expiry — and, at the end, a small network-chaos campaign
    through the fault-injecting proxy.
 
@@ -54,14 +54,13 @@ let with_dir f =
   Unix.mkdir dir 0o755;
   Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
 
-let with_durable_server ?session_timeout ?hwm ?throttle_sample ?throttle_shed f
-    =
+let with_durable_server ?session_timeout ?hwm ?throttle_shed f =
   with_dir (fun dir ->
       let addr = `Unix (Filename.concat dir "sock") in
       let journal_dir = Filename.concat dir "journal" in
       let cfg =
         Server.config ~domains:2 ~journal_dir ?session_timeout ?hwm
-          ?throttle_sample ?throttle_shed addr
+          ?throttle_shed addr
       in
       let srv = ref (Server.start cfg) in
       Fun.protect
@@ -145,9 +144,9 @@ let test_journal_torn_tail () =
 
 (* Retry a resume briefly: the dead connection's orphaning travels through
    the old reader's cleanup, which can lag the new connection. *)
-let resume_eventually c session ~from =
+let resume_eventually c session =
   let rec go n =
-    match Client.resume c session ~from with
+    match Client.resume c session with
     | Ok r -> r
     | Error (Protocol.Duplicate_session, _) when n > 0 ->
         Thread.delay 0.02;
@@ -177,7 +176,7 @@ let test_kill_and_recover_verdict_parity () =
           Server.crash !srv;
           srv := Server.start cfg;
           let c2 = connect addr in
-          let applied, _mode, _status = resume_eventually c2 1 ~from:0 in
+          let applied, _mode, _status = resume_eventually c2 1 in
           Alcotest.(check int)
             (Fmt.str "%s: journalled prefix survived the crash" h.name)
             (List.length half) applied;
@@ -224,7 +223,7 @@ let test_concurrent_resume_keeps_capsules_apart () =
         let resume () =
           try
             let c = connect addr in
-            let applied, _mode, _status = resume_eventually c id ~from:0 in
+            let applied, _mode, _status = resume_eventually c id in
             Client.send_events_at c id ~from:applied
               (snd (split_at applied (History.to_list h)));
             ignore (Client.checkpoint c id);
@@ -346,7 +345,7 @@ let test_snapshotting_format_refused () =
       write_tmj1 dir 3;
       let journal = Filename.concat dir "s3.journal" in
       let resume_refused what c =
-        match Client.resume c 3 ~from:0 with
+        match Client.resume c 3 with
         | Ok (applied, _, _) ->
             Alcotest.failf "%s: resumed a TMJ1 session at %d events" what
               applied
@@ -431,7 +430,7 @@ let test_verdict_survives_budget_change () =
             Server.start
               (Server.config ~domains:2 ~max_nodes:1 ~journal_dir addr);
           let c2 = connect addr in
-          let applied, _mode, st = resume_eventually c2 1 ~from:0 in
+          let applied, _mode, st = resume_eventually c2 1 in
           Alcotest.(check int) "journalled stream survived the crash" n
             applied;
           Alcotest.check status "resumed status is the pre-crash violation"
@@ -455,7 +454,7 @@ let test_orphan_reattach () =
       (* die without Goodbye: the session must become orphaned-resumable *)
       Unix.close (Client.fd c);
       let c2 = connect addr in
-      let applied, mode, _ = resume_eventually c2 1 ~from:0 in
+      let applied, mode, _ = resume_eventually c2 1 in
       Alcotest.(check int) "orphan kept its applied index" (n / 2) applied;
       Alcotest.(check bool) "orphan still fully checked" true
         (mode = Protocol.M_full);
@@ -497,7 +496,7 @@ let test_session_expiry () =
       (* sweeper tick is session_timeout / 4; give it several periods *)
       Thread.delay 1.0;
       let c2 = connect addr in
-      (match Client.resume c2 1 ~from:0 with
+      (match Client.resume c2 1 with
       | Ok _ -> Alcotest.fail "expired session must not resume"
       | Error (Protocol.Unknown_session, _) -> ()
       | Error (code, msg) ->
@@ -510,34 +509,43 @@ let test_session_expiry () =
         v.Protocol.status;
       Client.close c2)
 
-(* --- overload: the degradation ladder ------------------------------------- *)
+(* --- overload: throttle, then shed ----------------------------------------- *)
 
 let test_throttle_then_shed () =
-  (* hwm = 0 makes every admission decision a throttle, so the ladder is
-     deterministic: full -> sampling (after 2) -> shed (after 4). *)
-  with_durable_server ~hwm:0 ~throttle_sample:2 ~throttle_shed:4
-    (fun _srv _cfg addr ->
+  (* hwm = 0 makes every admission decision a throttle, so the two rungs
+     are deterministic: three frames are throttled and the session stays
+     full; the fourth consecutive throttle sheds it. *)
+  with_durable_server ~hwm:0 ~throttle_shed:4 (fun _srv _cfg addr ->
       let c = connect addr in
       Client.open_session c 1;
       let burst = [ Event.Inv (1, Event.Read 0) ] in
-      for i = 0 to 5 do
-        Client.send_events_at c 1 ~from:i burst
+      let send_burst () = Client.send_events_at c 1 ~from:0 burst in
+      for _ = 1 to 3 do
+        send_burst ()
       done;
-      let v = Client.close_session c 1 in
-      Alcotest.(check bool) "session was shed" true
+      let v = Client.checkpoint c 1 in
+      Alcotest.(check bool) "full after three throttles" true
+        (v.Protocol.mode = Protocol.M_full);
+      Alcotest.(check int) "three throttles seen" 3 (Client.throttled c);
+      Alcotest.(check bool) "not shed yet" true (Client.shed c = None);
+      send_burst ();
+      let v = Client.checkpoint c 1 in
+      Alcotest.(check bool) "shed at the fourth throttle" true
         (v.Protocol.mode = Protocol.M_shed);
-      Alcotest.(check int) "nothing was silently applied" 0 v.Protocol.applied;
+      Alcotest.(check int) "no further throttle" 3 (Client.throttled c);
       Alcotest.(check bool) "client saw the shed notice" true
         (Client.shed c <> None);
-      Alcotest.(check bool) "client counted throttles" true
-        (Client.throttled c >= 2);
+      send_burst ();
+      let v = Client.close_session c 1 in
+      Alcotest.(check bool) "shed is sticky" true
+        (v.Protocol.mode = Protocol.M_shed);
+      Alcotest.(check int) "nothing was silently applied" 0 v.Protocol.applied;
       Client.close c)
 
 let test_shed_is_degraded_not_wrong () =
   (* submit_durable against a shedding server must report the shed reason
      and a verdict whose [applied] honestly bounds what it covers. *)
-  with_durable_server ~hwm:0 ~throttle_sample:2 ~throttle_shed:4
-    (fun _srv _cfg addr ->
+  with_durable_server ~hwm:0 ~throttle_shed:4 (fun _srv _cfg addr ->
       let events = History.to_list Figures.fig1 in
       let r =
         Client.submit_durable ~session:1 ~chunk:4 ~checkpoint_every:1
@@ -644,7 +652,7 @@ let test_resume_on_non_durable_server_is_clean_error () =
         ~finally:(fun () -> Server.stop srv)
         (fun () ->
           let c = connect addr in
-          (match Client.resume c 1 ~from:0 with
+          (match Client.resume c 1 with
           | Ok _ -> Alcotest.fail "resume on a non-durable server succeeded"
           | Error ((Protocol.Bad_frame | Protocol.Unknown_session), _) -> ()
           | Error (code, msg) ->
@@ -691,7 +699,7 @@ let suite =
       ] );
     ( "recovery: overload",
       [
-        test "degradation ladder: full -> sampling -> shed"
+        test "full -> shed at the throttle_shed-th throttle"
           test_throttle_then_shed;
         test "a shed submission degrades honestly"
           test_shed_is_degraded_not_wrong;

@@ -284,20 +284,23 @@ let test_boundary_semantics () =
   let n = History.length h in
   let expected = [ 2; 4; 6; 8; 10; 12 ] in
   Alcotest.(check (list int)) "ends at a response" expected
-    (Opacity.prefix_lengths h);
-  Alcotest.(check (list int)) "oracle agrees" expected (Oracle.boundaries h);
+    (History.boundaries h);
   let h' =
     History.of_events_exn
       (History.to_list h @ [ Event.Inv (4, Event.Read 0) ])
   in
   Alcotest.(check (list int)) "trailing invocation appended once"
     (expected @ [ n + 1 ])
-    (Opacity.prefix_lengths h');
-  Alcotest.(check (list int)) "oracle agrees on the trailing invocation"
-    (expected @ [ n + 1 ])
-    (Oracle.boundaries h');
-  Alcotest.(check (list int)) "empty" [] (Opacity.prefix_lengths History.empty);
-  Alcotest.(check (list int)) "oracle empty" [] (Oracle.boundaries History.empty)
+    (History.boundaries h');
+  let h'' =
+    History.of_events_exn
+      (History.to_list h
+      @ [ Event.Inv (4, Event.Read 0); Event.Inv (5, Event.Read 0) ])
+  in
+  Alcotest.(check (list int)) "two trailing invocations: full length once"
+    (expected @ [ n + 2 ])
+    (History.boundaries h'');
+  Alcotest.(check (list int)) "empty" [] (History.boundaries History.empty)
 
 let test_boundary_scale () =
   (* ≥2000 responses, many calls: the helpers are a single O(n) pass with
@@ -312,10 +315,8 @@ let test_boundary_scale () =
   in
   let t0 = Unix.gettimeofday () in
   for _ = 1 to 500 do
-    ignore (Opacity.prefix_lengths h);
-    ignore (Oracle.boundaries h);
-    ignore (Opacity.prefix_lengths h');
-    ignore (Oracle.boundaries h')
+    ignore (History.boundaries h);
+    ignore (History.boundaries h')
   done;
   let elapsed = Unix.gettimeofday () -. t0 in
   if elapsed > 10.0 then

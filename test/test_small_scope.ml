@@ -70,9 +70,9 @@ let judge t h =
   (match du with
   | Verdict.Sat _ -> (
       match Last_use_opacity.check ~max_nodes h with
-      | Last_use_opacity.Unsat why ->
+      | Verdict.Unsat why ->
           fail t "%s: du-opaque but not last-use opaque (%s)" (show h) why
-      | Last_use_opacity.Sat _ | Last_use_opacity.Ambiguous _ -> ())
+      | Verdict.Sat _ | Verdict.Unknown _ -> ())
   | Verdict.Unsat _ | Verdict.Unknown _ -> ());
   du
 
